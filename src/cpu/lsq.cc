@@ -1,34 +1,22 @@
 #include "src/cpu/lsq.h"
 
-#include "src/util/check.h"
-
 namespace icr::cpu {
-
-Lsq::Lsq(std::uint32_t capacity) : ring_(capacity), capacity_(capacity) {
-  ICR_CHECK(capacity > 0);
-}
 
 void Lsq::push(std::uint64_t seq, bool is_store, std::uint64_t addr,
                std::uint64_t value) {
-  ICR_CHECK(!full());
-  const std::uint32_t slot = (head_ + count_) % capacity_;
-  ++count_;
-  ring_[slot] = LsqEntry{seq, is_store, addr & ~std::uint64_t{7}, value};
+  ring_.push(LsqEntry{seq, is_store, addr & ~std::uint64_t{7}, value});
 }
 
 void Lsq::pop_if_seq(std::uint64_t seq) noexcept {
-  if (count_ > 0 && ring_[head_].seq == seq) {
-    head_ = (head_ + 1) % capacity_;
-    --count_;
-  }
+  if (!ring_.empty() && ring_.front().seq == seq) ring_.pop();
 }
 
 std::optional<std::uint64_t> Lsq::forward_value(std::uint64_t load_seq,
                                                 std::uint64_t addr) const {
   const std::uint64_t word = addr & ~std::uint64_t{7};
   std::optional<std::uint64_t> result;
-  for (std::uint32_t i = 0; i < count_; ++i) {
-    const LsqEntry& e = at(i);
+  for (std::uint32_t i = 0; i < ring_.size(); ++i) {
+    const LsqEntry& e = ring_[i];
     if (e.seq >= load_seq) break;  // entries are in fetch order
     if (e.is_store && e.addr == word) result = e.value;  // youngest wins
   }

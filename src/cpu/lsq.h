@@ -9,7 +9,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
+
+#include "src/cpu/ring.h"
 
 namespace icr::cpu {
 
@@ -22,11 +23,11 @@ struct LsqEntry {
 
 class Lsq {
  public:
-  explicit Lsq(std::uint32_t capacity);
+  explicit Lsq(std::uint32_t capacity) : ring_(capacity) {}
 
-  [[nodiscard]] bool full() const noexcept { return count_ == capacity_; }
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::uint32_t size() const noexcept { return count_; }
+  [[nodiscard]] bool full() const noexcept { return ring_.full(); }
+  [[nodiscard]] bool empty() const noexcept { return ring_.empty(); }
+  [[nodiscard]] std::uint32_t size() const noexcept { return ring_.size(); }
 
   void push(std::uint64_t seq, bool is_store, std::uint64_t addr,
             std::uint64_t value);
@@ -41,14 +42,7 @@ class Lsq {
       std::uint64_t load_seq, std::uint64_t addr) const;
 
  private:
-  [[nodiscard]] const LsqEntry& at(std::uint32_t i) const noexcept {
-    return ring_[(head_ + i) % capacity_];
-  }
-
-  std::vector<LsqEntry> ring_;
-  std::uint32_t capacity_;
-  std::uint32_t head_ = 0;
-  std::uint32_t count_ = 0;
+  Ring<LsqEntry> ring_;
 };
 
 }  // namespace icr::cpu

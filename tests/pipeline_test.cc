@@ -97,6 +97,61 @@ TEST(Pipeline, LoadLatencyVisibleOnDependentChain) {
   EXPECT_GT(static_cast<double>(ce) / cp, 1.25);
 }
 
+Instruction op(OpClass cls, std::uint64_t pc, std::int16_t dest,
+               std::int16_t src = -1) {
+  Instruction i = alu(pc, dest, src);
+  i.op = cls;
+  return i;
+}
+
+// Cycles the pipeline takes for `n` more instructions once warm (caches,
+// predictor and window in steady state).
+std::uint64_t steady_cycles(Pipeline& pipe, std::uint64_t n) {
+  const std::uint64_t before = pipe.run(2000).cycles;
+  return pipe.run(n).cycles - before;
+}
+
+TEST(Pipeline, ConsumerIssuesInTheCycleItsProducerCompletes) {
+  // A chain of 3-cycle multiplies: each one issues the cycle its producer
+  // writes back, so the chain runs at exactly the multiply latency. A lost
+  // writeback->issue skew would show as 4 cycles per multiply.
+  std::vector<Instruction> v;
+  for (int i = 0; i < 8; ++i) {
+    v.push_back(op(OpClass::kIntMul, 0x400000 + 4 * i, 1, 1));
+  }
+  Bundle b(v, core::Scheme::BaseP());
+  EXPECT_EQ(steady_cycles(b.pipe, 3000), 3u * 3000);
+}
+
+TEST(Pipeline, UnpipelinedDividerBlocksSecondDivide) {
+  // Independent divides share the one unpipelined int divider: each holds
+  // it for its full 20-cycle latency, so they run 20 cycles apart.
+  std::vector<Instruction> v;
+  for (int i = 0; i < 8; ++i) {
+    v.push_back(op(OpClass::kIntDiv, 0x400000 + 4 * i,
+                   static_cast<std::int16_t>(i)));
+  }
+  Bundle b(v, core::Scheme::BaseP());
+  EXPECT_EQ(steady_cycles(b.pipe, 200), 20u * 200);
+}
+
+TEST(Pipeline, EccHitHoldsMemoryPortForBothCycles) {
+  // Independent loads to one hot word: BaseP's 1-cycle hits use each of the
+  // two ports every cycle (2 loads/cycle); BaseECC's 2-cycle hits hold a
+  // port for both cycles (1 load/cycle), not just delay the result.
+  std::vector<Instruction> v;
+  for (int i = 0; i < 8; ++i) {
+    Instruction ld = op(OpClass::kLoad, 0x400000 + 4 * i,
+                        static_cast<std::int16_t>(i));
+    ld.mem_addr = 0x10000;
+    v.push_back(ld);
+  }
+  Bundle p(v, core::Scheme::BaseP());
+  Bundle e(v, core::Scheme::BaseECC());
+  EXPECT_EQ(steady_cycles(p.pipe, 4000), 4000u / 2);
+  EXPECT_EQ(steady_cycles(e.pipe, 4000), 4000u);
+}
+
 TEST(Pipeline, CommitsExactlyRequestedInstructions) {
   std::vector<Instruction> v{alu(0x400000, 1)};
   Bundle b(v, core::Scheme::BaseP());
