@@ -1,5 +1,6 @@
 #include "src/cpu/branch_predictor.h"
 
+#include "src/util/bitops.h"
 #include "src/util/check.h"
 
 namespace icr::cpu {
@@ -14,17 +15,18 @@ BranchPredictor::BranchPredictor(BranchPredictorConfig config)
 }
 
 std::uint32_t BranchPredictor::bimodal_index(std::uint64_t pc) const noexcept {
-  return static_cast<std::uint32_t>((pc >> 2) % config_.bimodal_entries);
+  return static_cast<std::uint32_t>(
+      mod_fast(pc >> 2, config_.bimodal_entries));
 }
 
 std::uint32_t BranchPredictor::two_level_index(std::uint64_t pc) const noexcept {
   const std::uint32_t hist_mask = (1U << config_.history_bits) - 1;
-  return static_cast<std::uint32_t>(((pc >> 2) ^ (history_ & hist_mask)) %
-                                    config_.two_level_entries);
+  return static_cast<std::uint32_t>(mod_fast(
+      (pc >> 2) ^ (history_ & hist_mask), config_.two_level_entries));
 }
 
 std::uint32_t BranchPredictor::meta_index(std::uint64_t pc) const noexcept {
-  return static_cast<std::uint32_t>((pc >> 2) % config_.meta_entries);
+  return static_cast<std::uint32_t>(mod_fast(pc >> 2, config_.meta_entries));
 }
 
 void BranchPredictor::train(std::uint8_t& counter, bool taken) noexcept {
@@ -44,8 +46,9 @@ BranchPredictor::Prediction BranchPredictor::predict(std::uint64_t pc) const {
   pred.taken = use_two_level ? two_level_taken : bimodal_taken;
 
   // BTB lookup.
-  const std::uint32_t sets = config_.btb_entries / config_.btb_ways;
-  const std::uint32_t set = static_cast<std::uint32_t>((pc >> 2) % sets);
+  const std::uint64_t sets =
+      div_fast(config_.btb_entries, config_.btb_ways);
+  const auto set = static_cast<std::uint32_t>(mod_fast(pc >> 2, sets));
   const BtbEntry* base = &btb_[static_cast<std::size_t>(set) * config_.btb_ways];
   for (std::uint32_t w = 0; w < config_.btb_ways; ++w) {
     if (base[w].valid && base[w].pc == pc) {
@@ -85,8 +88,9 @@ bool BranchPredictor::predict_and_update(std::uint64_t pc, bool taken,
   history_ = ((history_ << 1) | (taken ? 1U : 0U)) &
              ((1U << config_.history_bits) - 1);
   if (taken) {
-    const std::uint32_t sets = config_.btb_entries / config_.btb_ways;
-    const std::uint32_t set = static_cast<std::uint32_t>((pc >> 2) % sets);
+    const std::uint64_t sets =
+        div_fast(config_.btb_entries, config_.btb_ways);
+    const auto set = static_cast<std::uint32_t>(mod_fast(pc >> 2, sets));
     BtbEntry* base = &btb_[static_cast<std::size_t>(set) * config_.btb_ways];
     BtbEntry* victim = &base[0];
     ++btb_clock_;

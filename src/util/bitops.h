@@ -18,7 +18,20 @@ namespace icr {
 
 // Parity (XOR-reduction) of a 64-bit word: 1 if odd number of set bits.
 [[nodiscard]] constexpr unsigned parity64(std::uint64_t x) noexcept {
-  return static_cast<unsigned>(std::popcount(x) & 1);
+  // Unlike popcount, this folds to the x86 parity flag without -mpopcnt.
+  return static_cast<unsigned>(__builtin_parityll(x));
+}
+
+// x / n and x % n for n > 0, as a shift and a mask when n is a power of two:
+// the index math of caches and predictors, whose sizes normally are, runs
+// on every simulated access and a 64-bit divide costs tens of cycles.
+[[nodiscard]] constexpr std::uint64_t div_fast(std::uint64_t x,
+                                               std::uint64_t n) noexcept {
+  return is_pow2(n) ? x >> log2_pow2(n) : x / n;
+}
+[[nodiscard]] constexpr std::uint64_t mod_fast(std::uint64_t x,
+                                               std::uint64_t n) noexcept {
+  return is_pow2(n) ? x & (n - 1) : x % n;
 }
 
 // Extract bit `i` of x.

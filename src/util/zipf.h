@@ -2,8 +2,9 @@
 //
 // Workload generators use Zipf skew to model "hot" data: the small set of
 // blocks in high demand that ICR automatically replicates (paper §5.2). The
-// sampler precomputes the CDF once and answers each draw with a binary
-// search, so large universes stay cheap.
+// sampler precomputes the CDF once and answers each draw with a short
+// binary search inside one bucket of a guide table, so large universes stay
+// cheap.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,8 @@ class ZipfSampler {
   std::uint64_t n_;
   double theta_;
   std::vector<double> cdf_;
+  // guide_[k]: the rank std::lower_bound gives for k / (guide_.size() - 1).
+  std::vector<std::uint32_t> guide_;
 };
 
 }  // namespace icr

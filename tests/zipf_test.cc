@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -18,6 +20,24 @@ TEST(Zipf, SamplesWithinUniverse) {
   Rng rng(1);
   for (int i = 0; i < 5000; ++i) {
     EXPECT_LT(z.sample(rng), 17u);
+  }
+}
+
+// sample() is the rank std::lower_bound finds for the same uniform draw,
+// for universes of every size class (including 1, non-powers of two, and
+// more ranks than guide-table buckets).
+TEST(Zipf, SampleIsLowerBoundOfTheDraw) {
+  for (const std::uint64_t n : {1u, 2u, 3u, 7u, 64u, 1000u, 4097u, 70000u}) {
+    const ZipfSampler z(n, 0.8);
+    Rng rng(n);
+    for (int i = 0; i < 20000; ++i) {
+      Rng copy = rng;
+      const double u = copy.next_double();
+      const auto want = static_cast<std::uint64_t>(
+          std::lower_bound(z.cdf().begin(), z.cdf().end(), u) -
+          z.cdf().begin());
+      ASSERT_EQ(z.sample(rng), want) << "n " << n << " draw " << i;
+    }
   }
 }
 
