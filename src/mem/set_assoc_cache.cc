@@ -1,5 +1,8 @@
 #include "src/mem/set_assoc_cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "src/util/check.h"
 
 namespace icr::mem {
@@ -11,10 +14,19 @@ SetAssocCache::SetAssocCache(CacheGeometry geometry) : geometry_(geometry) {
 }
 
 SetAssocCache::TagLine* SetAssocCache::find(std::uint64_t block_addr) noexcept {
+  // Branch-free over up to 64 ways at a time: which one hits is
+  // data-dependent. A block is resident at most once.
   const std::uint32_t set = geometry_.set_index(block_addr);
   TagLine* base = &lines_[static_cast<std::size_t>(set) * geometry_.associativity];
-  for (std::uint32_t w = 0; w < geometry_.associativity; ++w) {
-    if (base[w].valid && base[w].block_addr == block_addr) return &base[w];
+  const std::uint32_t ways = geometry_.associativity;
+  for (std::uint32_t first = 0; first < ways; first += 64) {
+    const std::uint32_t end = std::min(ways, first + 64);
+    std::uint64_t match = 0;
+    for (std::uint32_t w = first; w < end; ++w) {
+      const bool hit = base[w].valid & (base[w].block_addr == block_addr);
+      match |= static_cast<std::uint64_t>(hit) << (w - first);
+    }
+    if (match != 0) return &base[first + std::countr_zero(match)];
   }
   return nullptr;
 }

@@ -81,6 +81,10 @@ class MixturePattern final : public AddressPattern {
 
  private:
   std::vector<double> cumulative_;
+  // next() picks component k for a draw m (Rng::next_u53) iff exactly k of
+  // these bounds are <= m: the std::lower_bound over cumulative_ of the
+  // scaled draw, found once per bound by bisection.
+  std::vector<std::uint64_t> bounds_;
   std::vector<std::unique_ptr<AddressPattern>> patterns_;
   std::size_t last_ = 0;
 };
