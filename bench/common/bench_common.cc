@@ -7,6 +7,7 @@
 
 #include "src/sim/cli.h"
 #include "src/sim/results_io.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
 
 namespace icr::bench {
@@ -55,17 +56,10 @@ std::string resolve_git_sha() {
 #endif
 }
 
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
 void write_json_at_exit() {
   if (g_json_out.empty()) return;
   if (g_ran_campaign) {
-    g_doc.config_hash = hex64(g_config_hash);
+    g_doc.config_hash = util::hex64(g_config_hash);
     g_doc.mips = g_doc.wall_seconds > 0.0
                      ? g_sim_instructions / g_doc.wall_seconds / 1e6
                      : 0.0;

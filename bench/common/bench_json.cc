@@ -1,7 +1,6 @@
 #include "bench/common/bench_json.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -11,12 +10,6 @@
 namespace icr::bench {
 
 namespace {
-
-std::string format_value(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
 
 Better better_from_string(const std::string& text) {
   if (text == "lower") return Better::kLower;
@@ -51,16 +44,16 @@ std::string to_json(const BenchJson& doc) {
   out += "  \"git_sha\": \"" + util::json_escape(doc.git_sha) + "\",\n";
   out += "  \"config_hash\": \"" + util::json_escape(doc.config_hash) +
          "\",\n";
-  out += "  \"wall_seconds\": " + format_value(doc.wall_seconds) + ",\n";
-  out += "  \"mips\": " + format_value(doc.mips) + ",\n";
+  out += "  \"wall_seconds\": " + util::exact_double(doc.wall_seconds) + ",\n";
+  out += "  \"mips\": " + util::exact_double(doc.mips) + ",\n";
   out += "  \"metrics\": [\n";
   for (std::size_t i = 0; i < doc.metrics.size(); ++i) {
     const BenchMetric& metric = doc.metrics[i];
     out += "    {\"name\": \"" + util::json_escape(metric.name) +
-           "\", \"value\": " + format_value(metric.value) +
+           "\", \"value\": " + util::exact_double(metric.value) +
            ", \"better\": \"" + to_string(metric.better) + "\"";
     if (metric.noise > 0.0) {
-      out += ", \"noise\": " + format_value(metric.noise);
+      out += ", \"noise\": " + util::exact_double(metric.noise);
     }
     out += "}";
     if (i + 1 != doc.metrics.size()) out += ',';

@@ -1,16 +1,11 @@
 #include "src/obs/exposition.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "src/util/json.h"
 
 namespace icr::obs {
 namespace {
-
-std::string format_value(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
 
 std::string render_labels(const PromLabels& labels) {
   if (labels.empty()) return "";
@@ -69,7 +64,8 @@ void MetricsText::family(const std::string& name, const std::string& help,
 
 void MetricsText::sample(const std::string& name, const PromLabels& labels,
                          double value) {
-  text_ += name + render_labels(labels) + ' ' + format_value(value) + '\n';
+  text_ +=
+      name + render_labels(labels) + ' ' + util::exact_double(value) + '\n';
 }
 
 void MetricsText::sample(const std::string& name, const PromLabels& labels,
@@ -97,7 +93,7 @@ void MetricsText::histogram(const std::string& name, const std::string& help,
       // Bucket b holds values < bucket_lower_bound(b + 1).
       double upper =
           static_cast<double>(Log2Histogram::bucket_lower_bound(b + 1)) * scale;
-      le.emplace_back("le", format_value(upper));
+      le.emplace_back("le", util::exact_double(upper));
     }
     sample(name + "_bucket", le, cumulative);
   }

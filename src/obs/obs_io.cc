@@ -1,24 +1,9 @@
 #include "src/obs/obs_io.h"
 
-#include <cstdio>
+#include "src/util/json.h"
 
 namespace icr::obs {
 namespace {
-
-// Shortest round-trip decimal, matching results_io.cc: equal doubles always
-// print equal text, so deterministic runs export byte-identical files.
-std::string format_ratio(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 // Index of `name` in `names`, or npos.
 std::size_t index_of(const std::vector<std::string>& names,
@@ -99,14 +84,14 @@ void append_intervals_csv_rows(std::string& out, const IntervalSeries& series,
     out += ',' + std::to_string(cur.cycles);
     out += ',' + std::to_string(d_instr);
     out += ',' + std::to_string(d_cycles);
-    out += ',' + format_ratio(d_cycles == 0 ? 0.0
+    out += ',' + util::exact_double(d_cycles == 0 ? 0.0
                                             : static_cast<double>(d_instr) /
                                                   static_cast<double>(d_cycles));
-    out += ',' + format_ratio(accesses == 0
+    out += ',' + util::exact_double(accesses == 0
                                   ? 0.0
                                   : static_cast<double>(misses) /
                                         static_cast<double>(accesses));
-    out += ',' + format_ratio(opportunities == 0
+    out += ',' + util::exact_double(opportunities == 0
                                   ? 0.0
                                   : static_cast<double>(successes) /
                                         static_cast<double>(opportunities));
@@ -171,21 +156,21 @@ void append_ndjson(std::string& out, const std::vector<TraceEvent>& events,
     out += '"';
     switch (e.kind) {
       case EventKind::kReplicationAttempt:
-        out += ",\"block\":\"" + hex64(e.a0) +
+        out += ",\"block\":\"" + util::hex64(e.a0) +
                "\",\"created\":" + std::to_string(e.a1) +
                ",\"target\":" + std::to_string(e.a2);
         break;
       case EventKind::kReplicaCreate:
-        out += ",\"block\":\"" + hex64(e.a0) +
+        out += ",\"block\":\"" + util::hex64(e.a0) +
                "\",\"set\":" + std::to_string(e.a1) +
                ",\"distance\":" + std::to_string(e.a2);
         break;
       case EventKind::kReplicaEvict:
-        out += ",\"block\":\"" + hex64(e.a0) +
+        out += ",\"block\":\"" + util::hex64(e.a0) +
                "\",\"set\":" + std::to_string(e.a1);
         break;
       case EventKind::kDeadBlockRecycle:
-        out += ",\"block\":\"" + hex64(e.a0) +
+        out += ",\"block\":\"" + util::hex64(e.a0) +
                "\",\"set\":" + std::to_string(e.a1) +
                ",\"idle_cycles\":" + std::to_string(e.a2);
         break;
@@ -195,7 +180,7 @@ void append_ndjson(std::string& out, const std::vector<TraceEvent>& events,
                ",\"bits\":" + std::to_string(e.a2);
         break;
       case EventKind::kFaultVerdict:
-        out += ",\"addr\":\"" + hex64(e.a0) + "\",\"outcome\":\"";
+        out += ",\"addr\":\"" + util::hex64(e.a0) + "\",\"outcome\":\"";
         out += to_string(static_cast<FaultVerdict>(e.a1));
         out += '"';
         break;

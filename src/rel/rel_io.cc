@@ -2,38 +2,10 @@
 
 #include <cstdio>
 
+#include "src/util/json.h"
+
 namespace icr::rel {
 namespace {
-
-// Shortest round-trip decimal, matching sim::results_io formatting so mixed
-// artifacts diff cleanly.
-std::string format_value(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void append_tag(std::string& out, const obs::CellTag& tag) {
   out += tag.variant;
@@ -71,16 +43,16 @@ void append_summary_csv_row(std::string& out, const RelReport& report,
   out += ',';
   out += std::to_string(report.cycles);
   out += ',';
-  out += format_value(report.clock_ghz);
+  out += util::exact_double(report.clock_ghz);
   out += ',';
-  out += format_value(report.probability);
+  out += util::exact_double(report.probability);
   out += ',';
-  out += format_value(report.word_cycles);
+  out += util::exact_double(report.word_cycles);
   out += ',';
-  out += format_value(report.total_exposure);
+  out += util::exact_double(report.total_exposure);
   for (std::size_t s = 0; s < kRelStates; ++s) {
     out += ',';
-    out += format_value(report.state_exposure[s]);
+    out += util::exact_double(report.state_exposure[s]);
   }
   const RelPrediction expected = report.evaluate(report.probability);
   const double values[] = {report.corrected_coef,
@@ -102,7 +74,7 @@ void append_summary_csv_row(std::string& out, const RelReport& report,
                            expected.silent};
   for (const double v : values) {
     out += ',';
-    out += format_value(v);
+    out += util::exact_double(v);
   }
   out += '\n';
 }
@@ -130,9 +102,9 @@ void append_intervals_csv_rows(std::string& out, const RelReport& report,
     out += ',';
     out += std::to_string(row.count);
     out += ',';
-    out += format_value(row.cycles);
+    out += util::exact_double(row.cycles);
     out += ',';
-    out += format_value(row.exposure);
+    out += util::exact_double(row.exposure);
     out += '\n';
   }
 }
@@ -161,15 +133,15 @@ void append_json_object(std::string& out, const RelReport& report,
   };
   out += pad;
   out += "{\n";
-  field("variant", "\"" + json_escape(tag.variant) + "\"");
-  field("app", "\"" + json_escape(tag.app) + "\"");
+  field("variant", "\"" + util::json_escape(tag.variant) + "\"");
+  field("app", "\"" + util::json_escape(tag.app) + "\"");
   field("trial", std::to_string(tag.trial));
   field("supported", report.model_supported ? "true" : "false");
   field("cycles", std::to_string(report.cycles));
-  field("clock_ghz", format_value(report.clock_ghz));
-  field("probability", format_value(report.probability));
-  field("word_cycles", format_value(report.word_cycles));
-  field("total_exposure", format_value(report.total_exposure));
+  field("clock_ghz", util::exact_double(report.clock_ghz));
+  field("probability", util::exact_double(report.probability));
+  field("word_cycles", util::exact_double(report.word_cycles));
+  field("total_exposure", util::exact_double(report.total_exposure));
   out += pad2;
   out += "\"state_exposure\": {";
   for (std::size_t s = 0; s < kRelStates; ++s) {
@@ -177,30 +149,32 @@ void append_json_object(std::string& out, const RelReport& report,
     out += '"';
     out += to_string(static_cast<RelState>(s));
     out += "\": ";
-    out += format_value(report.state_exposure[s]);
+    out += util::exact_double(report.state_exposure[s]);
   }
   out += "},\n";
-  field("coef_corrected", format_value(report.corrected_coef));
-  field("coef_replica_recovered", format_value(report.replica_coef));
-  field("coef_detected_uncorrectable", format_value(report.detected_coef));
-  field("coef_silent", format_value(report.silent_coef));
-  field("coef_scrub", format_value(report.scrub_coef));
-  field("coef_unobserved", format_value(report.unobserved_coef));
-  field("coef_deposited", format_value(report.deposited_coef));
-  field("open_exposure", format_value(report.open_exposure));
-  field("pending_residual", format_value(report.pending_residual));
-  field("vf_corrected", format_value(report.vf_corrected()));
-  field("vf_replica_recovered", format_value(report.vf_replica_recovered()));
+  field("coef_corrected", util::exact_double(report.corrected_coef));
+  field("coef_replica_recovered", util::exact_double(report.replica_coef));
+  field("coef_detected_uncorrectable",
+        util::exact_double(report.detected_coef));
+  field("coef_silent", util::exact_double(report.silent_coef));
+  field("coef_scrub", util::exact_double(report.scrub_coef));
+  field("coef_unobserved", util::exact_double(report.unobserved_coef));
+  field("coef_deposited", util::exact_double(report.deposited_coef));
+  field("open_exposure", util::exact_double(report.open_exposure));
+  field("pending_residual", util::exact_double(report.pending_residual));
+  field("vf_corrected", util::exact_double(report.vf_corrected()));
+  field("vf_replica_recovered",
+        util::exact_double(report.vf_replica_recovered()));
   field("vf_detected_uncorrectable",
-        format_value(report.vf_detected_uncorrectable()));
-  field("vf_uncorrected", format_value(report.vf_uncorrected()));
+        util::exact_double(report.vf_detected_uncorrectable()));
+  field("vf_uncorrected", util::exact_double(report.vf_uncorrected()));
   const RelPrediction expected = report.evaluate(report.probability);
-  field("expected_corrected", format_value(expected.corrected));
+  field("expected_corrected", util::exact_double(expected.corrected));
   field("expected_replica_recovered",
-        format_value(expected.replica_recovered));
+        util::exact_double(expected.replica_recovered));
   field("expected_detected_uncorrectable",
-        format_value(expected.detected_uncorrectable));
-  field("expected_silent", format_value(expected.silent));
+        util::exact_double(expected.detected_uncorrectable));
+  field("expected_silent", util::exact_double(expected.silent));
   out += pad2;
   out += "\"intervals\": [";
   for (std::size_t i = 0; i < report.intervals.size(); ++i) {
@@ -217,9 +191,9 @@ void append_json_object(std::string& out, const RelReport& report,
     out += "\", \"count\": ";
     out += std::to_string(row.count);
     out += ", \"cycles\": ";
-    out += format_value(row.cycles);
+    out += util::exact_double(row.cycles);
     out += ", \"exposure\": ";
-    out += format_value(row.exposure);
+    out += util::exact_double(row.exposure);
     out += '}';
   }
   if (!report.intervals.empty()) {

@@ -105,9 +105,10 @@ CellResult run_cell(const CampaignSpec& spec, std::size_t variant_idx,
 
   Simulator simulator = [&]() -> Simulator {
     if (traced) {
-      trace::OpenedTrace opened = trace::open_trace(spec.trace.path);
+      auto source =
+          std::make_unique<trace::StreamingTraceSource>(spec.trace.path);
       if (spec.trace.fingerprint != 0 &&
-          opened.info.fingerprint != spec.trace.fingerprint) {
+          source->info().fingerprint != spec.trace.fingerprint) {
         throw std::runtime_error(
             "trace campaign: " + spec.trace.path +
             " does not match the campaign's trace fingerprint (the file "
@@ -115,9 +116,8 @@ CellResult run_cell(const CampaignSpec& spec, std::size_t variant_idx,
       }
       const TraceShard shard = trace_shard(spec, app_idx);
       budget = shard.instructions;
-      opened.source->seek_to(shard.begin);
-      return Simulator(config, variant.scheme, std::move(opened.source),
-                       cell_label);
+      source->seek_to(shard.begin);
+      return Simulator(config, variant.scheme, std::move(source), cell_label);
     }
     trace::WorkloadProfile profile = trace::profile_for(spec.apps[app_idx]);
     if (spec.derive_seeds) profile.seed = workload_seed;

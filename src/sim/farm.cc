@@ -16,21 +16,6 @@
 namespace icr::sim::farm {
 namespace {
 
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-// %.17g: shortest text that reparses (via the reader's strtod) to the
-// exact same double — manifest probabilities survive the round trip.
-std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
 std::uint64_t parse_hex64(const util::JsonValue& value) {
   return std::strtoull(value.as_string("0x0").c_str(), nullptr, 0);
 }
@@ -48,7 +33,7 @@ void append_sampling_json(std::string& out, const SamplingOptions& s) {
          ", \"windows\": " + std::to_string(s.windows) +
          ", \"window_width\": " + std::to_string(s.window_width) +
          ", \"mode\": \"" + to_string(s.mode) + "\", \"seed\": \"" +
-         hex64(s.seed) + "\"}";
+         util::hex64(s.seed) + "\"}";
 }
 
 SamplingOptions parse_sampling(const util::JsonValue& v) {
@@ -89,8 +74,8 @@ std::vector<WorkUnit> shard_units(std::uint64_t total_cells,
 std::string Manifest::to_json() const {
   std::string out = "{\n  \"farm\": {\n";
   out += "    \"version\": " + std::to_string(version) + ",\n";
-  out += "    \"config_hash\": \"" + hex64(config_hash) + "\",\n";
-  out += "    \"base_seed\": \"" + hex64(base_seed) + "\",\n";
+  out += "    \"config_hash\": \"" + util::hex64(config_hash) + "\",\n";
+  out += "    \"base_seed\": \"" + util::hex64(base_seed) + "\",\n";
   out += "    \"instructions\": " + std::to_string(instructions) + ",\n";
   out += "    \"trials\": " + std::to_string(trials) + ",\n";
   out += std::string("    \"derive_seeds\": ") +
@@ -102,7 +87,7 @@ std::string Manifest::to_json() const {
   out += "    \"unit_count\": " + std::to_string(unit_count) + ",\n";
   out += "    \"decay_window\": " + std::to_string(decay_window) + ",\n";
   out += "    \"fault_model\": \"" + util::json_escape(fault_model) + "\",\n";
-  out += "    \"fault_probability\": " + format_double(fault_probability) +
+  out += "    \"fault_probability\": " + util::exact_double(fault_probability) +
          ",\n";
   out += "    \"sampling\": ";
   append_sampling_json(out, sampling);
@@ -124,13 +109,13 @@ std::string Manifest::to_json() const {
     append_u32_array("ways_disabled", geometry.ways_disabled);
     out += std::string(", \"pattern\": \"") +
            mem::way_pattern_name(geometry.pattern) + "\", \"way_seed\": \"" +
-           hex64(geometry.way_seed) + "\"}";
+           util::hex64(geometry.way_seed) + "\"}";
   }
   if (trace.enabled()) {
     out += ",\n    \"trace\": {\"path\": \"" + util::json_escape(trace.path) +
            "\", \"shard_instructions\": " +
            std::to_string(trace.shard_instructions) + ", \"fingerprint\": \"" +
-           hex64(trace.fingerprint) +
+           util::hex64(trace.fingerprint) +
            "\", \"records\": " + std::to_string(trace.records) + "}";
   }
   out += ",\n    \"schemes\": [";
@@ -364,7 +349,7 @@ std::string unit_to_json(std::uint32_t unit,
     out += "    {\"variant_idx\": " + std::to_string(c.variant_idx) +
            ", \"app_idx\": " + std::to_string(c.app_idx) +
            ", \"trial\": " + std::to_string(c.trial_idx) + ", \"seed\": \"" +
-           hex64(c.seed) + "\", \"variant\": \"" +
+           util::hex64(c.seed) + "\", \"variant\": \"" +
            util::json_escape(c.variant) + "\", \"app\": \"" +
            util::json_escape(c.app) + "\"";
     if (c.geometry.present) {
@@ -378,7 +363,7 @@ std::string unit_to_json(std::uint32_t unit,
     for (std::size_t m = 0; m < c.metric_bits.size(); ++m) {
       if (m != 0) out += ", ";
       out += '"';
-      out += hex64(c.metric_bits[m]);
+      out += util::hex64(c.metric_bits[m]);
       out += '"';
     }
     out += "], \"sampling\": {\"sampled\": ";
@@ -475,8 +460,8 @@ WorkerReport run_worker_loop(
   const Manifest manifest = load_manifest(spool);
   if (campaign_config_hash(spec) != manifest.config_hash) {
     bad_document("spec does not match the spool manifest (config hash " +
-                 hex64(campaign_config_hash(spec)) + " vs manifest " +
-                 hex64(manifest.config_hash) + ")");
+                 util::hex64(campaign_config_hash(spec)) + " vs manifest " +
+                 util::hex64(manifest.config_hash) + ")");
   }
   const std::vector<WorkUnit> units =
       shard_units(manifest.total_cells, manifest.unit_cells);

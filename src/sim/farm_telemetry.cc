@@ -17,22 +17,6 @@
 namespace icr::sim::farm {
 namespace {
 
-// %.17g: shortest text that reparses to the exact same double, matching the
-// manifest/unit writers in farm.cc.
-std::string exact_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-// Status output is for humans and scripts, not for byte-identity; six
-// significant digits keep the NDJSON readable.
-std::string brief_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.6g", value);
-  return buffer;
-}
-
 std::string i64_string(std::int64_t value) {
   char buffer[32];
   std::snprintf(buffer, sizeof buffer, "%lld",
@@ -140,18 +124,19 @@ std::string WorkerHeartbeat::to_json() const {
   out += "    \"worker\": \"" + util::json_escape(worker_id) + "\",\n";
   out += "    \"pid\": " + i64_string(pid) + ",\n";
   out += "    \"seq\": " + u64_string(seq) + ",\n";
-  out += "    \"time_unix\": " + exact_double(time_unix_seconds) + ",\n";
-  out += "    \"uptime_seconds\": " + exact_double(uptime_seconds) + ",\n";
+  out += "    \"time_unix\": " + util::exact_double(time_unix_seconds) + ",\n";
+  out += "    \"uptime_seconds\": " + util::exact_double(uptime_seconds) +
+         ",\n";
   out += "    \"units_done\": " + std::to_string(units_done) + ",\n";
   out += "    \"cells_done\": " + u64_string(cells_done) + ",\n";
   out += "    \"current_unit\": " + i64_string(current_unit) + ",\n";
   out += "    \"current_cell\": " + i64_string(current_cell) + ",\n";
   out += "    \"instructions_done\": " + u64_string(instructions_done) + ",\n";
-  out += "    \"mips\": " + exact_double(mips) + ",\n";
+  out += "    \"mips\": " + util::exact_double(mips) + ",\n";
   out += std::string("    \"exited\": ") + (exited ? "true" : "false") + ",\n";
   out += "    \"rusage\": {\"maxrss_kb\": " + u64_string(rusage.maxrss_kb) +
-         ", \"utime_seconds\": " + exact_double(rusage.utime_seconds) +
-         ", \"stime_seconds\": " + exact_double(rusage.stime_seconds) +
+         ", \"utime_seconds\": " + util::exact_double(rusage.utime_seconds) +
+         ", \"stime_seconds\": " + util::exact_double(rusage.stime_seconds) +
          "},\n";
   out += "    \"prof\": [";
   for (std::size_t i = 0; i < prof_zones.size(); ++i) {
@@ -246,11 +231,11 @@ std::string FarmEvent::to_ndjson_line() const {
   std::string out = "{\"v\":" + std::to_string(kTelemetryFormatVersion) +
                     ",\"worker\":\"" + util::json_escape(worker_id) +
                     "\",\"seq\":" + u64_string(seq) +
-                    ",\"t\":" + exact_double(time_unix_seconds) +
+                    ",\"t\":" + util::exact_double(time_unix_seconds) +
                     ",\"type\":\"" + to_string(type) +
                     "\",\"unit\":" + i64_string(unit) +
                     ",\"cells\":" + u64_string(cells) +
-                    ",\"dur\":" + exact_double(duration_seconds);
+                    ",\"dur\":" + util::exact_double(duration_seconds);
   if (!detail.empty()) {
     out += ",\"detail\":\"" + util::json_escape(detail) + "\"";
   }
@@ -747,10 +732,11 @@ std::string farm_status_to_ndjson(const FarmStatus& status) {
   out += ",\"straggler\":" + std::to_string(stragglers);
   out += ",\"dead\":" + std::to_string(dead);
   out += ",\"exited\":" + std::to_string(exited);
-  out += ",\"percent\":" + brief_double(status.throughput.percent);
-  out += ",\"cells_per_second\":" + brief_double(status.throughput.rate);
-  out += ",\"eta_seconds\":" + brief_double(status.throughput.eta_seconds);
-  out += ",\"elapsed_seconds\":" + brief_double(status.elapsed_seconds);
+  out += ",\"percent\":" + util::brief_double(status.throughput.percent);
+  out += ",\"cells_per_second\":" + util::brief_double(status.throughput.rate);
+  out += ",\"eta_seconds\":" +
+         util::brief_double(status.throughput.eta_seconds);
+  out += ",\"elapsed_seconds\":" + util::brief_double(status.elapsed_seconds);
   out += ",\"events\":" + std::to_string(status.event_count);
   out += ",\"dropped_event_lines\":" +
          std::to_string(status.dropped_event_lines);
@@ -768,13 +754,14 @@ std::string farm_status_to_ndjson(const FarmStatus& status) {
     out += ",\"state\":\"" + std::string(to_string(worker.state)) + "\"";
     out += ",\"pid\":" + i64_string(hb.pid);
     out += ",\"seq\":" + u64_string(hb.seq);
-    out += ",\"age_seconds\":" + brief_double(worker.age_seconds);
+    out += ",\"age_seconds\":" + util::brief_double(worker.age_seconds);
     out += ",\"units_done\":" + std::to_string(hb.units_done);
     out += ",\"cells_done\":" + u64_string(hb.cells_done);
     out += ",\"current_unit\":" + i64_string(hb.current_unit);
     out += ",\"current_cell\":" + i64_string(hb.current_cell);
-    out += ",\"cells_per_second\":" + brief_double(worker.cells_per_second);
-    out += ",\"mips\":" + brief_double(hb.mips);
+    out += ",\"cells_per_second\":" +
+           util::brief_double(worker.cells_per_second);
+    out += ",\"mips\":" + util::brief_double(hb.mips);
     out += ",\"maxrss_kb\":" + u64_string(hb.rusage.maxrss_kb);
     out += std::string(",\"exited\":") + (hb.exited ? "true" : "false");
     out += "}\n";

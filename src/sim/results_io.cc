@@ -1,52 +1,15 @@
 #include "src/sim/results_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
 #include "src/obs/obs_io.h"
 #include "src/obs/prof.h"
 #include "src/rel/rel_io.h"
+#include "src/util/json.h"
 
 namespace icr::sim {
 namespace {
-
-// Shortest round-trip decimal: deterministic across runs and exact enough
-// that equal doubles always print equal text.
-std::string format_value(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string hex64(std::uint64_t value) {
-  char buffer[24];
-  std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 }  // namespace
 
@@ -150,7 +113,7 @@ void append_results_csv_row(std::string& out, const std::string& variant,
   out += ',';
   out += std::to_string(trial);
   out += ',';
-  out += hex64(seed);
+  out += util::hex64(seed);
   if (geometry != nullptr) {
     out += ',';
     out += std::to_string(geometry->dl1_size_bytes);
@@ -161,7 +124,7 @@ void append_results_csv_row(std::string& out, const std::string& variant,
   }
   for (const double value : metrics) {
     out += ',';
-    out += format_value(value);
+    out += util::exact_double(value);
   }
   if (sampling != nullptr) {
     out += sampling->sampled ? ",1," : ",0,";
@@ -171,7 +134,7 @@ void append_results_csv_row(std::string& out, const std::string& variant,
     out += ',';
     out += std::to_string(sampling->measured_instructions);
     out += ',';
-    out += format_value(sampling->coverage());
+    out += util::exact_double(sampling->coverage());
   }
   out += '\n';
 }
@@ -179,8 +142,8 @@ void append_results_csv_row(std::string& out, const std::string& variant,
 std::string results_json_prologue(const CampaignMeta& meta, std::size_t cells,
                                   bool include_timing) {
   std::string out = "{\n  \"campaign\": {\n";
-  out += "    \"base_seed\": \"" + hex64(meta.base_seed) + "\",\n";
-  out += "    \"config_hash\": \"" + hex64(meta.config_hash) + "\",\n";
+  out += "    \"base_seed\": \"" + util::hex64(meta.base_seed) + "\",\n";
+  out += "    \"config_hash\": \"" + util::hex64(meta.config_hash) + "\",\n";
   out += "    \"instructions\": " + std::to_string(meta.instructions) + ",\n";
   out += "    \"trials\": " + std::to_string(meta.trials) + ",\n";
   out += "    \"cells\": " + std::to_string(cells);
@@ -191,7 +154,7 @@ std::string results_json_prologue(const CampaignMeta& meta, std::size_t cells,
            ", \"windows\": " + std::to_string(s.windows) +
            ", \"window_width\": " + std::to_string(s.window_width) +
            ", \"mode\": \"" + to_string(s.mode) + "\", \"seed\": \"" +
-           hex64(s.seed) + "\"}";
+           util::hex64(s.seed) + "\"}";
   }
   if (meta.geometry) {
     out += ",\n    \"geometry\": true";
@@ -200,11 +163,11 @@ std::string results_json_prologue(const CampaignMeta& meta, std::size_t cells,
     out += ",\n    \"threads\": " + std::to_string(meta.threads) + ",\n";
     out += "    \"completed_cells\": " + std::to_string(meta.completed_cells) +
            ",\n";
-    out += "    \"wall_seconds\": " + format_value(meta.wall_seconds) + ",\n";
-    out +=
-        "    \"cells_per_second\": " + format_value(meta.cells_per_second) +
-        ",\n";
-    out += "    \"mips\": " + format_value(meta.mips);
+    out += "    \"wall_seconds\": " + util::exact_double(meta.wall_seconds) +
+           ",\n";
+    out += "    \"cells_per_second\": " +
+           util::exact_double(meta.cells_per_second) + ",\n";
+    out += "    \"mips\": " + util::exact_double(meta.mips);
   }
   out += "\n  },\n  \"cells\": [\n";
   return out;
@@ -216,9 +179,10 @@ void append_results_json_cell(std::string& out, const std::string& variant,
                               const std::vector<double>& metrics,
                               const SampleProvenance* sampling, bool last,
                               const GeometryProvenance* geometry) {
-  out += "    {\"variant\": \"" + json_escape(variant) + "\", \"app\": \"" +
-         json_escape(app) + "\", \"trial\": " + std::to_string(trial) +
-         ", \"seed\": \"" + hex64(seed) + "\"";
+  out += "    {\"variant\": \"" + util::json_escape(variant) +
+         "\", \"app\": \"" + util::json_escape(app) +
+         "\", \"trial\": " + std::to_string(trial) + ", \"seed\": \"" +
+         util::hex64(seed) + "\"";
   if (geometry != nullptr) {
     out += ", \"geometry\": {\"dl1_size\": " +
            std::to_string(geometry->dl1_size_bytes) +
@@ -230,7 +194,7 @@ void append_results_json_cell(std::string& out, const std::string& variant,
   const std::vector<std::string>& columns = metric_columns();
   for (std::size_t m = 0; m < columns.size(); ++m) {
     if (m != 0) out += ", ";
-    out += "\"" + columns[m] + "\": " + format_value(metrics[m]);
+    out += "\"" + columns[m] + "\": " + util::exact_double(metrics[m]);
   }
   out += '}';
   if (sampling != nullptr) {
@@ -240,7 +204,7 @@ void append_results_json_cell(std::string& out, const std::string& variant,
            ", \"windows\": " + std::to_string(sampling->windows) +
            ", \"measured_instructions\": " +
            std::to_string(sampling->measured_instructions) +
-           ", \"coverage\": " + format_value(sampling->coverage()) + "}";
+           ", \"coverage\": " + util::exact_double(sampling->coverage()) + "}";
   }
   out += '}';
   if (!last) out += ',';

@@ -1,12 +1,12 @@
 #include "src/sim/serve.h"
 
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "src/obs/exposition.h"
 #include "src/obs/throughput.h"
+#include "src/util/json.h"
 
 namespace icr::sim::farm {
 namespace {
@@ -15,12 +15,6 @@ double monotonic_now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string brief(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof buffer, "%.6g", value);
-  return buffer;
 }
 
 // The farm metric families (docs/SERVING.md). Everything is a gauge of the
@@ -194,12 +188,13 @@ std::string CampaignStatusSource::status_ndjson() {
                     std::to_string(kStatusSchemaVersion);
   out += ",\"total_cells\":" + std::to_string(total_cells_);
   out += ",\"cells_done\":" + std::to_string(done);
-  out += ",\"percent\":" + brief(t.percent);
-  out += ",\"cells_per_second\":" + brief(t.rate);
-  out += ",\"eta_seconds\":" + brief(t.eta_seconds);
-  out += ",\"elapsed_seconds\":" + brief(elapsed);
+  out += ",\"percent\":" + util::brief_double(t.percent);
+  out += ",\"cells_per_second\":" + util::brief_double(t.rate);
+  out += ",\"eta_seconds\":" + util::brief_double(t.eta_seconds);
+  out += ",\"elapsed_seconds\":" + util::brief_double(elapsed);
   out += ",\"mips\":" +
-         brief(obs::simulated_mips(done, instructions_per_cell_, elapsed));
+         util::brief_double(
+             obs::simulated_mips(done, instructions_per_cell_, elapsed));
   out += std::string(",\"finished\":") +
          (finished_.load() ? "true" : "false");
   out += "}\n";
@@ -276,15 +271,16 @@ std::string SimStatusSource::status_ndjson() {
       instructions_done_, total_instructions_, elapsed);
   std::string out = "{\"type\":\"sim\",\"schema\":" +
                     std::to_string(kStatusSchemaVersion);
-  out += ",\"scheme\":\"" + scheme_ + "\"";
-  out += ",\"app\":\"" + app_ + "\"";
+  out += ",\"scheme\":\"" + util::json_escape(scheme_) + "\"";
+  out += ",\"app\":\"" + util::json_escape(app_) + "\"";
   out += ",\"instructions_total\":" + std::to_string(total_instructions_);
   out += ",\"instructions_done\":" + std::to_string(instructions_done_);
-  out += ",\"percent\":" + brief(t.percent);
+  out += ",\"percent\":" + util::brief_double(t.percent);
   out += ",\"mips\":" +
-         brief(obs::simulated_mips(instructions_done_, 1, elapsed));
-  out += ",\"eta_seconds\":" + brief(t.eta_seconds);
-  out += ",\"elapsed_seconds\":" + brief(elapsed);
+         util::brief_double(
+             obs::simulated_mips(instructions_done_, 1, elapsed));
+  out += ",\"eta_seconds\":" + util::brief_double(t.eta_seconds);
+  out += ",\"elapsed_seconds\":" + util::brief_double(elapsed);
   out += std::string(",\"finished\":") + (finished_ ? "true" : "false");
   out += "}\n";
   return out;

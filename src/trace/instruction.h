@@ -1,11 +1,11 @@
 // The dynamic instruction record consumed by the timing model.
 //
 // The simulator is trace-driven: workload generators (src/trace/workloads.h)
-// produce an infinite stream of Instruction records carrying everything the
-// out-of-order pipeline needs — op class, register dependences, memory
-// address, and the *actual* branch outcome (so mispredictions are decided by
-// comparing the predictor against ground truth, the standard trace-driven
-// technique).
+// and recorded ICRT-v2 traces (src/trace/trace_v2.h) produce an infinite
+// stream of Instruction records carrying everything the out-of-order
+// pipeline needs — op class, register dependences, memory address, and the
+// *actual* branch outcome (so mispredictions are decided by comparing the
+// predictor against ground truth, the standard trace-driven technique).
 #pragma once
 
 #include <cstdint>
@@ -58,18 +58,6 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
   virtual Instruction next() = 0;
-};
-
-// A TraceSource backed by a finite recorded trace that can be repositioned
-// to any instruction boundary. seek_to(n) positions the stream so the next
-// next() returns record n % size() — exactly where n sequential next()
-// calls from the start would land (the stream loops, so n may exceed
-// size()). This is what makes recorded traces shardable by instruction
-// interval in campaigns and lets sampling fast-forward become a seek.
-class SeekableTraceSource : public TraceSource {
- public:
-  virtual void seek_to(std::uint64_t n) = 0;
-  [[nodiscard]] virtual std::uint64_t size() const = 0;
 };
 
 }  // namespace icr::trace

@@ -8,13 +8,59 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "src/trace/trace_file.h"
-
 namespace icr::trace {
 namespace {
 
 constexpr char kMagic[4] = {'I', 'C', 'R', 'T'};
 constexpr std::uint32_t kFlagDeltaAllowed = 1u;
+
+// --- canonical 40-byte record image (raw chunks and the fingerprint) ---
+
+constexpr std::size_t kRecordBytes = 40;
+
+struct RawRecord {
+  std::uint64_t pc;
+  std::uint64_t mem_addr;
+  std::uint64_t store_value;
+  std::uint64_t next_pc;
+  std::uint8_t op;
+  std::uint8_t branch_taken;
+  std::int16_t dest;
+  std::int16_t src1;
+  std::int16_t src2;
+};
+static_assert(sizeof(RawRecord) == kRecordBytes,
+              "trace record layout drifted");
+
+void pack_record(const Instruction& i, std::uint8_t out[kRecordBytes]) {
+  RawRecord r{};
+  r.pc = i.pc;
+  r.mem_addr = i.mem_addr;
+  r.store_value = i.store_value;
+  r.next_pc = i.next_pc;
+  r.op = static_cast<std::uint8_t>(i.op);
+  r.branch_taken = i.branch_taken ? 1 : 0;
+  r.dest = i.dest;
+  r.src1 = i.src1;
+  r.src2 = i.src2;
+  std::memcpy(out, &r, sizeof r);
+}
+
+[[nodiscard]] Instruction unpack_record(const std::uint8_t in[kRecordBytes]) {
+  RawRecord r;
+  std::memcpy(&r, in, sizeof r);
+  Instruction i;
+  i.pc = r.pc;
+  i.mem_addr = r.mem_addr;
+  i.store_value = r.store_value;
+  i.next_pc = r.next_pc;
+  i.op = static_cast<OpClass>(r.op);
+  i.branch_taken = r.branch_taken != 0;
+  i.dest = r.dest;
+  i.src1 = r.src1;
+  i.src2 = r.src2;
+  return i;
+}
 
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
   throw std::runtime_error("ICRT-v2: " + path + ": " + what);
@@ -126,6 +172,32 @@ std::vector<std::uint8_t> encode_raw(const std::vector<Instruction>& records) {
   return true;
 }
 
+// check_record's slow path, kept out of the decode loops.
+[[noreturn]] void reject_record(const Instruction& i, std::uint32_t n) {
+  throw std::runtime_error(
+      "record " + std::to_string(n) + " out of range (op byte " +
+      std::to_string(static_cast<unsigned>(i.op)) + ", registers " +
+      std::to_string(i.dest) + "/" + std::to_string(i.src1) + "/" +
+      std::to_string(i.src2) + "; ops end at " +
+      std::to_string(static_cast<unsigned>(OpClass::kBranch)) +
+      ", registers lie in [-1, " + std::to_string(Instruction::kNumRegs) +
+      "))");
+}
+
+// Rejects a decoded record the pipeline cannot execute: an op byte past the
+// last OpClass never issues (the core livelocks), and a register outside
+// [-1, kNumRegs) indexes the rename table out of bounds. Both decoders run
+// it once per record, so next() never sees such a record.
+void check_record(const Instruction& i, std::uint32_t n) {
+  const auto in_range = [](std::int16_t reg) {
+    return reg >= -1 && reg < Instruction::kNumRegs;
+  };
+  if (i.op > OpClass::kBranch || !in_range(i.dest) || !in_range(i.src1) ||
+      !in_range(i.src2)) [[unlikely]] {
+    reject_record(i, n);
+  }
+}
+
 void decode_raw(const std::uint8_t* data, std::size_t bytes,
                 std::uint32_t records, std::vector<Instruction>& out) {
   if (bytes != static_cast<std::size_t>(records) * kRecordBytes) {
@@ -133,9 +205,10 @@ void decode_raw(const std::uint8_t* data, std::size_t bytes,
   }
   out.clear();
   out.reserve(records);
-  for (std::uint32_t i = 0; i < records; ++i) {
-    out.push_back(unpack_record(data + static_cast<std::size_t>(i) *
+  for (std::uint32_t n = 0; n < records; ++n) {
+    out.push_back(unpack_record(data + static_cast<std::size_t>(n) *
                                            kRecordBytes));
+    check_record(out.back(), n);
   }
 }
 
@@ -173,6 +246,7 @@ void decode_delta(const std::uint8_t* data, std::size_t bytes,
     i.dest = static_cast<std::int16_t>(unzigzag(get_varint(data, bytes, pos)));
     i.src1 = static_cast<std::int16_t>(unzigzag(get_varint(data, bytes, pos)));
     i.src2 = static_cast<std::int16_t>(unzigzag(get_varint(data, bytes, pos)));
+    check_record(i, n);
     out.push_back(i);
   }
   if (pos != bytes) {
@@ -214,56 +288,40 @@ V2Header unpack_header(const std::uint8_t in[kV2HeaderBytes]) {
   return h;
 }
 
-[[nodiscard]] std::uint32_t expected_chunk_count(const V2Header& h) noexcept {
-  if (h.chunk_records == 0) return 0;
-  return static_cast<std::uint32_t>(
-      (h.records + h.chunk_records - 1) / h.chunk_records);
-}
-
-[[nodiscard]] std::uint32_t expected_chunk_records(const V2Header& h,
+// Records in `chunk` of a trace whose header is `info`: chunk_records for
+// every chunk but the last, which holds the remainder.
+[[nodiscard]] std::uint32_t expected_chunk_records(const TraceInfo& info,
                                                    std::uint32_t chunk) {
-  if (chunk + 1 < h.chunk_count) return h.chunk_records;
-  const std::uint64_t tail = h.records % h.chunk_records;
-  return static_cast<std::uint32_t>(tail == 0 ? h.chunk_records : tail);
+  if (chunk + 1 < info.chunk_count) return info.chunk_records;
+  const std::uint64_t tail = info.records % info.chunk_records;
+  return static_cast<std::uint32_t>(tail == 0 ? info.chunk_records : tail);
 }
 
-// Reads magic + version, distinguishing "not a trace" from "wrong
-// container version" for every entry point.
-std::uint32_t sniff_version(std::ifstream& in, const std::string& path) {
-  std::uint8_t head[8];
-  in.read(reinterpret_cast<char*>(head), sizeof head);
-  if (!in) corrupt(path, "truncated header (not a trace file?)");
-  if (std::memcmp(head, kMagic, sizeof kMagic) != 0) {
-    corrupt(path, "bad magic (not an ICRT trace)");
-  }
-  return get_le<std::uint32_t>(head + 4);
-}
-
-// Structural probe of a v2 file through an ifstream: header sanity, index
-// bounds, chunk contiguity. Shared by probe_trace and validate_trace; does
-// not decode or checksum chunks.
-TraceInfo probe_v2(std::ifstream& in, const std::string& path) {
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_bytes = static_cast<std::uint64_t>(in.tellg());
-  if (file_bytes < kV2HeaderBytes) corrupt(path, "truncated v2 header");
-  in.seekg(0);
-  std::uint8_t raw[kV2HeaderBytes];
-  in.read(reinterpret_cast<char*>(raw), sizeof raw);
-  if (!in) corrupt(path, "truncated v2 header");
-  const V2Header h = unpack_header(raw);
+// Header invariants every reader relies on: the chunk count matches the
+// record count, and the whole index lies inside the file. Computed without
+// overflow, so hostile header fields cannot point the index elsewhere.
+void check_header(const V2Header& h, std::uint64_t file_bytes,
+                  const std::string& path) {
   if (h.chunk_records == 0 && h.records != 0) {
     corrupt(path, "zero chunk_records");
   }
-  if (h.chunk_count != expected_chunk_count(h)) {
+  const std::uint64_t chunks =
+      h.chunk_records == 0 ? 0
+                           : h.records / h.chunk_records +
+                                 (h.records % h.chunk_records != 0 ? 1 : 0);
+  if (h.chunk_count != chunks) {
     corrupt(path, "chunk count disagrees with record count");
   }
-  if (h.index_offset < kV2HeaderBytes ||
-      h.index_offset + static_cast<std::uint64_t>(h.chunk_count) *
-                           kV2IndexEntryBytes >
-          file_bytes) {
+  if (h.index_offset < kV2HeaderBytes || h.index_offset > file_bytes ||
+      static_cast<std::uint64_t>(h.chunk_count) * kV2IndexEntryBytes >
+          file_bytes - h.index_offset) {
     corrupt(path, "truncated chunk index");
   }
+}
 
+// Provenance a header carries; chunk encodings are counted by the caller.
+[[nodiscard]] TraceInfo header_info(const V2Header& h, const std::string& path,
+                                    std::uint64_t file_bytes) {
   TraceInfo info;
   info.path = path;
   info.version = kV2Version;
@@ -272,67 +330,24 @@ TraceInfo probe_v2(std::ifstream& in, const std::string& path) {
   info.file_bytes = file_bytes;
   info.chunk_records = h.chunk_records;
   info.chunk_count = h.chunk_count;
-
-  in.seekg(static_cast<std::streamoff>(h.index_offset));
-  std::uint64_t running = kV2HeaderBytes;
-  for (std::uint32_t c = 0; c < h.chunk_count; ++c) {
-    std::uint8_t entry[kV2IndexEntryBytes];
-    in.read(reinterpret_cast<char*>(entry), sizeof entry);
-    if (!in) corrupt(path, "truncated chunk index");
-    const std::uint64_t offset = get_le<std::uint64_t>(entry);
-    const std::uint64_t bytes = get_le<std::uint64_t>(entry + 8);
-    const std::uint32_t records = get_le<std::uint32_t>(entry + 24);
-    const std::uint32_t encoding = get_le<std::uint32_t>(entry + 28);
-    if (offset != running) {
-      corrupt(path, "chunk " + std::to_string(c) + " is not contiguous");
-    }
-    running = offset + bytes;
-    if (running > h.index_offset) {
-      corrupt(path, "chunk " + std::to_string(c) +
-                        " overruns the index (truncated chunk tail?)");
-    }
-    if (records != expected_chunk_records(h, c)) {
-      corrupt(path,
-              "chunk " + std::to_string(c) + " has the wrong record count");
-    }
-    if (encoding == static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
-      ++info.delta_chunks;
-    } else if (encoding == static_cast<std::uint32_t>(ChunkEncoding::kRaw)) {
-      ++info.raw_chunks;
-    } else {
-      corrupt(path, "chunk " + std::to_string(c) + " has unknown encoding " +
-                        std::to_string(encoding));
-    }
-  }
-  if (running != h.index_offset) {
-    corrupt(path, "gap between the last chunk and the index");
-  }
   return info;
 }
 
-TraceInfo probe_v1(std::ifstream& in, const std::string& path) {
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_bytes = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(8);
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof count);
-  if (!in) corrupt(path, "truncated v1 header");
-  TraceInfo info;
-  info.path = path;
-  info.version = 1;
-  info.records = count;
-  info.file_bytes = file_bytes;
-  // v1 carries no fingerprint; compute it the way v2 would over the same
-  // records, so a converted trace compares equal.
-  std::uint64_t fp = kFnvOffsetBasis;
-  std::uint8_t record[kRecordBytes];
-  for (std::uint64_t n = 0; n < count; ++n) {
-    in.read(reinterpret_cast<char*>(record), sizeof record);
-    if (!in) corrupt(path, "truncated v1 trace");
-    fp = fnv1a64(record, kRecordBytes, fp);
+// Checks magic + version, distinguishing "not a trace" and "retired
+// container version" from corruption for every reader entry point.
+void check_magic_and_version(const std::uint8_t head[8],
+                             const std::string& path) {
+  if (std::memcmp(head, kMagic, sizeof kMagic) != 0) {
+    corrupt(path, "bad magic (not an ICRT trace)");
   }
-  info.fingerprint = fp;
-  return info;
+  const std::uint32_t version = get_le<std::uint32_t>(head + 4);
+  if (version == 1) {
+    corrupt(path, "trace version 1 is no longer supported (the flat ICRT-v1 "
+                  "container was retired; re-record or re-import the trace)");
+  }
+  if (version != kV2Version) {
+    corrupt(path, "unsupported version " + std::to_string(version));
+  }
 }
 
 }  // namespace
@@ -461,79 +476,54 @@ void TraceV2Writer::close() {
 
 StreamingTraceSource::StreamingTraceSource(const std::string& path)
     : path_(path) {
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("StreamingTraceSource: cannot open " + path);
-    }
-    const std::uint32_t version = sniff_version(in, path);
-    if (version == 1) {
-      throw std::runtime_error(
-          "StreamingTraceSource: " + path +
-          " is an ICRT v1 trace; replay it with FileTraceSource (icr_sim "
-          "does this automatically) or upgrade it with 'icr_trace convert'");
-    }
-    if (version != kV2Version) {
-      corrupt(path, "unsupported version " + std::to_string(version));
-    }
-  }
-
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) {
     throw std::runtime_error("StreamingTraceSource: cannot open " + path);
   }
-  struct stat st{};
-  if (::fstat(fd_, &st) != 0 ||
-      static_cast<std::uint64_t>(st.st_size) < kV2HeaderBytes) {
-    ::close(fd_);
-    fd_ = -1;
-    corrupt(path, "truncated v2 header");
-  }
-  map_bytes_ = static_cast<std::size_t>(st.st_size);
-  void* map = ::mmap(nullptr, map_bytes_, PROT_READ, MAP_PRIVATE, fd_, 0);
-  if (map == MAP_FAILED) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("StreamingTraceSource: mmap failed for " + path);
-  }
-  map_ = static_cast<const std::uint8_t*>(map);
-
-  const V2Header h = unpack_header(map_);
-  if (h.records == 0) corrupt(path, "empty trace (zero records)");
-  if (h.chunk_records == 0) corrupt(path, "zero chunk_records");
-  if (h.chunk_count != expected_chunk_count(h)) {
-    corrupt(path, "chunk count disagrees with record count");
-  }
-  if (h.index_offset < kV2HeaderBytes ||
-      h.index_offset + static_cast<std::uint64_t>(h.chunk_count) *
-                           kV2IndexEntryBytes >
-          map_bytes_) {
-    corrupt(path, "truncated chunk index");
-  }
-  index_offset_ = h.index_offset;
-  info_.path = path;
-  info_.version = kV2Version;
-  info_.records = h.records;
-  info_.fingerprint = h.fingerprint;
-  info_.file_bytes = map_bytes_;
-  info_.chunk_records = h.chunk_records;
-  info_.chunk_count = h.chunk_count;
-  for (std::uint32_t c = 0; c < h.chunk_count; ++c) {
-    const ChunkMeta meta = chunk_meta(c);
-    if (meta.encoding == static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
-      ++info_.delta_chunks;
-    } else {
-      ++info_.raw_chunks;
+  try {
+    struct stat st{};
+    if (::fstat(fd_, &st) != 0 || st.st_size < 8) {
+      corrupt(path, "truncated header (not a trace file?)");
     }
+    map_bytes_ = static_cast<std::size_t>(st.st_size);
+    void* map = ::mmap(nullptr, map_bytes_, PROT_READ, MAP_PRIVATE, fd_, 0);
+    if (map == MAP_FAILED) {
+      throw std::runtime_error("StreamingTraceSource: mmap failed for " +
+                               path);
+    }
+    map_ = static_cast<const std::uint8_t*>(map);
+    check_magic_and_version(map_, path);
+    if (map_bytes_ < kV2HeaderBytes) corrupt(path, "truncated v2 header");
+
+    const V2Header h = unpack_header(map_);
+    if (h.records == 0) corrupt(path, "empty trace (zero records)");
+    check_header(h, map_bytes_, path);
+    index_offset_ = h.index_offset;
+    info_ = header_info(h, path, map_bytes_);
+    for (std::uint32_t c = 0; c < h.chunk_count; ++c) {
+      const ChunkMeta meta = chunk_meta(c);
+      if (meta.encoding == static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
+        ++info_.delta_chunks;
+      } else {
+        ++info_.raw_chunks;
+      }
+    }
+    load_chunk(0);
+  } catch (...) {
+    unmap();
+    throw;
   }
-  load_chunk(0);
 }
 
-StreamingTraceSource::~StreamingTraceSource() {
+StreamingTraceSource::~StreamingTraceSource() { unmap(); }
+
+void StreamingTraceSource::unmap() noexcept {
   if (map_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(map_), map_bytes_);
+    map_ = nullptr;
   }
   if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
 }
 
 StreamingTraceSource::ChunkMeta StreamingTraceSource::chunk_meta(
@@ -557,8 +547,8 @@ void StreamingTraceSource::load_chunk(std::uint32_t chunk) {
       meta.bytes > index_offset_ - meta.offset) {
     corrupt(path_, where + " overruns the file (truncated chunk tail?)");
   }
-  if (meta.records == 0 || meta.records > info_.chunk_records) {
-    corrupt(path_, where + " has an invalid record count");
+  if (meta.records != expected_chunk_records(info_, chunk)) {
+    corrupt(path_, where + " has the wrong record count");
   }
   const std::uint8_t* data = map_ + meta.offset;
   if (fnv1a64(data, static_cast<std::size_t>(meta.bytes)) != meta.checksum) {
@@ -612,15 +602,60 @@ std::size_t StreamingTraceSource::resident_bytes() const noexcept {
          path_.capacity();
 }
 
-// --- probe / validate / open ---
+// --- probe / validate ---
 
 TraceInfo probe_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("probe_trace: cannot open " + path);
-  const std::uint32_t version = sniff_version(in, path);
-  if (version == 1) return probe_v1(in, path);
-  if (version == kV2Version) return probe_v2(in, path);
-  corrupt(path, "unsupported version " + std::to_string(version));
+  const std::uint64_t file_bytes = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
+  std::uint8_t raw[kV2HeaderBytes];
+  in.read(reinterpret_cast<char*>(raw), 8);
+  if (!in) corrupt(path, "truncated header (not a trace file?)");
+  check_magic_and_version(raw, path);
+  in.read(reinterpret_cast<char*>(raw) + 8, kV2HeaderBytes - 8);
+  if (!in) corrupt(path, "truncated v2 header");
+  const V2Header h = unpack_header(raw);
+  check_header(h, file_bytes, path);
+  TraceInfo info = header_info(h, path, file_bytes);
+
+  // Index walk: chunk contiguity, record counts and encodings. Does not
+  // decode or checksum chunks.
+  in.seekg(static_cast<std::streamoff>(h.index_offset));
+  std::uint64_t running = kV2HeaderBytes;
+  for (std::uint32_t c = 0; c < h.chunk_count; ++c) {
+    std::uint8_t entry[kV2IndexEntryBytes];
+    in.read(reinterpret_cast<char*>(entry), sizeof entry);
+    if (!in) corrupt(path, "truncated chunk index");
+    const std::uint64_t offset = get_le<std::uint64_t>(entry);
+    const std::uint64_t bytes = get_le<std::uint64_t>(entry + 8);
+    const std::uint32_t records = get_le<std::uint32_t>(entry + 24);
+    const std::uint32_t encoding = get_le<std::uint32_t>(entry + 28);
+    if (offset != running) {
+      corrupt(path, "chunk " + std::to_string(c) + " is not contiguous");
+    }
+    if (bytes > h.index_offset - offset) {
+      corrupt(path, "chunk " + std::to_string(c) +
+                        " overruns the index (truncated chunk tail?)");
+    }
+    running = offset + bytes;
+    if (records != expected_chunk_records(info, c)) {
+      corrupt(path,
+              "chunk " + std::to_string(c) + " has the wrong record count");
+    }
+    if (encoding == static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
+      ++info.delta_chunks;
+    } else if (encoding == static_cast<std::uint32_t>(ChunkEncoding::kRaw)) {
+      ++info.raw_chunks;
+    } else {
+      corrupt(path, "chunk " + std::to_string(c) + " has unknown encoding " +
+                        std::to_string(encoding));
+    }
+  }
+  if (running != h.index_offset) {
+    corrupt(path, "gap between the last chunk and the index");
+  }
+  return info;
 }
 
 TraceInfo validate_trace(const std::string& path) {
@@ -628,12 +663,8 @@ TraceInfo validate_trace(const std::string& path) {
   if (info.records == 0) {
     corrupt(path, "empty trace (zero records)");
   }
-  if (info.version == 1) {
-    // probe_v1 already walked every record; nothing else to check.
-    return info;
-  }
-  // Decode every chunk (verifying each checksum) and recompute the content
-  // fingerprint the header claims.
+  // Decode every chunk (verifying each checksum and record) and recompute
+  // the content fingerprint the header claims.
   StreamingTraceSource source(path);
   std::uint64_t fp = kFnvOffsetBasis;
   for (std::uint64_t n = 0; n < info.records; ++n) {
@@ -645,36 +676,6 @@ TraceInfo validate_trace(const std::string& path) {
                       std::to_string(fp) + ")");
   }
   return info;
-}
-
-OpenedTrace open_trace(const std::string& path) {
-  std::uint32_t version = 0;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) throw std::runtime_error("open_trace: cannot open " + path);
-    version = sniff_version(in, path);
-  }
-  OpenedTrace opened;
-  if (version == 1) {
-    auto source = std::make_unique<FileTraceSource>(path);
-    opened.info.path = path;
-    opened.info.version = 1;
-    opened.info.records = source->size();
-    // Fold the fingerprint through the public replay interface so a v1
-    // trace carries the same identity its v2 conversion would.
-    std::uint64_t fp = kFnvOffsetBasis;
-    for (std::uint64_t n = 0; n < source->size(); ++n) {
-      fp = fingerprint_fold(fp, source->next());
-    }
-    source->seek_to(0);
-    opened.info.fingerprint = fp;
-    opened.source = std::move(source);
-    return opened;
-  }
-  auto source = std::make_unique<StreamingTraceSource>(path);
-  opened.info = source->info();
-  opened.source = std::move(source);
-  return opened;
 }
 
 void record_trace_v2(TraceSource& source, std::uint64_t count,

@@ -1,11 +1,9 @@
-// ICRT-v2: the chunked, seekable, streaming trace container.
+// ICRT-v2: the chunked, seekable, streaming trace container — the one
+// container recorded, imported and replayed traces use.
 //
-// v1 (src/trace/trace_file.h) is a flat record array that the reader must
-// load whole; fine for pinned regression traces, hopeless for real captured
-// program traces. v2 keeps the same canonical 40-byte record image but
-// groups records into independently decodable chunks behind a per-chunk
-// index, so a reader can mmap the file, hold exactly one decoded chunk, and
-// seek to any instruction boundary in O(1):
+// Records are grouped into independently decodable chunks behind a
+// per-chunk index, so a reader can mmap the file, hold exactly one decoded
+// chunk, and seek to any instruction boundary in O(1):
 //
 //   offset  bytes
 //        0      4  magic "ICRT"
@@ -16,8 +14,7 @@
 //       24      8  u64 index offset (byte position of the chunk index)
 //       32      8  u64 content fingerprint (FNV-1a 64 over the canonical
 //                     40-byte record images, in stream order — identical
-//                     for raw and delta chunks, and for a converted v1
-//                     trace of the same records)
+//                     for raw and delta chunks of the same records)
 //       40      4  u32 flags (bit 0: writer was allowed to delta-encode)
 //       44     20  reserved (zero)
 //       64      -  chunks, back to back
@@ -26,7 +23,9 @@
 //                     u64 FNV-1a 64 of the encoded chunk bytes
 //                     u32 record count u32 encoding (0 raw, 1 delta)
 //
-// Everything is little-endian; no external dependencies. Chunk encodings:
+// Everything is little-endian; no external dependencies. The canonical
+// record image is 40 bytes: pc, mem_addr, store_value, next_pc (u64 each),
+// op, branch_taken (u8 each), dest, src1, src2 (i16 each). Chunk encodings:
 //
 //   raw    record count x 40-byte canonical images.
 //   delta  per record: op byte, flags byte (bit 0 branch_taken), then
@@ -40,13 +39,17 @@
 // The writer encodes each chunk both ways and keeps whichever is smaller
 // (typically delta at ~5x compression for synthetic streams); records that
 // a delta chunk could not round-trip losslessly (a non-memory record with a
-// nonzero mem_addr, say) force that chunk to raw.
+// nonzero mem_addr, say) force that chunk to raw. Readers reject any record
+// whose op byte is not an OpClass or whose register field lies outside
+// [-1, Instruction::kNumRegs), naming its chunk and record index.
+//
+// Version 1 (a flat, whole-file record array) is no longer supported: every
+// reader entry point rejects it with one error naming the version.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -82,7 +85,6 @@ struct TraceInfo {
   std::uint64_t records = 0;
   std::uint64_t fingerprint = 0;
   std::uint64_t file_bytes = 0;
-  // v2 only; zero for v1 traces.
   std::uint32_t chunk_records = 0;
   std::uint32_t chunk_count = 0;
   std::uint32_t raw_chunks = 0;
@@ -147,11 +149,12 @@ class TraceV2Writer {
 // chunk resident, so memory is O(chunk_records) no matter how large the
 // trace is (asserted by tests/trace_v2_test.cc). Loops at the end of the
 // trace like every TraceSource; seek_to(n) repositions through the chunk
-// index without touching any other chunk.
-class StreamingTraceSource final : public SeekableTraceSource {
+// index without touching any other chunk — what makes recorded traces
+// shardable by instruction interval in campaigns.
+class StreamingTraceSource final : public TraceSource {
  public:
-  // Throws std::runtime_error on a missing/corrupt/empty file, and names
-  // the actual version when handed a v1 trace.
+  // Throws std::runtime_error on a missing/corrupt/empty file or a version-1
+  // trace.
   explicit StreamingTraceSource(const std::string& path);
   ~StreamingTraceSource() override;
 
@@ -159,11 +162,11 @@ class StreamingTraceSource final : public SeekableTraceSource {
   StreamingTraceSource& operator=(const StreamingTraceSource&) = delete;
 
   Instruction next() override;
-  void seek_to(std::uint64_t n) override;
+  // Positions the stream so the next next() returns record n % size() —
+  // exactly where n sequential next() calls from the start would land.
+  void seek_to(std::uint64_t n);
 
-  [[nodiscard]] std::uint64_t size() const noexcept override {
-    return info_.records;
-  }
+  [[nodiscard]] std::uint64_t size() const noexcept { return info_.records; }
   // Absolute record index the next next() call returns (mod size()).
   [[nodiscard]] std::uint64_t position() const noexcept;
   [[nodiscard]] const TraceInfo& info() const noexcept { return info_; }
@@ -185,6 +188,7 @@ class StreamingTraceSource final : public SeekableTraceSource {
 
   [[nodiscard]] ChunkMeta chunk_meta(std::uint32_t chunk) const;
   void load_chunk(std::uint32_t chunk);
+  void unmap() noexcept;
 
   std::string path_;
   int fd_ = -1;
@@ -198,23 +202,14 @@ class StreamingTraceSource final : public SeekableTraceSource {
 };
 
 // Header-level provenance: version, record count, fingerprint, chunking.
-// Cheap for v2 (header + index); a v1 probe scans the records to compute
-// the fingerprint (v1 files carry none). Throws on missing/corrupt files.
+// Reads only the header and the chunk index. Throws on missing/corrupt
+// files.
 [[nodiscard]] TraceInfo probe_trace(const std::string& path);
 
 // Full integrity walk: decodes every chunk, verifies every checksum and the
 // index invariants, recomputes the content fingerprint, and cross-checks
 // the header. Throws std::runtime_error naming the first problem found.
 [[nodiscard]] TraceInfo validate_trace(const std::string& path);
-
-// Version-sniffing open: v1 files get a FileTraceSource (whole-file compat
-// loader), v2 files a StreamingTraceSource. The TraceInfo carries the
-// provenance either way.
-struct OpenedTrace {
-  TraceInfo info;
-  std::unique_ptr<SeekableTraceSource> source;
-};
-[[nodiscard]] OpenedTrace open_trace(const std::string& path);
 
 // Records `count` instructions of `source` into a v2 container at `path`.
 void record_trace_v2(TraceSource& source, std::uint64_t count,

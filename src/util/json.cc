@@ -267,4 +267,23 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
+std::string exact_double(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+std::string brief_double(double value) {
+  char buffer[40];
+  std::snprintf(buffer, sizeof buffer, "%.6g", value);
+  return buffer;
+}
+
+std::string hex64(std::uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof buffer, "0x%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
+}
+
 }  // namespace icr::util

@@ -81,4 +81,16 @@ class JsonValue {
 // added). Shared by every writer in the repo so escaping stays consistent.
 [[nodiscard]] std::string json_escape(const std::string& text);
 
+// Number text shared by every writer (JSON, CSV, NDJSON, Prometheus), so
+// each export format lives in one place:
+//   exact_double  "%.17g": shortest text that reparses to the exact same
+//                 double; equal doubles print equal text, which is what
+//                 keeps deterministic exports byte-identical.
+//   brief_double  "%.6g": status output for humans and scripts, not for
+//                 byte-identity.
+//   hex64         "0x%016llx": seeds, config hashes and fingerprints.
+[[nodiscard]] std::string exact_double(double value);
+[[nodiscard]] std::string brief_double(double value);
+[[nodiscard]] std::string hex64(std::uint64_t value);
+
 }  // namespace icr::util

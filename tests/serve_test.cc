@@ -287,6 +287,18 @@ TEST(ServeSim, SimSourceSnapshotsCountersAndZones) {
   EXPECT_TRUE(source.finished());
 }
 
+TEST(ServeSim, StatusEscapesATracePathUsedAsTheApp) {
+  // icr_sim --serve --trace=PATH labels the run with the trace path, which
+  // may hold any byte a file name can.
+  const std::string path = "traces/run \"7\"\\gzip.icrt";
+  SimStatusSource source("BaseP", path, /*total_instructions=*/1000);
+  const std::string line = source.status_ndjson();
+  const util::JsonValue record =
+      util::JsonValue::parse(line.substr(0, line.find('\n')));
+  EXPECT_EQ(record.get("app").as_string(), path);
+  EXPECT_EQ(record.get("scheme").as_string(), "BaseP");
+}
+
 TEST(ServeStatus, RejectsStatusFromAFutureSchema) {
   const std::string future =
       "{\"type\":\"farm\",\"schema\":99,\"unit_count\":1,\"units_done\":1,"

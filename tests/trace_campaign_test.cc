@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -57,8 +58,8 @@ TEST(TraceReplay, ReproducesTheGeneratorRunBitForBit) {
   Simulator generator(config, scheme, trace::profile_for(trace::App::kGzip));
   const RunResult want = generator.run(kRun);
 
-  trace::OpenedTrace opened = trace::open_trace(path);
-  Simulator replay(config, scheme, std::move(opened.source), "gzip");
+  Simulator replay(config, scheme,
+                   std::make_unique<trace::StreamingTraceSource>(path), "gzip");
   const RunResult got = replay.run(kRun);
 
   // Every cumulative counter — cache, pipeline, branch, fault, energy

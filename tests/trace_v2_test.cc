@@ -5,10 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "src/trace/trace_file.h"
 #include "src/trace/workloads.h"
 
 namespace icr::trace {
@@ -28,6 +28,17 @@ void expect_equal(const Instruction& a, const Instruction& b) {
   ASSERT_EQ(a.dest, b.dest);
   ASSERT_EQ(a.src1, b.src1);
   ASSERT_EQ(a.src2, b.src2);
+}
+
+// The message `read` throws, or "" when it does not throw.
+template <typename Read>
+std::string error_of(Read&& read) {
+  try {
+    read();
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
 }
 
 // A finite TraceSource over an in-memory vector (loops like every source).
@@ -76,7 +87,50 @@ TEST(TraceV2, RoundTripMatchesGeneratorRaw) {
   for (int i = 0; i < 2000; ++i) {
     expect_equal(replay.next(), reference.next());
   }
+
+  // Raw and delta chunks hash the same canonical record images, so raw and
+  // delta recordings of one stream carry one fingerprint.
+  const std::string delta_path = temp_path("v2_raw_as_delta.icrt");
+  SyntheticWorkload again(profile_for(App::kVortex));
+  record_trace_v2(again, 2000, delta_path);
+  const TraceInfo delta_info = probe_trace(delta_path);
+  EXPECT_GT(delta_info.delta_chunks, 0u);
+  EXPECT_EQ(delta_info.fingerprint, info.fingerprint);
   std::remove(path.c_str());
+  std::remove(delta_path.c_str());
+}
+
+TEST(TraceV2, ConvertPreservesFingerprintAcrossVersions) {
+  // Re-encode a delta recording the way `icr_trace convert --raw` does:
+  // replay it through the reader into a writer with other chunk settings.
+  // The re-encoded version of the file keeps the original's fingerprint and
+  // replays the same stream.
+  const std::string delta_path = temp_path("fp_delta.icrt");
+  const std::string raw_path = temp_path("fp_raw.icrt");
+  {
+    SyntheticWorkload source(profile_for(App::kVortex));
+    record_trace_v2(source, 3000, delta_path);
+  }
+  {
+    StreamingTraceSource original(delta_path);
+    TraceV2Writer::Options options;
+    options.delta = false;
+    options.chunk_records = 128;
+    record_trace_v2(original, original.size(), raw_path, options);
+  }
+  const TraceInfo delta = probe_trace(delta_path);
+  const TraceInfo raw = probe_trace(raw_path);
+  EXPECT_EQ(raw.raw_chunks, raw.chunk_count);
+  EXPECT_EQ(raw.records, delta.records);
+  EXPECT_EQ(raw.fingerprint, delta.fingerprint);
+
+  StreamingTraceSource lhs(delta_path);
+  StreamingTraceSource rhs(raw_path);
+  for (int i = 0; i < 3000; ++i) {
+    expect_equal(lhs.next(), rhs.next());
+  }
+  std::remove(delta_path.c_str());
+  std::remove(raw_path.c_str());
 }
 
 TEST(TraceV2, MultiChunkReplayLoopsAtEnd) {
@@ -185,14 +239,35 @@ TEST(TraceV2, ResidentMemoryIsBoundedByChunkNotTrace) {
   std::remove(path.c_str());
 }
 
+// Every reader entry point refuses `path` with a runtime_error.
+void expect_every_reader_throws(const std::string& path) {
+  EXPECT_THROW(probe_trace(path), std::runtime_error);
+  EXPECT_THROW(validate_trace(path), std::runtime_error);
+  EXPECT_THROW(StreamingTraceSource{path}, std::runtime_error);
+}
+
+TEST(TraceFile, MissingFileThrows) {
+  expect_every_reader_throws("/nonexistent/path/x.icrt");
+}
+
+TEST(TraceFile, BadMagicThrows) {
+  const std::string path = temp_path("v2_bad_magic.icrt");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "this is not a trace file at all, though it is long enough to "
+           "hold a whole header";
+  }
+  expect_every_reader_throws(path);
+  std::remove(path.c_str());
+}
+
 TEST(TraceV2, TruncatedHeaderThrows) {
   const std::string path = temp_path("v2_trunc_header.icrt");
   {
     std::ofstream out(path, std::ios::binary);
     out << "ICRT";  // 4 bytes of a 64-byte header
   }
-  EXPECT_THROW(probe_trace(path), std::runtime_error);
-  EXPECT_THROW(StreamingTraceSource{path}, std::runtime_error);
+  expect_every_reader_throws(path);
   std::remove(path.c_str());
 }
 
@@ -251,55 +326,64 @@ TEST(TraceV2, ZeroRecordFileThrows) {
   std::remove(path.c_str());
 }
 
-TEST(TraceV2, ConvertPreservesFingerprintAcrossVersions) {
-  const std::string v1_path = temp_path("fp_v1.icrt");
-  const std::string v2_path = temp_path("fp_v2.icrt");
+TEST(TraceV2, V1HeaderRejectedByEveryReader) {
+  // The retired flat v1 container: magic, u32 version 1, u64 record count.
+  const std::string path = temp_path("v1_header.icrt");
   {
-    SyntheticWorkload a(profile_for(App::kVortex));
-    record_trace(a, 3000, v1_path);
+    const std::uint8_t header[16] = {'I', 'C', 'R', 'T', 1, 0, 0, 0,
+                                     3, 0, 0, 0, 0, 0, 0, 0};
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(header), sizeof header);
   }
-  {
-    SyntheticWorkload b(profile_for(App::kVortex));
-    record_trace_v2(b, 3000, v2_path);
+  for (const std::string& what :
+       {error_of([&] { (void)probe_trace(path); }),
+        error_of([&] { (void)validate_trace(path); }),
+        error_of([&] { StreamingTraceSource replay(path); })}) {
+    EXPECT_NE(what.find("version 1 is no longer supported"),
+              std::string::npos)
+        << what;
   }
-  const TraceInfo v1 = probe_trace(v1_path);
-  const TraceInfo v2 = probe_trace(v2_path);
-  EXPECT_EQ(v1.version, 1u);
-  EXPECT_EQ(v2.version, 2u);
-  EXPECT_EQ(v1.records, v2.records);
-  // The content fingerprint hashes canonical record images, so identical
-  // streams fingerprint identically regardless of container version.
-  EXPECT_EQ(v1.fingerprint, v2.fingerprint);
-
-  // Round-trip v1 through a v2 writer and back; replay both ends equal.
-  const std::string back_path = temp_path("fp_back.icrt");
-  {
-    OpenedTrace opened = open_trace(v1_path);
-    EXPECT_EQ(opened.info.version, 1u);
-    record_trace_v2(*opened.source, opened.info.records, back_path);
-  }
-  EXPECT_EQ(probe_trace(back_path).fingerprint, v1.fingerprint);
-
-  OpenedTrace lhs = open_trace(v1_path);
-  OpenedTrace rhs = open_trace(back_path);
-  for (int i = 0; i < 3000; ++i) {
-    expect_equal(lhs.source->next(), rhs.source->next());
-  }
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  std::remove(back_path.c_str());
+  std::remove(path.c_str());
 }
 
-TEST(TraceV2, StreamingReaderRejectsV1WithConvertHint) {
-  const std::string path = temp_path("v1_for_v2.icrt");
-  SyntheticWorkload source(profile_for(App::kGzip));
-  record_trace(source, 50, path);
-  try {
-    StreamingTraceSource replay(path);
-    FAIL() << "v1 file accepted by the v2 reader";
-  } catch (const std::runtime_error& error) {
-    const std::string what = error.what();
-    EXPECT_NE(what.find("convert"), std::string::npos) << what;
+TEST(TraceV2, OutOfRangeRecordRejectedAtDecode) {
+  // An op byte past kBranch never issues (the pipeline livelocks) and a
+  // register field >= kNumRegs indexes the rename table out of bounds. The
+  // writer and the chunk checksums accept both, so the decoder must not.
+  Instruction bad_op;
+  bad_op.op = static_cast<OpClass>(static_cast<int>(OpClass::kBranch) + 1);
+  Instruction bad_dest;
+  bad_dest.dest = Instruction::kNumRegs;
+  const std::string path = temp_path("v2_bad_record.icrt");
+  for (const bool delta : {false, true}) {
+    for (const Instruction& bad : {bad_op, bad_dest}) {
+      SCOPED_TRACE(delta ? "delta" : "raw");
+      SyntheticWorkload source(profile_for(App::kGzip));
+      TraceV2Writer::Options options;
+      options.chunk_records = 64;
+      options.delta = delta;
+      {
+        TraceV2Writer writer(path, options);
+        for (int i = 0; i < 200; ++i) {
+          writer.write(i == 70 ? bad : source.next());
+        }
+        writer.close();
+      }
+      const TraceInfo info = probe_trace(path);
+      ASSERT_EQ(delta ? info.delta_chunks : info.raw_chunks, info.chunk_count);
+
+      // Record 70 is record 6 of chunk 1.
+      for (const std::string& what :
+           {error_of([&] { (void)validate_trace(path); }),
+            error_of([&] {
+              StreamingTraceSource replay(path);
+              for (int i = 0; i < 200; ++i) replay.next();
+            })}) {
+        EXPECT_NE(what.find("chunk 1: record 6 out of range"),
+                  std::string::npos)
+            << what;
+      }
+    }
   }
   std::remove(path.c_str());
 }
@@ -318,6 +402,26 @@ TEST(TraceV2, WriterFingerprintMatchesProbe) {
   EXPECT_EQ(writer.fingerprint(), expected);
   EXPECT_EQ(probe_trace(path).fingerprint, expected);
   std::remove(path.c_str());
+}
+
+TEST(TraceV2File, FailedWriteNamesPathAndOffset) {
+  // /dev/full accepts the open but fails every flush — the classic
+  // disk-full shape a capture run can hit.
+  if (!std::ifstream("/dev/full").good()) {
+    GTEST_SKIP() << "/dev/full not available";
+  }
+  TraceV2Writer writer("/dev/full");
+  SyntheticWorkload source(profile_for(App::kGzip));
+  try {
+    // The stream buffers, so force enough chunks through to flush.
+    for (int i = 0; i < 200000; ++i) writer.write(source.next());
+    writer.close();
+    FAIL() << "writing to /dev/full succeeded";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("/dev/full"), std::string::npos) << what;
+    EXPECT_NE(what.find("byte"), std::string::npos) << what;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -78,9 +79,9 @@ TEST(TraceValidation, ImportedTraceDrivesEverySchemeLikeTheGenerators) {
     SCOPED_TRACE(test_case.name);
 
     // Imported-trace replay.
-    trace::OpenedTrace opened = trace::open_trace(imported);
-    sim::Simulator replay(config, test_case.scheme,
-                          std::move(opened.source), "mm");
+    sim::Simulator replay(
+        config, test_case.scheme,
+        std::make_unique<trace::StreamingTraceSource>(imported), "mm");
     const sim::RunResult real = replay.run(budget);
 
     // Synthetic generator of comparable size.
@@ -105,9 +106,9 @@ TEST(TraceValidation, ImportedTraceDrivesEverySchemeLikeTheGenerators) {
 
     // And the replay itself is deterministic: a second pass over the same
     // file reproduces every counter bit for bit.
-    trace::OpenedTrace again = trace::open_trace(imported);
-    sim::Simulator rerun(config, test_case.scheme, std::move(again.source),
-                         "mm");
+    sim::Simulator rerun(
+        config, test_case.scheme,
+        std::make_unique<trace::StreamingTraceSource>(imported), "mm");
     EXPECT_EQ(sim::counter_vector(rerun.run(budget)),
               sim::counter_vector(real));
   }

@@ -28,7 +28,6 @@
 #include "src/sim/sampling.h"
 #include "src/sim/serve.h"
 #include "src/sim/simulator.h"
-#include "src/trace/trace_file.h"
 #include "src/trace/trace_v2.h"
 #include "src/util/table.h"
 
@@ -266,8 +265,8 @@ int main(int argc, char** argv) {
 
   if (!opt.record_path.empty()) {
     trace::SyntheticWorkload source(trace::profile_for(app_by_name(opt.app)));
-    // ICRT-v2 is the default container; `icr_trace record --v1` (or
-    // `icr_trace convert --v1`) covers the legacy format.
+    // ICRT-v2, the one trace container (docs/TRACES.md); `icr_trace record`
+    // adds --raw and --chunk-records.
     trace::record_trace_v2(source, instructions, opt.record_path);
     std::printf("recorded %llu instructions of %s to %s (ICRT-v2)\n",
                 static_cast<unsigned long long>(instructions),
@@ -421,9 +420,9 @@ int main(int argc, char** argv) {
     // Replay path: the recorded trace drives the exact same Simulator
     // wiring the synthetic path uses, so a replayed trace reproduces its
     // generator-driven run bit for bit (guarded by tier-1 test).
-    trace::OpenedTrace opened;
+    std::unique_ptr<trace::StreamingTraceSource> source;
     try {
-      opened = trace::open_trace(opt.trace_path);
+      source = std::make_unique<trace::StreamingTraceSource>(opt.trace_path);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "icr_sim: %s\n", error.what());
       return 1;
@@ -432,10 +431,10 @@ int main(int argc, char** argv) {
     std::fprintf(opt.csv ? stderr : stdout,
                  "replaying %s: ICRT-v%u, %llu record(s), fingerprint "
                  "0x%016llx\n",
-                 opt.trace_path.c_str(), opened.info.version,
-                 static_cast<unsigned long long>(opened.info.records),
-                 static_cast<unsigned long long>(opened.info.fingerprint));
-    sim::Simulator simulator(config, scheme, std::move(opened.source),
+                 opt.trace_path.c_str(), source->info().version,
+                 static_cast<unsigned long long>(source->info().records),
+                 static_cast<unsigned long long>(source->info().fingerprint));
+    sim::Simulator simulator(config, scheme, std::move(source),
                              opt.trace_path);
     if (obsopt.any()) simulator.enable_observability(obsopt);
     if (relopt.enabled) simulator.enable_rel(relopt);
