@@ -38,28 +38,22 @@ const BenchMetric* BenchJson::find(const std::string& name) const {
 }
 
 std::string to_json(const BenchJson& doc) {
-  std::string out = "{\n";
-  out += "  \"schema\": \"" + std::string(kBenchJsonSchema) + "\",\n";
-  out += "  \"bench\": \"" + util::json_escape(doc.bench) + "\",\n";
-  out += "  \"git_sha\": \"" + util::json_escape(doc.git_sha) + "\",\n";
-  out += "  \"config_hash\": \"" + util::json_escape(doc.config_hash) +
-         "\",\n";
-  out += "  \"wall_seconds\": " + util::exact_double(doc.wall_seconds) + ",\n";
-  out += "  \"mips\": " + util::exact_double(doc.mips) + ",\n";
-  out += "  \"metrics\": [\n";
-  for (std::size_t i = 0; i < doc.metrics.size(); ++i) {
-    const BenchMetric& metric = doc.metrics[i];
-    out += "    {\"name\": \"" + util::json_escape(metric.name) +
-           "\", \"value\": " + util::exact_double(metric.value) +
-           ", \"better\": \"" + to_string(metric.better) + "\"";
-    if (metric.noise > 0.0) {
-      out += ", \"noise\": " + util::exact_double(metric.noise);
-    }
-    out += "}";
-    if (i + 1 != doc.metrics.size()) out += ',';
-    out += '\n';
+  using Layout = util::JsonWriter::Layout;
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object(Layout::kBlock).field("schema", kBenchJsonSchema);
+  json.field("bench", doc.bench).field("git_sha", doc.git_sha);
+  json.field("config_hash", doc.config_hash);
+  json.field("wall_seconds", doc.wall_seconds).field("mips", doc.mips);
+  json.key("metrics").begin_array(Layout::kBlock);
+  for (const BenchMetric& metric : doc.metrics) {
+    json.begin_object(Layout::kInline).field("name", metric.name);
+    json.field("value", metric.value);
+    json.field("better", to_string(metric.better));
+    if (metric.noise > 0.0) json.field("noise", metric.noise);
+    json.end();
   }
-  out += "  ]\n}\n";
+  json.end().end();
   return out;
 }
 

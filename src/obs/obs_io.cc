@@ -144,48 +144,37 @@ std::string occupancy_to_csv(const IntervalSeries& series,
 
 void append_ndjson(std::string& out, const std::vector<TraceEvent>& events,
                    const CellTag& tag) {
-  std::string prefix = "{\"variant\":\"" + tag.variant + "\",\"app\":\"" +
-                       tag.app + "\",\"trial\":" + std::to_string(tag.trial);
+  util::JsonWriter json(out);
   for (const TraceEvent& e : events) {
-    out += prefix;
-    out += ",\"cycle\":" + std::to_string(e.cycle);
-    out += ",\"cat\":\"";
-    out += to_string(category_of(e.kind));
-    out += "\",\"event\":\"";
-    out += to_string(e.kind);
-    out += '"';
+    json.begin_object().field("variant", tag.variant).field("app", tag.app);
+    json.field("trial", tag.trial).field("cycle", e.cycle);
+    json.field("cat", to_string(category_of(e.kind)));
+    json.field("event", to_string(e.kind));
     switch (e.kind) {
       case EventKind::kReplicationAttempt:
-        out += ",\"block\":\"" + util::hex64(e.a0) +
-               "\",\"created\":" + std::to_string(e.a1) +
-               ",\"target\":" + std::to_string(e.a2);
+        json.field("block", util::Hex{e.a0}).field("created", e.a1);
+        json.field("target", e.a2);
         break;
       case EventKind::kReplicaCreate:
-        out += ",\"block\":\"" + util::hex64(e.a0) +
-               "\",\"set\":" + std::to_string(e.a1) +
-               ",\"distance\":" + std::to_string(e.a2);
+        json.field("block", util::Hex{e.a0}).field("set", e.a1);
+        json.field("distance", e.a2);
         break;
       case EventKind::kReplicaEvict:
-        out += ",\"block\":\"" + util::hex64(e.a0) +
-               "\",\"set\":" + std::to_string(e.a1);
+        json.field("block", util::Hex{e.a0}).field("set", e.a1);
         break;
       case EventKind::kDeadBlockRecycle:
-        out += ",\"block\":\"" + util::hex64(e.a0) +
-               "\",\"set\":" + std::to_string(e.a1) +
-               ",\"idle_cycles\":" + std::to_string(e.a2);
+        json.field("block", util::Hex{e.a0}).field("set", e.a1);
+        json.field("idle_cycles", e.a2);
         break;
       case EventKind::kFaultInject:
-        out += ",\"set\":" + std::to_string(e.a0) +
-               ",\"way\":" + std::to_string(e.a1) +
-               ",\"bits\":" + std::to_string(e.a2);
+        json.field("set", e.a0).field("way", e.a1).field("bits", e.a2);
         break;
       case EventKind::kFaultVerdict:
-        out += ",\"addr\":\"" + util::hex64(e.a0) + "\",\"outcome\":\"";
-        out += to_string(static_cast<FaultVerdict>(e.a1));
-        out += '"';
+        json.field("addr", util::Hex{e.a0});
+        json.field("outcome", to_string(static_cast<FaultVerdict>(e.a1)));
         break;
     }
-    out += "}\n";
+    json.end();
   }
 }
 

@@ -1,7 +1,6 @@
 #include "src/obs/prof_io.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "src/util/json.h"
@@ -9,20 +8,9 @@
 
 namespace icr::obs::prof {
 
+using Layout = util::JsonWriter::Layout;
+
 namespace {
-
-void append_number(std::string& out, double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof buffer, "%.3f", value);
-  out += buffer;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llu",
-                static_cast<unsigned long long>(value));
-  out += buffer;
-}
 
 std::string format_ms(std::uint64_t ns) {
   return format_double(static_cast<double>(ns) / 1e6, 3);
@@ -30,81 +18,61 @@ std::string format_ms(std::uint64_t ns) {
 
 }  // namespace
 
+void begin_metadata_event(util::JsonWriter& json, std::string_view name,
+                          std::int64_t pid, std::uint64_t tid) {
+  json.begin_object().field("name", name).field("ph", "M");
+  json.field("pid", pid).field("tid", tid).key("args").begin_object();
+}
+
 std::string to_chrome_trace(const Profile& profile,
                             const std::string& process_name,
                             std::int64_t pid, double ts_offset_us) {
-  std::string out = "[\n";
-  std::string pid_field = "\"pid\":";
-  {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "%lld",
-                  static_cast<long long>(pid));
-    pid_field += buffer;
-  }
-
-  out += "{\"name\":\"process_name\",\"ph\":\"M\"," + pid_field +
-         ",\"tid\":0,\"args\":{\"name\":\"" + util::json_escape(process_name) +
-         "\"}}";
+  std::string out;
+  util::JsonWriter json(out, /*indent=*/0);
+  json.begin_array(Layout::kBlock);
+  begin_metadata_event(json, "process_name", pid, 0);
+  json.field("name", process_name).end().end();
   for (std::uint32_t t = 0; t < profile.threads; ++t) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\"," + pid_field +
-           ",\"tid\":";
-    append_u64(out, t);
-    out += ",\"args\":{\"name\":\"worker ";
-    append_u64(out, t);
-    out += "\"}}";
+    begin_metadata_event(json, "thread_name", pid, t);
+    json.field("name", "worker " + std::to_string(t)).end().end();
   }
 
   // Capture-level metadata: wall time, thread count, ring drops, and the
   // timestamp offset (absolute unix microseconds of the capture epoch when
   // the caller provided one — the fleet merge relies on it).
-  out += ",\n{\"name\":\"icr_capture\",\"ph\":\"M\"," + pid_field +
-         ",\"tid\":0,\"args\":{\"wall_ns\":";
-  append_u64(out, profile.wall_ns);
-  out += ",\"threads\":";
-  append_u64(out, profile.threads);
-  out += ",\"dropped_events\":";
-  append_u64(out, profile.dropped_events);
-  out += ",\"epoch_unix_us\":";
-  append_number(out, ts_offset_us);
-  out += "}}";
+  begin_metadata_event(json, "icr_capture", pid, 0);
+  json.field("wall_ns", profile.wall_ns).field("threads", profile.threads);
+  json.field("dropped_events", profile.dropped_events);
+  json.field("epoch_unix_us", util::Micros{ts_offset_us}).end().end();
 
   // The aggregated zone table (covers hot zones that never emit spans).
   for (const ZoneNode& zone : profile.zones) {
-    out += ",\n{\"name\":\"icr_zone_stats\",\"ph\":\"M\"," + pid_field +
-           ",\"tid\":0,\"args\":{\"path\":\"" + util::json_escape(zone.path) +
-           "\",\"zone\":\"" + util::json_escape(zone.name) + "\",\"depth\":";
-    append_u64(out, static_cast<std::uint64_t>(zone.depth));
-    out += ",\"count\":";
-    append_u64(out, zone.count);
-    out += ",\"total_ns\":";
-    append_u64(out, zone.total_ns);
-    out += ",\"self_ns\":";
-    append_u64(out, zone.self_ns);
-    out += "}}";
+    begin_metadata_event(json, "icr_zone_stats", pid, 0);
+    json.field("path", zone.path).field("zone", zone.name);
+    json.field("depth", zone.depth).field("count", zone.count);
+    json.field("total_ns", zone.total_ns).field("self_ns", zone.self_ns);
+    json.end().end();
   }
 
   for (const SpanEvent& event : profile.events) {
-    out += ",\n{\"name\":\"" + util::json_escape(event.name) +
-           "\",\"cat\":\"zone\",\"ph\":\"X\"," + pid_field + ",\"tid\":";
-    append_u64(out, event.tid);
-    out += ",\"ts\":";
-    append_number(out,
-                  ts_offset_us + static_cast<double>(event.start_ns) / 1000.0);
-    out += ",\"dur\":";
-    append_number(out, static_cast<double>(event.dur_ns) / 1000.0);
+    const double start_us = static_cast<double>(event.start_ns) / 1000.0;
+    json.begin_object().field("name", event.name).field("cat", "zone");
+    json.field("ph", "X").field("pid", pid).field("tid", event.tid);
+    json.field("ts", util::Micros{ts_offset_us + start_us});
+    json.field("dur", util::Micros{static_cast<double>(event.dur_ns) / 1000.0});
     if (!event.label.empty()) {
-      out += ",\"args\":{\"label\":\"" + util::json_escape(event.label) + "\"}";
+      json.key("args").begin_object().field("label", event.label).end();
     }
-    out += "}";
+    json.end();
   }
-
-  out += "\n]\n";
+  json.end();
   return out;
 }
 
 std::string merge_chrome_traces(const std::vector<std::string>& traces) {
-  std::string out = "[\n";
-  bool first = true;
+  std::string out;
+  util::JsonWriter json(out, /*indent=*/0);
+  json.begin_array(Layout::kBlock);
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const std::string& text = traces[i];
     // Validate before splicing: a malformed fragment would corrupt the
@@ -121,24 +89,13 @@ std::string merge_chrome_traces(const std::vector<std::string>& traces) {
     }
     // Textual splice of the validated array body keeps every event's bytes
     // exactly as its writer produced them.
-    const std::size_t open = text.find('[');
-    const std::size_t close = text.rfind(']');
-    std::string body = text.substr(open + 1, close - open - 1);
-    while (!body.empty() &&
-           (body.back() == '\n' || body.back() == ' ' || body.back() == '\t' ||
-            body.back() == '\r')) {
-      body.pop_back();
-    }
-    while (!body.empty() &&
-           (body.front() == '\n' || body.front() == ' ' ||
-            body.front() == '\t' || body.front() == '\r')) {
-      body.erase(body.begin());
-    }
-    if (!first) out += ",\n";
-    out += body;
-    first = false;
+    // The array is non-empty, so its body holds a non-blank character.
+    const std::string_view body(text.data() + text.find('[') + 1,
+                                text.rfind(']') - text.find('[') - 1);
+    const std::size_t first = body.find_first_not_of(" \t\r\n");
+    json.raw(body.substr(first, body.find_last_not_of(" \t\r\n") + 1 - first));
   }
-  out += "\n]\n";
+  json.end();
   return out;
 }
 

@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/prof.h"
+#include "src/util/json.h"
 
 namespace icr::obs::prof {
 
@@ -34,6 +36,12 @@ namespace icr::obs::prof {
                                           const std::string& process_name,
                                           std::int64_t pid = 1,
                                           double ts_offset_us = 0.0);
+
+// Opens one compact "ph":"M" metadata event as the next element of a
+// Chrome trace array and leaves its "args" object open: write the args
+// members, then end() both objects. The farm's fleet trace shares it.
+void begin_metadata_event(util::JsonWriter& json, std::string_view name,
+                          std::int64_t pid, std::uint64_t tid);
 
 // Splices several Chrome trace-event documents into one JSON array.
 // Every input must itself parse as a trace array (validated; throws

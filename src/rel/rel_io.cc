@@ -116,93 +116,50 @@ std::string intervals_to_csv(const RelReport& report,
   return out;
 }
 
-void append_json_object(std::string& out, const RelReport& report,
-                        const obs::CellTag& tag, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const std::string pad2(static_cast<std::size_t>(indent) + 2, ' ');
-  const std::string pad4(static_cast<std::size_t>(indent) + 4, ' ');
-  auto field = [&](const std::string& name, const std::string& value,
-                   bool comma = true) {
-    out += pad2;
-    out += '"';
-    out += name;
-    out += "\": ";
-    out += value;
-    if (comma) out += ',';
-    out += '\n';
-  };
-  out += pad;
-  out += "{\n";
-  field("variant", "\"" + util::json_escape(tag.variant) + "\"");
-  field("app", "\"" + util::json_escape(tag.app) + "\"");
-  field("trial", std::to_string(tag.trial));
-  field("supported", report.model_supported ? "true" : "false");
-  field("cycles", std::to_string(report.cycles));
-  field("clock_ghz", util::exact_double(report.clock_ghz));
-  field("probability", util::exact_double(report.probability));
-  field("word_cycles", util::exact_double(report.word_cycles));
-  field("total_exposure", util::exact_double(report.total_exposure));
-  out += pad2;
-  out += "\"state_exposure\": {";
+void append_json(util::JsonWriter& json, const RelReport& report,
+                 const obs::CellTag& tag) {
+  using Layout = util::JsonWriter::Layout;
+  json.begin_object(Layout::kBlock).field("variant", tag.variant);
+  json.field("app", tag.app).field("trial", tag.trial);
+  json.field("supported", report.model_supported);
+  json.field("cycles", report.cycles).field("clock_ghz", report.clock_ghz);
+  json.field("probability", report.probability);
+  json.field("word_cycles", report.word_cycles);
+  json.field("total_exposure", report.total_exposure);
+  json.key("state_exposure").begin_object(Layout::kInline);
   for (std::size_t s = 0; s < kRelStates; ++s) {
-    if (s != 0) out += ", ";
-    out += '"';
-    out += to_string(static_cast<RelState>(s));
-    out += "\": ";
-    out += util::exact_double(report.state_exposure[s]);
+    json.field(to_string(static_cast<RelState>(s)), report.state_exposure[s]);
   }
-  out += "},\n";
-  field("coef_corrected", util::exact_double(report.corrected_coef));
-  field("coef_replica_recovered", util::exact_double(report.replica_coef));
-  field("coef_detected_uncorrectable",
-        util::exact_double(report.detected_coef));
-  field("coef_silent", util::exact_double(report.silent_coef));
-  field("coef_scrub", util::exact_double(report.scrub_coef));
-  field("coef_unobserved", util::exact_double(report.unobserved_coef));
-  field("coef_deposited", util::exact_double(report.deposited_coef));
-  field("open_exposure", util::exact_double(report.open_exposure));
-  field("pending_residual", util::exact_double(report.pending_residual));
-  field("vf_corrected", util::exact_double(report.vf_corrected()));
-  field("vf_replica_recovered",
-        util::exact_double(report.vf_replica_recovered()));
-  field("vf_detected_uncorrectable",
-        util::exact_double(report.vf_detected_uncorrectable()));
-  field("vf_uncorrected", util::exact_double(report.vf_uncorrected()));
+  json.end();
+  json.field("coef_corrected", report.corrected_coef);
+  json.field("coef_replica_recovered", report.replica_coef);
+  json.field("coef_detected_uncorrectable", report.detected_coef);
+  json.field("coef_silent", report.silent_coef);
+  json.field("coef_scrub", report.scrub_coef);
+  json.field("coef_unobserved", report.unobserved_coef);
+  json.field("coef_deposited", report.deposited_coef);
+  json.field("open_exposure", report.open_exposure);
+  json.field("pending_residual", report.pending_residual);
+  json.field("vf_corrected", report.vf_corrected());
+  json.field("vf_replica_recovered", report.vf_replica_recovered());
+  json.field("vf_detected_uncorrectable", report.vf_detected_uncorrectable());
+  json.field("vf_uncorrected", report.vf_uncorrected());
   const RelPrediction expected = report.evaluate(report.probability);
-  field("expected_corrected", util::exact_double(expected.corrected));
-  field("expected_replica_recovered",
-        util::exact_double(expected.replica_recovered));
-  field("expected_detected_uncorrectable",
-        util::exact_double(expected.detected_uncorrectable));
-  field("expected_silent", util::exact_double(expected.silent));
-  out += pad2;
-  out += "\"intervals\": [";
-  for (std::size_t i = 0; i < report.intervals.size(); ++i) {
-    const IntervalClassRow& row = report.intervals[i];
-    if (i != 0) out += ',';
-    out += '\n';
-    out += pad4;
-    out += "{\"start\": \"";
-    out += to_string(row.start);
-    out += "\", \"end\": \"";
-    out += to_string(row.end);
-    out += "\", \"state\": \"";
-    out += to_string(row.state);
-    out += "\", \"count\": ";
-    out += std::to_string(row.count);
-    out += ", \"cycles\": ";
-    out += util::exact_double(row.cycles);
-    out += ", \"exposure\": ";
-    out += util::exact_double(row.exposure);
-    out += '}';
+  json.field("expected_corrected", expected.corrected);
+  json.field("expected_replica_recovered", expected.replica_recovered);
+  json.field("expected_detected_uncorrectable",
+             expected.detected_uncorrectable);
+  json.field("expected_silent", expected.silent);
+  // An empty interval table prints as "[]", not as an empty block.
+  json.key("intervals").begin_array(
+      report.intervals.empty() ? Layout::kInline : Layout::kBlock);
+  for (const IntervalClassRow& row : report.intervals) {
+    json.begin_object(Layout::kInline).field("start", to_string(row.start));
+    json.field("end", to_string(row.end));
+    json.field("state", to_string(row.state)).field("count", row.count);
+    json.field("cycles", row.cycles).field("exposure", row.exposure).end();
   }
-  if (!report.intervals.empty()) {
-    out += '\n';
-    out += pad2;
-  }
-  out += "]\n";
-  out += pad;
-  out += '}';
+  json.end().end();
 }
 
 std::string format_report(const RelReport& report) {

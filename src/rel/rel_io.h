@@ -26,6 +26,7 @@
 
 #include "src/obs/obs_io.h"
 #include "src/rel/rel_model.h"
+#include "src/util/json.h"
 
 namespace icr::rel {
 
@@ -44,11 +45,11 @@ void append_intervals_csv_rows(std::string& out, const RelReport& report,
                                            const obs::CellTag& tag);
 
 // ---- JSON ----
-// Appends one JSON object for the report (same fields as the summary CSV
-// plus the interval table), indented by `indent` spaces, no trailing
-// newline. Used by sim::rel_to_json and the single-run --rel-out export.
-void append_json_object(std::string& out, const RelReport& report,
-                        const obs::CellTag& tag, int indent);
+// Writes one JSON object for the report (same fields as the summary CSV
+// plus the interval table) as the writer's next value. Used by
+// sim::rel_to_json and the single-run --rel-out export.
+void append_json(util::JsonWriter& json, const RelReport& report,
+                 const obs::CellTag& tag);
 
 // Human-readable breakdown for terminal reports (icr_sim --rel and the
 // rel_vulnerability_factor bench).

@@ -215,14 +215,30 @@ class ProgressReporter {
 
 std::atomic<bool> g_default_progress_enabled{false};
 
+// The part of a trace path that a campaign cell label carries.
+std::string trace_basename(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
 }  // namespace
 
 std::size_t CampaignSpec::app_axis() const {
   return trace.enabled() ? trace_shard_count(*this) : apps.size();
 }
 
+void check_trace_label(const std::string& path, const std::string& label) {
+  if (label.find_first_of(",\n\r") != std::string::npos) {
+    throw std::runtime_error(
+        "trace file '" + path +
+        "': the name becomes a CSV cell label and must not contain ',', "
+        "'\\n' or '\\r'; rename or copy the file");
+  }
+}
+
 void resolve_trace_campaign(CampaignSpec& spec) {
   if (!spec.trace.enabled()) return;
+  check_trace_label(spec.trace.path, trace_basename(spec.trace.path));
   const trace::TraceInfo info = trace::probe_trace(spec.trace.path);
   if (info.records == 0) {
     throw std::runtime_error("trace campaign: " + spec.trace.path +
@@ -334,11 +350,8 @@ TraceShard trace_shard(const CampaignSpec& spec, std::size_t shard_idx) {
 std::string trace_shard_label(const CampaignSpec& spec,
                               std::size_t shard_idx) {
   const TraceShard shard = trace_shard(spec, shard_idx);
-  std::string base = spec.trace.path;
-  const std::size_t slash = base.find_last_of('/');
-  if (slash != std::string::npos) base = base.substr(slash + 1);
-  return base + "@" + std::to_string(shard.begin) + "+" +
-         std::to_string(shard.instructions);
+  return trace_basename(spec.trace.path) + "@" + std::to_string(shard.begin) +
+         "+" + std::to_string(shard.instructions);
 }
 
 CellResult run_campaign_cell(const CampaignSpec& spec, std::size_t variant_idx,

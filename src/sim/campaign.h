@@ -135,9 +135,14 @@ struct CampaignSpec {
   }
 };
 
-// Probes spec.trace.path and fills fingerprint/records (no-op when no
-// trace is attached). Call once before hashing, manifesting, or running a
-// trace campaign; throws std::runtime_error on a missing/corrupt trace.
+// Throws std::runtime_error naming the trace file `path` when `label`, the
+// part of it an unquoted CSV cell label carries (the basename in campaigns,
+// the whole path in icr_sim), holds a ',' or a line break.
+void check_trace_label(const std::string& path, const std::string& label);
+
+// Checks the label, probes spec.trace.path and fills fingerprint/records
+// (no-op without a trace). Call once before hashing, manifesting, or running
+// a trace campaign; throws std::runtime_error on a bad label or trace.
 void resolve_trace_campaign(CampaignSpec& spec);
 
 // Crosses spec.variants with the geometry axes (no-op when

@@ -14,6 +14,9 @@
 #include "src/util/json.h"
 
 namespace icr::sim::farm {
+
+using Layout = util::JsonWriter::Layout;
+
 namespace {
 
 std::uint64_t parse_hex64(const util::JsonValue& value) {
@@ -26,14 +29,6 @@ std::uint64_t as_u64(const util::JsonValue& value) {
 
 [[noreturn]] void bad_document(const std::string& what) {
   throw std::runtime_error("farm: " + what);
-}
-
-void append_sampling_json(std::string& out, const SamplingOptions& s) {
-  out += "{\"warmup\": " + std::to_string(s.warmup_instructions) +
-         ", \"windows\": " + std::to_string(s.windows) +
-         ", \"window_width\": " + std::to_string(s.window_width) +
-         ", \"mode\": \"" + to_string(s.mode) + "\", \"seed\": \"" +
-         util::hex64(s.seed) + "\"}";
 }
 
 SamplingOptions parse_sampling(const util::JsonValue& v) {
@@ -72,67 +67,42 @@ std::vector<WorkUnit> shard_units(std::uint64_t total_cells,
 }
 
 std::string Manifest::to_json() const {
-  std::string out = "{\n  \"farm\": {\n";
-  out += "    \"version\": " + std::to_string(version) + ",\n";
-  out += "    \"config_hash\": \"" + util::hex64(config_hash) + "\",\n";
-  out += "    \"base_seed\": \"" + util::hex64(base_seed) + "\",\n";
-  out += "    \"instructions\": " + std::to_string(instructions) + ",\n";
-  out += "    \"trials\": " + std::to_string(trials) + ",\n";
-  out += std::string("    \"derive_seeds\": ") +
-         (derive_seeds ? "true" : "false") + ",\n";
-  out += "    \"variant_count\": " + std::to_string(variant_count) + ",\n";
-  out += "    \"app_count\": " + std::to_string(app_count) + ",\n";
-  out += "    \"total_cells\": " + std::to_string(total_cells) + ",\n";
-  out += "    \"unit_cells\": " + std::to_string(unit_cells) + ",\n";
-  out += "    \"unit_count\": " + std::to_string(unit_count) + ",\n";
-  out += "    \"decay_window\": " + std::to_string(decay_window) + ",\n";
-  out += "    \"fault_model\": \"" + util::json_escape(fault_model) + "\",\n";
-  out += "    \"fault_probability\": " + util::exact_double(fault_probability) +
-         ",\n";
-  out += "    \"sampling\": ";
-  append_sampling_json(out, sampling);
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object(Layout::kBlock).key("farm").begin_object(Layout::kBlock);
+  json.field("version", version);
+  json.field("config_hash", util::Hex{config_hash});
+  json.field("base_seed", util::Hex{base_seed});
+  json.field("instructions", instructions).field("trials", trials);
+  json.field("derive_seeds", derive_seeds);
+  json.field("variant_count", variant_count).field("app_count", app_count);
+  json.field("total_cells", total_cells).field("unit_cells", unit_cells);
+  json.field("unit_count", unit_count).field("decay_window", decay_window);
+  json.field("fault_model", fault_model);
+  json.field("fault_probability", fault_probability);
+  append_json(json.key("sampling"), sampling);
+  const auto array = [&json](const char* key, const auto& values) {
+    json.key(key).begin_array(Layout::kInline);
+    for (const auto& v : values) json.value(v);
+    json.end();
+  };
   if (geometry.enabled()) {
-    auto append_u32_array = [&out](const char* key,
-                                   const std::vector<std::uint32_t>& values) {
-      out += std::string("\"") + key + "\": [";
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i != 0) out += ", ";
-        out += std::to_string(values[i]);
-      }
-      out += ']';
-    };
-    out += ",\n    \"geometry\": {";
-    append_u32_array("sizes", geometry.sizes);
-    out += ", ";
-    append_u32_array("assocs", geometry.assocs);
-    out += ", ";
-    append_u32_array("ways_disabled", geometry.ways_disabled);
-    out += std::string(", \"pattern\": \"") +
-           mem::way_pattern_name(geometry.pattern) + "\", \"way_seed\": \"" +
-           util::hex64(geometry.way_seed) + "\"}";
+    json.key("geometry").begin_object(Layout::kInline);
+    array("sizes", geometry.sizes);
+    array("assocs", geometry.assocs);
+    array("ways_disabled", geometry.ways_disabled);
+    json.field("pattern", mem::way_pattern_name(geometry.pattern));
+    json.field("way_seed", util::Hex{geometry.way_seed}).end();
   }
   if (trace.enabled()) {
-    out += ",\n    \"trace\": {\"path\": \"" + util::json_escape(trace.path) +
-           "\", \"shard_instructions\": " +
-           std::to_string(trace.shard_instructions) + ", \"fingerprint\": \"" +
-           util::hex64(trace.fingerprint) +
-           "\", \"records\": " + std::to_string(trace.records) + "}";
+    json.key("trace").begin_object(Layout::kInline).field("path", trace.path);
+    json.field("shard_instructions", trace.shard_instructions);
+    json.field("fingerprint", util::Hex{trace.fingerprint});
+    json.field("records", trace.records).end();
   }
-  out += ",\n    \"schemes\": [";
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    out += util::json_escape(schemes[i]);
-    out += '"';
-  }
-  out += "],\n    \"apps\": [";
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += '"';
-    out += util::json_escape(apps[i]);
-    out += '"';
-  }
-  out += "]\n  }\n}\n";
+  array("schemes", schemes);
+  array("apps", apps);
+  json.end().end();
   return out;
 }
 
@@ -341,43 +311,26 @@ std::vector<double> CellRecord::metrics() const {
 
 std::string unit_to_json(std::uint32_t unit,
                          const std::vector<CellRecord>& cells) {
-  std::string out = "{\n  \"version\": " + std::to_string(kFormatVersion) +
-                    ",\n  \"unit\": " + std::to_string(unit) +
-                    ",\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellRecord& c = cells[i];
-    out += "    {\"variant_idx\": " + std::to_string(c.variant_idx) +
-           ", \"app_idx\": " + std::to_string(c.app_idx) +
-           ", \"trial\": " + std::to_string(c.trial_idx) + ", \"seed\": \"" +
-           util::hex64(c.seed) + "\", \"variant\": \"" +
-           util::json_escape(c.variant) + "\", \"app\": \"" +
-           util::json_escape(c.app) + "\"";
-    if (c.geometry.present) {
-      out += ", \"geometry\": {\"dl1_size\": " +
-             std::to_string(c.geometry.dl1_size_bytes) +
-             ", \"dl1_assoc\": " + std::to_string(c.geometry.dl1_assoc) +
-             ", \"ways_disabled\": " +
-             std::to_string(c.geometry.ways_disabled) + "}";
-    }
-    out += ", \"metric_bits\": [";
-    for (std::size_t m = 0; m < c.metric_bits.size(); ++m) {
-      if (m != 0) out += ", ";
-      out += '"';
-      out += util::hex64(c.metric_bits[m]);
-      out += '"';
-    }
-    out += "], \"sampling\": {\"sampled\": ";
-    out += c.sampling.sampled ? "true" : "false";
-    out += ", \"budget\": " + std::to_string(c.sampling.budget) +
-           ", \"warmup\": " +
-           std::to_string(c.sampling.warmup_instructions) +
-           ", \"windows\": " + std::to_string(c.sampling.windows) +
-           ", \"measured\": " +
-           std::to_string(c.sampling.measured_instructions) + "}}";
-    if (i + 1 != cells.size()) out += ',';
-    out += '\n';
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object(Layout::kBlock).field("version", kFormatVersion);
+  json.field("unit", unit).key("cells").begin_array(Layout::kBlock);
+  for (const CellRecord& c : cells) {
+    json.begin_object(Layout::kInline).field("variant_idx", c.variant_idx);
+    json.field("app_idx", c.app_idx).field("trial", c.trial_idx);
+    json.field("seed", util::Hex{c.seed});
+    json.field("variant", c.variant).field("app", c.app);
+    if (c.geometry.present) append_json(json.key("geometry"), c.geometry);
+    json.key("metric_bits").begin_array(Layout::kInline);
+    for (const std::uint64_t bits : c.metric_bits) json.value(util::Hex{bits});
+    json.end().key("sampling").begin_object(Layout::kInline);
+    json.field("sampled", c.sampling.sampled);
+    json.field("budget", c.sampling.budget);
+    json.field("warmup", c.sampling.warmup_instructions);
+    json.field("windows", c.sampling.windows);
+    json.field("measured", c.sampling.measured_instructions).end().end();
   }
-  out += "  ]\n}\n";
+  json.end().end();
   return out;
 }
 
@@ -465,8 +418,9 @@ WorkerReport run_worker_loop(
   }
   const std::vector<WorkUnit> units =
       shard_units(manifest.total_cells, manifest.unit_cells);
-  const std::string claim_body =
-      "{\"pid\": " + std::to_string(::getpid()) + "}\n";
+  std::string claim_body;
+  util::JsonWriter claim(claim_body);
+  claim.begin_object(Layout::kInline).field("pid", ::getpid()).end();
   if (telemetry != nullptr) telemetry->on_start(manifest);
 
   std::function<void(std::uint64_t)> on_cell;
@@ -532,7 +486,7 @@ SpoolStatus scan_spool(const std::string& spool, const Manifest& manifest) {
 
 FarmAggregator::FarmAggregator(const Manifest& manifest, std::ostream* csv,
                                std::ostream* json)
-    : manifest_(manifest), csv_(csv), json_(json) {
+    : manifest_(manifest), csv_(csv), json_(json), json_writer_(json_text_) {
   if (csv_ != nullptr) {
     *csv_ << results_csv_header(manifest_.sampling.enabled(),
                                 manifest_.geometry.enabled());
@@ -548,9 +502,10 @@ FarmAggregator::FarmAggregator(const Manifest& manifest, std::ostream* csv,
     // Farm exports never carry timing: wall time depends on the worker
     // fleet, and the byte-identity guarantee is against
     // to_json(campaign, include_timing=false).
-    *json_ << results_json_prologue(
-        meta, static_cast<std::size_t>(manifest_.total_cells),
-        /*include_timing=*/false);
+    results_json_prologue(json_writer_, meta,
+                          static_cast<std::size_t>(manifest_.total_cells),
+                          /*include_timing=*/false);
+    flush_json();
   }
 }
 
@@ -581,13 +536,11 @@ void FarmAggregator::add_unit(std::uint32_t unit,
       *csv_ << row;
     }
     if (json_ != nullptr) {
-      row.clear();
-      append_results_json_cell(row, record.variant, record.app,
+      append_results_json_cell(json_writer_, record.variant, record.app,
                                record.trial_idx, record.seed, metrics,
                                sampled ? &record.sampling : nullptr,
-                               cells_emitted_ == manifest_.total_cells,
                                geometry ? &record.geometry : nullptr);
-      *json_ << row;
+      flush_json();
     }
   }
 }
@@ -599,8 +552,16 @@ void FarmAggregator::finish() {
                  std::to_string(manifest_.total_cells) +
                  " cells — refusing to export a truncated campaign");
   }
-  if (json_ != nullptr) *json_ << results_json_epilogue();
+  if (json_ != nullptr) {
+    results_json_epilogue(json_writer_);
+    flush_json();
+  }
   finished_ = true;
+}
+
+void FarmAggregator::flush_json() {
+  *json_ << json_text_;
+  json_text_.clear();
 }
 
 std::size_t FarmAggregator::state_bytes() const noexcept {

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "src/sim/campaign.h"
+#include "src/util/json.h"
 
 namespace icr::sim::farm {
 
@@ -250,9 +251,13 @@ class FarmAggregator {
   }
 
  private:
+  void flush_json();
+
   Manifest manifest_;
   std::ostream* csv_;
   std::ostream* json_;
+  std::string json_text_;  // at most one cell between flushes
+  util::JsonWriter json_writer_;
   std::uint32_t next_unit_ = 0;
   std::uint64_t cells_emitted_ = 0;
   bool finished_ = false;

@@ -15,21 +15,10 @@
 #include "src/util/table.h"
 
 namespace icr::sim::farm {
+
+using Layout = util::JsonWriter::Layout;
+
 namespace {
-
-std::string i64_string(std::int64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%lld",
-                static_cast<long long>(value));
-  return buffer;
-}
-
-std::string u64_string(std::uint64_t value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%llu",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
 
 double unix_now_seconds() {
   return std::chrono::duration<double>(
@@ -119,38 +108,32 @@ RusageSnapshot capture_rusage() {
 }
 
 std::string WorkerHeartbeat::to_json() const {
-  std::string out = "{\n  \"hb\": {\n";
-  out += "    \"version\": " + std::to_string(version) + ",\n";
-  out += "    \"worker\": \"" + util::json_escape(worker_id) + "\",\n";
-  out += "    \"pid\": " + i64_string(pid) + ",\n";
-  out += "    \"seq\": " + u64_string(seq) + ",\n";
-  out += "    \"time_unix\": " + util::exact_double(time_unix_seconds) + ",\n";
-  out += "    \"uptime_seconds\": " + util::exact_double(uptime_seconds) +
-         ",\n";
-  out += "    \"units_done\": " + std::to_string(units_done) + ",\n";
-  out += "    \"cells_done\": " + u64_string(cells_done) + ",\n";
-  out += "    \"current_unit\": " + i64_string(current_unit) + ",\n";
-  out += "    \"current_cell\": " + i64_string(current_cell) + ",\n";
-  out += "    \"instructions_done\": " + u64_string(instructions_done) + ",\n";
-  out += "    \"mips\": " + util::exact_double(mips) + ",\n";
-  out += std::string("    \"exited\": ") + (exited ? "true" : "false") + ",\n";
-  out += "    \"rusage\": {\"maxrss_kb\": " + u64_string(rusage.maxrss_kb) +
-         ", \"utime_seconds\": " + util::exact_double(rusage.utime_seconds) +
-         ", \"stime_seconds\": " + util::exact_double(rusage.stime_seconds) +
-         "},\n";
-  out += "    \"prof\": [";
-  for (std::size_t i = 0; i < prof_zones.size(); ++i) {
-    const obs::prof::ZoneNode& zone = prof_zones[i];
-    if (i != 0) out += ',';
-    out += "\n      {\"path\": \"" + util::json_escape(zone.path) +
-           "\", \"zone\": \"" + util::json_escape(zone.name) +
-           "\", \"depth\": " + std::to_string(zone.depth) +
-           ", \"count\": " + u64_string(zone.count) +
-           ", \"total_ns\": " + u64_string(zone.total_ns) +
-           ", \"self_ns\": " + u64_string(zone.self_ns) + "}";
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object(Layout::kBlock).key("hb").begin_object(Layout::kBlock);
+  json.field("version", version).field("worker", worker_id);
+  json.field("pid", pid).field("seq", seq);
+  json.field("time_unix", time_unix_seconds);
+  json.field("uptime_seconds", uptime_seconds);
+  json.field("units_done", units_done).field("cells_done", cells_done);
+  json.field("current_unit", current_unit).field("current_cell", current_cell);
+  json.field("instructions_done", instructions_done);
+  json.field("mips", mips).field("exited", exited);
+  json.key("rusage").begin_object(Layout::kInline);
+  json.field("maxrss_kb", rusage.maxrss_kb);
+  json.field("utime_seconds", rusage.utime_seconds);
+  json.field("stime_seconds", rusage.stime_seconds).end();
+  // No zones prints as "[]", not as an empty block.
+  json.key("prof").begin_array(prof_zones.empty() ? Layout::kInline
+                                                  : Layout::kBlock);
+  for (const obs::prof::ZoneNode& zone : prof_zones) {
+    json.begin_object(Layout::kInline);
+    json.field("path", zone.path).field("zone", zone.name);
+    json.field("depth", zone.depth).field("count", zone.count);
+    json.field("total_ns", zone.total_ns).field("self_ns", zone.self_ns);
+    json.end();
   }
-  if (!prof_zones.empty()) out += "\n    ";
-  out += "]\n  }\n}\n";
+  json.end().end().end();
   return out;
 }
 
@@ -228,18 +211,15 @@ FarmEventType event_type_by_name(const std::string& name) {
 }
 
 std::string FarmEvent::to_ndjson_line() const {
-  std::string out = "{\"v\":" + std::to_string(kTelemetryFormatVersion) +
-                    ",\"worker\":\"" + util::json_escape(worker_id) +
-                    "\",\"seq\":" + u64_string(seq) +
-                    ",\"t\":" + util::exact_double(time_unix_seconds) +
-                    ",\"type\":\"" + to_string(type) +
-                    "\",\"unit\":" + i64_string(unit) +
-                    ",\"cells\":" + u64_string(cells) +
-                    ",\"dur\":" + util::exact_double(duration_seconds);
-  if (!detail.empty()) {
-    out += ",\"detail\":\"" + util::json_escape(detail) + "\"";
-  }
-  out += "}\n";
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object().field("v", kTelemetryFormatVersion);
+  json.field("worker", worker_id).field("seq", seq);
+  json.field("t", time_unix_seconds).field("type", to_string(type));
+  json.field("unit", unit).field("cells", cells);
+  json.field("dur", duration_seconds);
+  if (!detail.empty()) json.field("detail", detail);
+  json.end();
   return out;
 }
 
@@ -602,20 +582,19 @@ std::string format_age(double seconds) {
 std::string worker_position(const WorkerHeartbeat& hb) {
   if (hb.exited) return "exited";
   if (hb.current_unit < 0) return "idle";
-  std::string out = "unit " + i64_string(hb.current_unit);
-  if (hb.current_cell >= 0) out += " cell " + i64_string(hb.current_cell);
+  std::string out = "unit " + std::to_string(hb.current_unit);
+  if (hb.current_cell >= 0) out += " cell " + std::to_string(hb.current_cell);
   return out;
 }
 
 std::string latency_bucket_label(std::uint32_t bucket) {
+  using obs::Log2Histogram;
   if (bucket == 0) return "0 ms";
-  if (bucket == obs::Log2Histogram::kOverflowBucket) {
-    return ">= " + u64_string(obs::Log2Histogram::bucket_lower_bound(bucket)) +
-           " ms";
-  }
-  return "[" + u64_string(obs::Log2Histogram::bucket_lower_bound(bucket)) +
-         ", " +
-         u64_string(obs::Log2Histogram::bucket_lower_bound(bucket + 1)) +
+  const std::string lower =
+      std::to_string(Log2Histogram::bucket_lower_bound(bucket));
+  if (bucket == Log2Histogram::kOverflowBucket) return ">= " + lower + " ms";
+  return "[" + lower + ", " +
+         std::to_string(Log2Histogram::bucket_lower_bound(bucket + 1)) +
          ") ms";
 }
 
@@ -682,7 +661,8 @@ std::string render_farm_status(const FarmStatus& status) {
       const WorkerHeartbeat& hb = worker.heartbeat;
       table.add_row({hb.worker_id, to_string(worker.state),
                      format_age(worker.age_seconds) + " ago",
-                     std::to_string(hb.units_done), u64_string(hb.cells_done),
+                     std::to_string(hb.units_done),
+                     std::to_string(hb.cells_done),
                      format_double(worker.cells_per_second, 2),
                      format_double(hb.mips, 2),
                      format_double(static_cast<double>(hb.rusage.maxrss_kb) /
@@ -717,54 +697,44 @@ std::string farm_status_to_ndjson(const FarmStatus& status) {
       case WorkerState::kExited: ++exited; break;
     }
   }
-  std::string out = "{\"type\":\"farm\"";
-  out += ",\"schema\":" + std::to_string(kStatusSchemaVersion);
-  out += ",\"unit_count\":" + std::to_string(status.census.unit_count);
-  out += ",\"units_done\":" + std::to_string(status.census.units_done);
-  out += ",\"total_cells\":" + u64_string(status.total_cells);
-  out += ",\"cells_done\":" + u64_string(status.census.cells_done);
-  out += ",\"claims_outstanding\":" +
-         std::to_string(status.census.claims_outstanding);
-  out += ",\"claims_live\":" + std::to_string(status.claims_live);
-  out += ",\"claims_stale\":" + std::to_string(status.claims_stale);
-  out += ",\"workers\":" + std::to_string(status.workers.size());
-  out += ",\"running\":" + std::to_string(running);
-  out += ",\"straggler\":" + std::to_string(stragglers);
-  out += ",\"dead\":" + std::to_string(dead);
-  out += ",\"exited\":" + std::to_string(exited);
-  out += ",\"percent\":" + util::brief_double(status.throughput.percent);
-  out += ",\"cells_per_second\":" + util::brief_double(status.throughput.rate);
-  out += ",\"eta_seconds\":" +
-         util::brief_double(status.throughput.eta_seconds);
-  out += ",\"elapsed_seconds\":" + util::brief_double(status.elapsed_seconds);
-  out += ",\"events\":" + std::to_string(status.event_count);
-  out += ",\"dropped_event_lines\":" +
-         std::to_string(status.dropped_event_lines);
-  out += ",\"unreadable_heartbeats\":" +
-         std::to_string(status.unreadable_heartbeats);
-  out += std::string(",\"complete\":") +
-         (status.census.complete() ? "true" : "false");
-  out += std::string(",\"drained\":") + (status.drained() ? "true" : "false");
-  out += "}\n";
+  std::string out;
+  util::JsonWriter json(out);
+  const SpoolStatus& census = status.census;
+  json.begin_object().field("type", "farm");
+  json.field("schema", kStatusSchemaVersion);
+  json.field("unit_count", census.unit_count);
+  json.field("units_done", census.units_done);
+  json.field("total_cells", status.total_cells);
+  json.field("cells_done", census.cells_done);
+  json.field("claims_outstanding", census.claims_outstanding);
+  json.field("claims_live", status.claims_live);
+  json.field("claims_stale", status.claims_stale);
+  json.field("workers", status.workers.size()).field("running", running);
+  json.field("straggler", stragglers).field("dead", dead);
+  json.field("exited", exited);
+  json.field("percent", util::Brief{status.throughput.percent});
+  json.field("cells_per_second", util::Brief{status.throughput.rate});
+  json.field("eta_seconds", util::Brief{status.throughput.eta_seconds});
+  json.field("elapsed_seconds", util::Brief{status.elapsed_seconds});
+  json.field("events", status.event_count);
+  json.field("dropped_event_lines", status.dropped_event_lines);
+  json.field("unreadable_heartbeats", status.unreadable_heartbeats);
+  json.field("complete", census.complete());
+  json.field("drained", status.drained()).end();
   for (const WorkerStatus& worker : status.workers) {
     const WorkerHeartbeat& hb = worker.heartbeat;
-    out += "{\"type\":\"worker\",\"schema\":" +
-           std::to_string(kStatusSchemaVersion);
-    out += ",\"worker\":\"" + util::json_escape(hb.worker_id) + "\"";
-    out += ",\"state\":\"" + std::string(to_string(worker.state)) + "\"";
-    out += ",\"pid\":" + i64_string(hb.pid);
-    out += ",\"seq\":" + u64_string(hb.seq);
-    out += ",\"age_seconds\":" + util::brief_double(worker.age_seconds);
-    out += ",\"units_done\":" + std::to_string(hb.units_done);
-    out += ",\"cells_done\":" + u64_string(hb.cells_done);
-    out += ",\"current_unit\":" + i64_string(hb.current_unit);
-    out += ",\"current_cell\":" + i64_string(hb.current_cell);
-    out += ",\"cells_per_second\":" +
-           util::brief_double(worker.cells_per_second);
-    out += ",\"mips\":" + util::brief_double(hb.mips);
-    out += ",\"maxrss_kb\":" + u64_string(hb.rusage.maxrss_kb);
-    out += std::string(",\"exited\":") + (hb.exited ? "true" : "false");
-    out += "}\n";
+    json.begin_object().field("type", "worker");
+    json.field("schema", kStatusSchemaVersion).field("worker", hb.worker_id);
+    json.field("state", to_string(worker.state)).field("pid", hb.pid);
+    json.field("seq", hb.seq);
+    json.field("age_seconds", util::Brief{worker.age_seconds});
+    json.field("units_done", hb.units_done).field("cells_done", hb.cells_done);
+    json.field("current_unit", hb.current_unit);
+    json.field("current_cell", hb.current_cell);
+    json.field("cells_per_second", util::Brief{worker.cells_per_second});
+    json.field("mips", util::Brief{hb.mips});
+    json.field("maxrss_kb", hb.rusage.maxrss_kb);
+    json.field("exited", hb.exited).end();
   }
   return out;
 }
@@ -864,48 +834,38 @@ std::string fleet_unit_spans_trace(const std::vector<FarmEvent>& events) {
         workers.begin());
   };
 
-  std::string out = "[\n";
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
-         "\"args\":{\"name\":\"farm fleet\"}}";
+  std::string out;
+  util::JsonWriter json(out, /*indent=*/0);
+  json.begin_array(Layout::kBlock);
+  obs::prof::begin_metadata_event(json, "process_name", 0, 0);
+  json.field("name", "farm fleet").end().end();
   for (std::size_t i = 0; i < workers.size(); ++i) {
-    out += ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" +
-           u64_string(i) + ",\"args\":{\"name\":\"" +
-           util::json_escape(workers[i]) + "\"}}";
+    obs::prof::begin_metadata_event(json, "thread_name", 0, i);
+    json.field("name", workers[i]).end().end();
   }
-  char number[48];
   for (const FarmEvent& event : events) {
     const std::uint64_t tid = tid_of(event.worker_id);
     if (event.type == FarmEventType::kPublish) {
       // The unit span runs from claim to publish on the worker's row.
-      out += ",\n{\"name\":\"unit " + i64_string(event.unit) +
-             "\",\"cat\":\"farm\",\"ph\":\"X\",\"pid\":0,\"tid\":" +
-             u64_string(tid) + ",\"ts\":";
-      std::snprintf(number, sizeof number, "%.3f",
-                    (event.time_unix_seconds - event.duration_seconds) * 1e6);
-      out += number;
-      out += ",\"dur\":";
-      std::snprintf(number, sizeof number, "%.3f",
-                    event.duration_seconds * 1e6);
-      out += number;
-      out += ",\"args\":{\"worker\":\"" + util::json_escape(event.worker_id) +
-             "\",\"unit\":" + i64_string(event.unit) +
-             ",\"cells\":" + u64_string(event.cells) + "}}";
+      const double start = event.time_unix_seconds - event.duration_seconds;
+      json.begin_object().field("name", "unit " + std::to_string(event.unit));
+      json.field("cat", "farm").field("ph", "X").field("pid", 0);
+      json.field("tid", tid).field("ts", util::Micros{start * 1e6});
+      json.field("dur", util::Micros{event.duration_seconds * 1e6});
+      json.key("args").begin_object().field("worker", event.worker_id);
+      json.field("unit", event.unit).field("cells", event.cells).end().end();
     } else if (event.type == FarmEventType::kStaleClear ||
                event.type == FarmEventType::kClaimConflict ||
                event.type == FarmEventType::kExit) {
-      out += ",\n{\"name\":\"";
-      out += to_string(event.type);
-      out += "\",\"cat\":\"farm\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,"
-             "\"tid\":" +
-             u64_string(tid) + ",\"ts\":";
-      std::snprintf(number, sizeof number, "%.3f",
-                    event.time_unix_seconds * 1e6);
-      out += number;
-      out += ",\"args\":{\"worker\":\"" + util::json_escape(event.worker_id) +
-             "\",\"unit\":" + i64_string(event.unit) + "}}";
+      json.begin_object().field("name", to_string(event.type));
+      json.field("cat", "farm").field("ph", "i").field("s", "t");
+      json.field("pid", 0).field("tid", tid);
+      json.field("ts", util::Micros{event.time_unix_seconds * 1e6});
+      json.key("args").begin_object().field("worker", event.worker_id);
+      json.field("unit", event.unit).end().end();
     }
   }
-  out += "\n]\n";
+  json.end();
   return out;
 }
 

@@ -9,9 +9,8 @@
 #include "src/util/json.h"
 
 namespace icr::sim {
-namespace {
 
-}  // namespace
+using Layout = util::JsonWriter::Layout;
 
 const std::vector<std::string>& metric_columns() {
   static const std::vector<std::string> columns = {
@@ -139,79 +138,67 @@ void append_results_csv_row(std::string& out, const std::string& variant,
   out += '\n';
 }
 
-std::string results_json_prologue(const CampaignMeta& meta, std::size_t cells,
-                                  bool include_timing) {
-  std::string out = "{\n  \"campaign\": {\n";
-  out += "    \"base_seed\": \"" + util::hex64(meta.base_seed) + "\",\n";
-  out += "    \"config_hash\": \"" + util::hex64(meta.config_hash) + "\",\n";
-  out += "    \"instructions\": " + std::to_string(meta.instructions) + ",\n";
-  out += "    \"trials\": " + std::to_string(meta.trials) + ",\n";
-  out += "    \"cells\": " + std::to_string(cells);
-  if (meta.sampling.enabled()) {
-    const SamplingOptions& s = meta.sampling;
-    out += ",\n    \"sampling\": {\"warmup\": " +
-           std::to_string(s.warmup_instructions) +
-           ", \"windows\": " + std::to_string(s.windows) +
-           ", \"window_width\": " + std::to_string(s.window_width) +
-           ", \"mode\": \"" + to_string(s.mode) + "\", \"seed\": \"" +
-           util::hex64(s.seed) + "\"}";
-  }
-  if (meta.geometry) {
-    out += ",\n    \"geometry\": true";
-  }
-  if (include_timing) {
-    out += ",\n    \"threads\": " + std::to_string(meta.threads) + ",\n";
-    out += "    \"completed_cells\": " + std::to_string(meta.completed_cells) +
-           ",\n";
-    out += "    \"wall_seconds\": " + util::exact_double(meta.wall_seconds) +
-           ",\n";
-    out += "    \"cells_per_second\": " +
-           util::exact_double(meta.cells_per_second) + ",\n";
-    out += "    \"mips\": " + util::exact_double(meta.mips);
-  }
-  out += "\n  },\n  \"cells\": [\n";
-  return out;
+void append_json(util::JsonWriter& json, const SamplingOptions& s) {
+  json.begin_object(Layout::kInline).field("warmup", s.warmup_instructions);
+  json.field("windows", s.windows).field("window_width", s.window_width);
+  json.field("mode", to_string(s.mode)).field("seed", util::Hex{s.seed});
+  json.end();
 }
 
-void append_results_json_cell(std::string& out, const std::string& variant,
+void append_json(util::JsonWriter& json, const GeometryProvenance& g) {
+  json.begin_object(Layout::kInline).field("dl1_size", g.dl1_size_bytes);
+  json.field("dl1_assoc", g.dl1_assoc);
+  json.field("ways_disabled", g.ways_disabled).end();
+}
+
+void results_json_prologue(util::JsonWriter& json, const CampaignMeta& meta,
+                           std::size_t cells, bool include_timing) {
+  json.begin_object(Layout::kBlock).key("campaign");
+  json.begin_object(Layout::kBlock);
+  json.field("base_seed", util::Hex{meta.base_seed});
+  json.field("config_hash", util::Hex{meta.config_hash});
+  json.field("instructions", meta.instructions).field("trials", meta.trials);
+  json.field("cells", cells);
+  if (meta.sampling.enabled()) append_json(json.key("sampling"), meta.sampling);
+  if (meta.geometry) json.field("geometry", true);
+  if (include_timing) {
+    json.field("threads", meta.threads);
+    json.field("completed_cells", meta.completed_cells);
+    json.field("wall_seconds", meta.wall_seconds);
+    json.field("cells_per_second", meta.cells_per_second);
+    json.field("mips", meta.mips);
+  }
+  json.end().key("cells").begin_array(Layout::kBlock);
+}
+
+void append_results_json_cell(util::JsonWriter& json,
+                              const std::string& variant,
                               const std::string& app, std::uint32_t trial,
                               std::uint64_t seed,
                               const std::vector<double>& metrics,
-                              const SampleProvenance* sampling, bool last,
+                              const SampleProvenance* sampling,
                               const GeometryProvenance* geometry) {
-  out += "    {\"variant\": \"" + util::json_escape(variant) +
-         "\", \"app\": \"" + util::json_escape(app) +
-         "\", \"trial\": " + std::to_string(trial) + ", \"seed\": \"" +
-         util::hex64(seed) + "\"";
-  if (geometry != nullptr) {
-    out += ", \"geometry\": {\"dl1_size\": " +
-           std::to_string(geometry->dl1_size_bytes) +
-           ", \"dl1_assoc\": " + std::to_string(geometry->dl1_assoc) +
-           ", \"ways_disabled\": " + std::to_string(geometry->ways_disabled) +
-           "}";
-  }
-  out += ", \"metrics\": {";
+  json.begin_object(Layout::kInline).field("variant", variant);
+  json.field("app", app).field("trial", trial).field("seed", util::Hex{seed});
+  if (geometry != nullptr) append_json(json.key("geometry"), *geometry);
+  json.key("metrics").begin_object(Layout::kInline);
   const std::vector<std::string>& columns = metric_columns();
   for (std::size_t m = 0; m < columns.size(); ++m) {
-    if (m != 0) out += ", ";
-    out += "\"" + columns[m] + "\": " + util::exact_double(metrics[m]);
+    json.field(columns[m], metrics[m]);
   }
-  out += '}';
+  json.end();
   if (sampling != nullptr) {
-    out += std::string(", \"sampling\": {\"sampled\": ") +
-           (sampling->sampled ? "true" : "false") +
-           ", \"warmup\": " + std::to_string(sampling->warmup_instructions) +
-           ", \"windows\": " + std::to_string(sampling->windows) +
-           ", \"measured_instructions\": " +
-           std::to_string(sampling->measured_instructions) +
-           ", \"coverage\": " + util::exact_double(sampling->coverage()) + "}";
+    json.key("sampling").begin_object(Layout::kInline);
+    json.field("sampled", sampling->sampled);
+    json.field("warmup", sampling->warmup_instructions);
+    json.field("windows", sampling->windows);
+    json.field("measured_instructions", sampling->measured_instructions);
+    json.field("coverage", sampling->coverage()).end();
   }
-  out += '}';
-  if (!last) out += ',';
-  out += '\n';
+  json.end();
 }
 
-std::string results_json_epilogue() { return "  ]\n}\n"; }
+void results_json_epilogue(util::JsonWriter& json) { json.end().end(); }
 
 std::string to_csv(const CampaignResult& campaign) {
   ICR_PROF_ZONE("ResultsIO::to_csv");
@@ -233,20 +220,19 @@ std::string to_csv(const CampaignResult& campaign) {
 std::string to_json(const CampaignResult& campaign, bool include_timing) {
   ICR_PROF_ZONE("ResultsIO::to_json");
   const bool sampled = campaign.meta.sampling.enabled();
-  std::string out = results_json_prologue(campaign.meta,
-                                          campaign.cells.size(),
-                                          include_timing);
-  for (std::size_t i = 0; i < campaign.cells.size(); ++i) {
-    const CellResult& cell = campaign.cells[i];
-    append_results_json_cell(out, cell.result.scheme, cell.result.app,
+  std::string out;
+  util::JsonWriter json(out);
+  results_json_prologue(json, campaign.meta, campaign.cells.size(),
+                        include_timing);
+  for (const CellResult& cell : campaign.cells) {
+    append_results_json_cell(json, cell.result.scheme, cell.result.app,
                              cell.cell.trial_idx, cell.cell.seed,
                              metric_values(cell.result),
                              sampled ? &cell.sampling : nullptr,
-                             i + 1 == campaign.cells.size(),
                              campaign.meta.geometry ? &cell.geometry
                                                     : nullptr);
   }
-  out += results_json_epilogue();
+  results_json_epilogue(json);
   return out;
 }
 
@@ -313,17 +299,13 @@ std::string rel_intervals_to_csv(const CampaignResult& campaign) {
 }
 
 std::string rel_to_json(const CampaignResult& campaign) {
-  std::string out = "{\n  \"cells\": [";
-  bool first = true;
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object(Layout::kBlock).key("cells").begin_array(Layout::kBlock);
   for (const CellResult& cell : campaign.cells) {
-    if (cell.rel == nullptr) continue;
-    if (!first) out += ',';
-    out += '\n';
-    rel::append_json_object(out, *cell.rel, tag_of(cell), 4);
-    first = false;
+    if (cell.rel != nullptr) rel::append_json(json, *cell.rel, tag_of(cell));
   }
-  if (!first) out += '\n';
-  out += "  ]\n}\n";
+  json.end().end();
   return out;
 }
 

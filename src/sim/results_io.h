@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/sim/campaign.h"
+#include "src/util/json.h"
 
 namespace icr::sim {
 
@@ -58,19 +59,24 @@ void append_results_csv_row(std::string& out, const std::string& variant,
                             const std::vector<double>& metrics,
                             const SampleProvenance* sampling,
                             const GeometryProvenance* geometry = nullptr);
-// JSON document skeleton: prologue (campaign meta + opening of the cells
-// array, `cells` = grid size), one object per cell (`last` controls the
-// trailing comma), closing epilogue.
-[[nodiscard]] std::string results_json_prologue(const CampaignMeta& meta,
-                                                std::size_t cells,
-                                                bool include_timing);
-void append_results_json_cell(std::string& out, const std::string& variant,
+// The campaign-level "sampling" options object and the per-cell "geometry"
+// object, shared with the farm's manifest and unit records.
+void append_json(util::JsonWriter& json, const SamplingOptions& sampling);
+void append_json(util::JsonWriter& json, const GeometryProvenance& geometry);
+
+// JSON document skeleton, written through one util::JsonWriter kept across
+// the calls: prologue (campaign meta and the opening of the cells array,
+// `cells` = grid size), one object per cell, epilogue.
+void results_json_prologue(util::JsonWriter& json, const CampaignMeta& meta,
+                           std::size_t cells, bool include_timing);
+void append_results_json_cell(util::JsonWriter& json,
+                              const std::string& variant,
                               const std::string& app, std::uint32_t trial,
                               std::uint64_t seed,
                               const std::vector<double>& metrics,
-                              const SampleProvenance* sampling, bool last,
+                              const SampleProvenance* sampling,
                               const GeometryProvenance* geometry = nullptr);
-[[nodiscard]] std::string results_json_epilogue();
+void results_json_epilogue(util::JsonWriter& json);
 
 // Observability exports over every cell that recorded telemetry (cells
 // without it are skipped). Schemas live in src/obs/obs_io.h.

@@ -184,20 +184,18 @@ std::string CampaignStatusSource::status_ndjson() {
   const double elapsed = monotonic_now_seconds() - start_monotonic_seconds_;
   const obs::Throughput t =
       obs::estimate_throughput(done, total_cells_, elapsed);
-  std::string out = "{\"type\":\"campaign\",\"schema\":" +
-                    std::to_string(kStatusSchemaVersion);
-  out += ",\"total_cells\":" + std::to_string(total_cells_);
-  out += ",\"cells_done\":" + std::to_string(done);
-  out += ",\"percent\":" + util::brief_double(t.percent);
-  out += ",\"cells_per_second\":" + util::brief_double(t.rate);
-  out += ",\"eta_seconds\":" + util::brief_double(t.eta_seconds);
-  out += ",\"elapsed_seconds\":" + util::brief_double(elapsed);
-  out += ",\"mips\":" +
-         util::brief_double(
-             obs::simulated_mips(done, instructions_per_cell_, elapsed));
-  out += std::string(",\"finished\":") +
-         (finished_.load() ? "true" : "false");
-  out += "}\n";
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object().field("type", "campaign");
+  json.field("schema", kStatusSchemaVersion);
+  json.field("total_cells", total_cells_).field("cells_done", done);
+  json.field("percent", util::Brief{t.percent});
+  json.field("cells_per_second", util::Brief{t.rate});
+  json.field("eta_seconds", util::Brief{t.eta_seconds});
+  json.field("elapsed_seconds", util::Brief{elapsed});
+  json.field("mips", util::Brief{obs::simulated_mips(
+                         done, instructions_per_cell_, elapsed)});
+  json.field("finished", finished_.load()).end();
   return out;
 }
 
@@ -269,20 +267,19 @@ std::string SimStatusSource::status_ndjson() {
   const double elapsed = monotonic_now_seconds() - start_monotonic_seconds_;
   const obs::Throughput t = obs::estimate_throughput(
       instructions_done_, total_instructions_, elapsed);
-  std::string out = "{\"type\":\"sim\",\"schema\":" +
-                    std::to_string(kStatusSchemaVersion);
-  out += ",\"scheme\":\"" + util::json_escape(scheme_) + "\"";
-  out += ",\"app\":\"" + util::json_escape(app_) + "\"";
-  out += ",\"instructions_total\":" + std::to_string(total_instructions_);
-  out += ",\"instructions_done\":" + std::to_string(instructions_done_);
-  out += ",\"percent\":" + util::brief_double(t.percent);
-  out += ",\"mips\":" +
-         util::brief_double(
-             obs::simulated_mips(instructions_done_, 1, elapsed));
-  out += ",\"eta_seconds\":" + util::brief_double(t.eta_seconds);
-  out += ",\"elapsed_seconds\":" + util::brief_double(elapsed);
-  out += std::string(",\"finished\":") + (finished_ ? "true" : "false");
-  out += "}\n";
+  std::string out;
+  util::JsonWriter json(out);
+  json.begin_object().field("type", "sim");
+  json.field("schema", kStatusSchemaVersion);
+  json.field("scheme", scheme_).field("app", app_);
+  json.field("instructions_total", total_instructions_);
+  json.field("instructions_done", instructions_done_);
+  json.field("percent", util::Brief{t.percent});
+  json.field("mips", util::Brief{obs::simulated_mips(instructions_done_, 1,
+                                                     elapsed)});
+  json.field("eta_seconds", util::Brief{t.eta_seconds});
+  json.field("elapsed_seconds", util::Brief{elapsed});
+  json.field("finished", finished_).end();
   return out;
 }
 

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
+
+#include "src/util/check.h"
 
 namespace icr::util {
 
@@ -13,6 +16,27 @@ namespace {
   char buffer[96];
   std::snprintf(buffer, sizeof buffer, "json: %s at byte %zu", what, offset);
   throw std::runtime_error(buffer);
+}
+
+void append_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace
@@ -246,24 +270,7 @@ const std::string& JsonValue::empty_string() noexcept {
 std::string json_escape(const std::string& text) {
   std::string out;
   out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, text);
   return out;
 }
 
@@ -284,6 +291,79 @@ std::string hex64(std::uint64_t value) {
   std::snprintf(buffer, sizeof buffer, "0x%016llx",
                 static_cast<unsigned long long>(value));
   return buffer;
+}
+
+void JsonWriter::line_break() {
+  out_ += '\n';
+  out_.append(stack_.size() * static_cast<std::size_t>(indent_), ' ');
+}
+
+// Separator, plus line break and indentation in kBlock, before the next
+// key or array element of the innermost container.
+void JsonWriter::begin_item() {
+  if (stack_.empty()) return;
+  Frame& frame = stack_.back();
+  if (!std::exchange(frame.empty, false)) {
+    out_ += frame.layout == Layout::kInline ? ", " : ",";
+  }
+  if (frame.layout == Layout::kBlock) line_break();
+}
+
+void JsonWriter::begin_value() {
+  if (std::exchange(after_key_, false)) return;
+  ICR_CHECK(stack_.empty() || !stack_.back().object);  // a member needs key()
+  begin_item();
+}
+
+JsonWriter& JsonWriter::end_value() {
+  if (stack_.empty()) out_ += '\n';
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view name) {
+  ICR_CHECK(!stack_.empty() && stack_.back().object && !after_key_);
+  begin_item();
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += stack_.back().layout == Layout::kCompact ? "\":" : "\": ";
+  after_key_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::scalar(std::string_view text) {
+  begin_value();
+  out_ += text;
+  return end_value();
+}
+
+JsonWriter& JsonWriter::value(std::string_view text) {
+  begin_value();
+  out_ += '"';
+  append_escaped(out_, text);
+  out_ += '"';
+  return end_value();
+}
+
+JsonWriter& JsonWriter::value(Micros v) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof buffer, "%.3f", v.value);
+  return scalar(buffer);
+}
+
+JsonWriter& JsonWriter::open(char bracket, bool object, Layout layout) {
+  begin_value();
+  out_ += bracket;
+  stack_.push_back(Frame{layout, object, true});
+  return *this;
+}
+
+JsonWriter& JsonWriter::end() {
+  ICR_CHECK(!stack_.empty() && !after_key_);
+  const Frame frame = stack_.back();
+  stack_.pop_back();
+  if (frame.layout == Layout::kBlock) line_break();
+  out_ += frame.object ? '}' : ']';
+  return end_value();
 }
 
 }  // namespace icr::util

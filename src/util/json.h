@@ -1,12 +1,22 @@
-// Minimal JSON reader for the repo's own machine-readable artifacts
-// (bench JSON, Chrome trace-event profiles). Parses the full JSON grammar
-// into a tree of JsonValue nodes; numbers are doubles, object key order is
-// preserved. This is a reader for files we write ourselves — it favours
-// clear errors over speed and does not stream.
+// JSON for the repo's own machine-readable artifacts: one reader, one
+// writer. JsonValue parses the full grammar into a tree (numbers are
+// doubles, key order is kept); it reads files we write ourselves, so it
+// favours clear errors over speed and does not stream.
+//
+// JsonWriter is the only code that writes JSON: every JSON and NDJSON
+// producer goes through it, and it escapes every string it is given. Each
+// object or array picks one of three layouts:
+//   kCompact  {"a":1,"b":[1,2]}      NDJSON lines, Chrome trace records
+//   kInline   {"a": 1, "b": [1, 2]}  one-line rows inside documents
+//   kBlock    one member per line, `indent` spaces per level; the closing
+//             bracket gets its own line even when the container is empty
+// A top-level value ends with '\n', so successive ones form NDJSON.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -78,7 +88,7 @@ class JsonValue {
 };
 
 // Escapes `text` for embedding inside a JSON string literal (no quotes
-// added). Shared by every writer in the repo so escaping stays consistent.
+// added); JsonWriter escapes every string it writes the same way.
 [[nodiscard]] std::string json_escape(const std::string& text);
 
 // Number text shared by every writer (JSON, CSV, NDJSON, Prometheus), so
@@ -92,5 +102,73 @@ class JsonValue {
 [[nodiscard]] std::string exact_double(double value);
 [[nodiscard]] std::string brief_double(double value);
 [[nodiscard]] std::string hex64(std::uint64_t value);
+
+// Number-text tags for JsonWriter::value; a plain double is exact_double.
+struct Brief { double value; };          // brief_double
+struct Hex { std::uint64_t value; };     // hex64, as a JSON string
+struct Micros { double value; };         // "%.3f": Chrome trace microseconds
+
+class JsonWriter {
+ public:
+  enum class Layout { kCompact, kInline, kBlock };
+
+  // Appends to `out`, which must outlive the writer. `indent` is the kBlock
+  // step per level (Chrome traces use 0: one record per line).
+  explicit JsonWriter(std::string& out, int indent = 2)
+      : out_(out), indent_(indent) {}
+  // Two writers on one string would interleave their punctuation.
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
+  JsonWriter& begin_object(Layout layout = Layout::kCompact) {
+    return open('{', true, layout);
+  }
+  JsonWriter& begin_array(Layout layout = Layout::kCompact) {
+    return open('[', false, layout);
+  }
+  JsonWriter& end();  // closes the innermost object or array
+
+  // Object member name; the next value or container is its value.
+  JsonWriter& key(std::string_view name);
+  template <class T>
+  JsonWriter& field(std::string_view name, const T& v) {
+    return key(name).value(v);
+  }
+
+  JsonWriter& value(std::string_view text);
+  JsonWriter& value(const char* text) { return value(std::string_view(text)); }
+  JsonWriter& value(bool flag) { return scalar(flag ? "true" : "false"); }
+  JsonWriter& value(double v) { return scalar(exact_double(v)); }
+  JsonWriter& value(Brief v) { return scalar(brief_double(v.value)); }
+  JsonWriter& value(Hex v) { return value(hex64(v.value)); }
+  JsonWriter& value(Micros v);
+  template <std::integral T>
+    requires(!std::same_as<T, bool>)
+  JsonWriter& value(T v) { return scalar(std::to_string(v)); }
+
+  // Splices already-serialized JSON verbatim where the next value goes.
+  // Inside an array it may hold several comma-separated items (merging the
+  // bodies of Chrome trace arrays keeps every event's bytes).
+  JsonWriter& raw(std::string_view json) { return scalar(json); }
+
+ private:
+  struct Frame {
+    Layout layout;
+    bool object;
+    bool empty;
+  };
+
+  void line_break();
+  void begin_item();
+  void begin_value();
+  JsonWriter& end_value();
+  JsonWriter& scalar(std::string_view text);
+  JsonWriter& open(char bracket, bool object, Layout layout);
+
+  std::string& out_;
+  int indent_;
+  std::vector<Frame> stack_;
+  bool after_key_ = false;
+};
 
 }  // namespace icr::util

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/obs_io.h"
+#include "src/util/json.h"
 
 namespace icr::obs {
 namespace {
@@ -103,6 +104,30 @@ TEST(EventTrace, NdjsonGoldenLines) {
             "{\"variant\":\"ICR-P-PS(S)\",\"app\":\"mcf\",\"trial\":2,"
             "\"cycle\":9,\"cat\":\"fault\",\"event\":\"inject\","
             "\"set\":5,\"way\":1,\"bits\":2}\n");
+}
+
+// Cell labels come from user input (a replayed trace's file name becomes
+// the app label), so every line must stay valid JSON whatever they hold.
+TEST(EventTrace, NdjsonEscapesCellLabels) {
+  const CellTag tag{"ICR \"P\" \\ PS", "dir\\a\"b\x01.icrt", 3};
+  std::string out;
+  append_ndjson(out,
+                {TraceEvent{1, EventKind::kReplicaCreate, 0x40, 3, 32},
+                 TraceEvent{2, EventKind::kFaultInject, 5, 1, 2}},
+                tag);
+  std::size_t lines = 0;
+  std::size_t begin = 0;
+  for (std::size_t end = out.find('\n'); end != std::string::npos;
+       begin = end + 1, end = out.find('\n', begin)) {
+    const util::JsonValue line =
+        util::JsonValue::parse(out.substr(begin, end - begin));
+    EXPECT_EQ(line.get("variant").as_string(), tag.variant);
+    EXPECT_EQ(line.get("app").as_string(), tag.app);
+    EXPECT_EQ(line.get("trial").as_double(), 3.0);
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2u);
+  EXPECT_EQ(begin, out.size());
 }
 
 TEST(EventTrace, VerdictStrings) {

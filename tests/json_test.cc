@@ -1,4 +1,4 @@
-// util/json: the minimal JSON reader behind bench JSON and profile traces.
+// util/json: the minimal JSON reader and the one JSON writer.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -9,6 +9,8 @@
 namespace {
 
 using icr::util::JsonValue;
+using icr::util::JsonWriter;
+using Layout = icr::util::JsonWriter::Layout;
 
 TEST(JsonTest, ParsesScalars) {
   EXPECT_TRUE(JsonValue::parse("null").is_null());
@@ -70,6 +72,74 @@ TEST(JsonTest, EscapeIsInverseOfParse) {
   const std::string nasty = "line1\nquote\" slash\\ tab\t\x01";
   const std::string doc = "\"" + icr::util::json_escape(nasty) + "\"";
   EXPECT_EQ(JsonValue::parse(doc).as_string(), nasty);
+}
+
+TEST(JsonWriterTest, ThreeLayoutsNestAndEndTopLevelValuesWithNewline) {
+  std::string out;
+  JsonWriter json(out);
+  json.begin_object(Layout::kBlock)
+      .field("a", 1)
+      .key("inline")
+      .begin_object(Layout::kInline)
+      .field("b", true)
+      .key("c")
+      .begin_array(Layout::kInline)
+      .value(-2)
+      .value(0.5)
+      .end()
+      .end()
+      .key("rows")
+      .begin_array(Layout::kBlock)
+      .begin_object(Layout::kCompact)
+      .field("d", icr::util::Hex{255})
+      .field("e", icr::util::Brief{1.0 / 3.0})
+      .field("f", icr::util::Micros{2.0})
+      .end()
+      .end()
+      .key("empty")
+      .begin_array(Layout::kBlock)
+      .end()
+      .end();
+  EXPECT_EQ(out,
+            "{\n"
+            "  \"a\": 1,\n"
+            "  \"inline\": {\"b\": true, \"c\": [-2, 0.5]},\n"
+            "  \"rows\": [\n"
+            "    {\"d\":\"0x00000000000000ff\",\"e\":0.333333,\"f\":2.000}\n"
+            "  ],\n"
+            "  \"empty\": [\n"
+            "  ]\n"
+            "}\n");
+  EXPECT_NO_THROW((void)JsonValue::parse(out));
+}
+
+TEST(JsonWriterTest, EscapesKeysAndValues) {
+  const std::string nasty = "q\"b\\s\nc\x01";
+  std::string out;
+  JsonWriter(out).begin_object().field(nasty, nasty).end();
+  const JsonValue doc = JsonValue::parse(out);
+  ASSERT_EQ(doc.members().size(), 1u);
+  EXPECT_EQ(doc.members()[0].first, nasty);
+  EXPECT_EQ(doc.members()[0].second.as_string(), nasty);
+}
+
+TEST(JsonWriterTest, ZeroIndentBlockAndRawSplice) {
+  std::string out;
+  JsonWriter json(out, /*indent=*/0);
+  json.begin_array(Layout::kBlock)
+      .begin_object(Layout::kCompact)
+      .field("x", 1)
+      .end()
+      .raw("{\"y\":2},\n{\"z\":3}")
+      .end();
+  EXPECT_EQ(out, "[\n{\"x\":1},\n{\"y\":2},\n{\"z\":3}\n]\n");
+}
+
+TEST(JsonWriterTest, SuccessiveTopLevelValuesFormNdjson) {
+  std::string out;
+  JsonWriter json(out);
+  for (int i = 0; i < 2; ++i) json.begin_object().field("i", i).end();
+  EXPECT_EQ(out, "{\"i\":0}\n{\"i\":1}\n");
 }
 
 }  // namespace

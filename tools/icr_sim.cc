@@ -22,6 +22,7 @@
 #include "src/obs/prof.h"
 #include "src/obs/prof_io.h"
 #include "src/rel/rel_io.h"
+#include "src/sim/campaign.h"
 #include "src/sim/cli.h"
 #include "src/sim/experiment.h"
 #include "src/sim/results_io.h"
@@ -29,6 +30,7 @@
 #include "src/sim/serve.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace_v2.h"
+#include "src/util/json.h"
 #include "src/util/table.h"
 
 using namespace icr;
@@ -422,6 +424,7 @@ int main(int argc, char** argv) {
     // generator-driven run bit for bit (guarded by tier-1 test).
     std::unique_ptr<trace::StreamingTraceSource> source;
     try {
+      sim::check_trace_label(opt.trace_path, opt.trace_path);
       source = std::make_unique<trace::StreamingTraceSource>(opt.trace_path);
     } catch (const std::exception& error) {
       std::fprintf(stderr, "icr_sim: %s\n", error.what());
@@ -508,8 +511,8 @@ int main(int argc, char** argv) {
   const obs::CellTag tag{result.scheme, result.app, 0};
   if (!opt.rel_out.empty()) {
     std::string json;
-    rel::append_json_object(json, rel_report, tag, 0);
-    json += '\n';
+    util::JsonWriter writer(json);
+    rel::append_json(writer, rel_report, tag);
     sim::write_text_file(opt.rel_out, json);
     std::printf("wrote reliability report to %s\n", opt.rel_out.c_str());
   }
