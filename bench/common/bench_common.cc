@@ -28,15 +28,6 @@ std::set<std::string>& claimed_flags() {
   return flags;
 }
 
-// Accepts "--flag=value"; returns the value part or nullptr on no match.
-const char* flag_value(const char* arg, const char* flag) {
-  const std::size_t len = std::strlen(flag);
-  if (std::strncmp(arg, flag, len) == 0 && arg[len] == '=') {
-    return arg + len + 1;
-  }
-  return nullptr;
-}
-
 std::string basename_of(const char* path) {
   const std::string text = path == nullptr ? "bench" : path;
   const std::size_t slash = text.find_last_of('/');
@@ -74,14 +65,8 @@ void write_json_at_exit() {
   }
 }
 
+// A flag init() does not handle itself but someone else owns.
 bool known_flag(const char* arg) {
-  if (std::strcmp(arg, "--quiet") == 0 || std::strcmp(arg, "--progress") == 0) {
-    return true;
-  }
-  const char* const valued[] = {"--instructions", "--threads", "--json-out"};
-  for (const char* flag : valued) {
-    if (flag_value(arg, flag) != nullptr) return true;
-  }
   // google-benchmark binaries own the --benchmark_* namespace; their
   // Initialize() consumes those after init() has seen them.
   if (std::strncmp(arg, "--benchmark_", 12) == 0) return true;
@@ -99,6 +84,7 @@ void init(int argc, char** argv) {
   bool progress_forced = false;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    std::string value;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::printf(
           "%s — ICR bench binary. Shared flags:\n"
@@ -114,13 +100,13 @@ void init(int argc, char** argv) {
       g_quiet = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
       progress_forced = true;
-    } else if (const char* value = flag_value(arg, "--instructions")) {
+    } else if (sim::cli::parse_flag(arg, "--instructions", value)) {
       // Same knob as the ICR_SIM_INSTRUCTIONS environment variable; the
       // flag spelling matches the tools/ binaries.
-      ::setenv("ICR_SIM_INSTRUCTIONS", value, /*overwrite=*/1);
-    } else if (const char* value = flag_value(arg, "--threads")) {
-      ::setenv("ICR_SIM_THREADS", value, /*overwrite=*/1);
-    } else if (const char* value = flag_value(arg, "--json-out")) {
+      ::setenv("ICR_SIM_INSTRUCTIONS", value.c_str(), /*overwrite=*/1);
+    } else if (sim::cli::parse_flag(arg, "--threads", value)) {
+      ::setenv("ICR_SIM_THREADS", value.c_str(), /*overwrite=*/1);
+    } else if (sim::cli::parse_flag(arg, "--json-out", value)) {
       g_json_out = value;
       std::atexit(write_json_at_exit);
     } else if (std::strncmp(arg, "--", 2) == 0 && !known_flag(arg)) {

@@ -57,100 +57,6 @@ void hash_fold_config(std::uint64_t& state, const SimConfig& config) noexcept {
   }
 }
 
-// Runs one cell of the expanded grid; the only writer of cells[index].
-CellResult run_cell(const CampaignSpec& spec, std::size_t variant_idx,
-                    std::size_t app_idx, std::size_t trial_idx,
-                    std::uint64_t instructions) {
-  const SchemeVariant& variant = spec.variants[variant_idx];
-  const bool traced = spec.trace.enabled();
-  const std::string cell_label =
-      traced ? trace_shard_label(spec, app_idx)
-             : std::string(trace::to_string(spec.apps[app_idx]));
-  ICR_PROF_ZONE_LABELED("Campaign::cell",
-                        variant.label + "/" + cell_label + "/trial " +
-                            std::to_string(trial_idx));
-
-  SimConfig config = variant.config ? *variant.config : spec.config;
-  std::uint64_t budget = instructions;
-
-  CellResult cell;
-  cell.cell.variant_idx = static_cast<std::uint32_t>(variant_idx);
-  cell.cell.app_idx = static_cast<std::uint32_t>(app_idx);
-  cell.cell.trial_idx = static_cast<std::uint32_t>(trial_idx);
-  if (spec.geometry.enabled()) {
-    cell.geometry.present = true;
-    cell.geometry.dl1_size_bytes = config.dl1.size_bytes;
-    cell.geometry.dl1_assoc = config.dl1.associativity;
-    const mem::WayDisableConfig& wd = config.dl1_way_disable;
-    cell.geometry.ways_disabled =
-        wd.fixed_mask != 0
-            ? static_cast<std::uint32_t>(std::popcount(wd.fixed_mask))
-            : wd.count;
-  }
-
-  std::uint64_t workload_seed = 0;
-  if (spec.derive_seeds) {
-    const std::uint64_t seed =
-        derive_cell_seed(spec.base_seed, variant_idx, app_idx, trial_idx);
-    cell.cell.seed = seed;
-    // Two decorrelated sub-streams: one for the synthetic workload, one
-    // for fault injection, so fault timing never aliases address streams.
-    // Trace cells have no generator; they discard the workload stream but
-    // still consume it, keeping fault seeds aligned with synthetic cells
-    // at the same coordinates.
-    std::uint64_t state = seed;
-    workload_seed = split_mix64(state);
-    config.fault_seed = split_mix64(state);
-  }
-
-  Simulator simulator = [&]() -> Simulator {
-    if (traced) {
-      auto source =
-          std::make_unique<trace::StreamingTraceSource>(spec.trace.path);
-      if (spec.trace.fingerprint != 0 &&
-          source->info().fingerprint != spec.trace.fingerprint) {
-        throw std::runtime_error(
-            "trace campaign: " + spec.trace.path +
-            " does not match the campaign's trace fingerprint (the file "
-            "changed since the campaign was planned)");
-      }
-      const TraceShard shard = trace_shard(spec, app_idx);
-      budget = shard.instructions;
-      source->seek_to(shard.begin);
-      return Simulator(config, variant.scheme, std::move(source), cell_label);
-    }
-    trace::WorkloadProfile profile = trace::profile_for(spec.apps[app_idx]);
-    if (spec.derive_seeds) profile.seed = workload_seed;
-    return Simulator(config, variant.scheme, std::move(profile));
-  }();
-  if (spec.obs.any()) simulator.enable_observability(spec.obs);
-  if (spec.rel.any()) simulator.enable_rel(spec.rel);
-  if (spec.sampling.enabled()) {
-    SamplingOptions sampling = spec.sampling;
-    if (sampling.mode == SampleMode::kRandom) {
-      // Per-cell placement stream, stateless like the workload/fault seeds
-      // above, so sampled campaigns stay thread-count independent.
-      sampling.seed = derive_cell_seed(spec.base_seed ^ mix64(sampling.seed),
-                                       variant_idx, app_idx, trial_idx);
-    }
-    SampledRunResult sampled =
-        SamplingController(simulator, sampling).run(budget);
-    cell.result = std::move(sampled.estimate);
-    cell.sampling = sampled.provenance;
-  } else {
-    cell.result = simulator.run(budget);
-  }
-  cell.result.scheme = variant.label;
-  if (spec.obs.any()) {
-    cell.obs = std::make_unique<obs::CellObservability>(
-        simulator.collect_observability());
-  }
-  if (spec.rel.any()) {
-    cell.rel = std::make_unique<rel::RelReport>(simulator.collect_rel());
-  }
-  return cell;
-}
-
 // Thread-safe campaign progress reporter. Workers call note() after each
 // finished cell; the completion counter is lock-free, and only the (rate
 // limited) printing takes a mutex.
@@ -357,7 +263,94 @@ std::string trace_shard_label(const CampaignSpec& spec,
 CellResult run_campaign_cell(const CampaignSpec& spec, std::size_t variant_idx,
                              std::size_t app_idx, std::size_t trial_idx,
                              std::uint64_t instructions) {
-  return run_cell(spec, variant_idx, app_idx, trial_idx, instructions);
+  const SchemeVariant& variant = spec.variants[variant_idx];
+  const bool traced = spec.trace.enabled();
+  const std::string cell_label =
+      traced ? trace_shard_label(spec, app_idx)
+             : std::string(trace::to_string(spec.apps[app_idx]));
+  ICR_PROF_ZONE_LABELED("Campaign::cell",
+                        variant.label + "/" + cell_label + "/trial " +
+                            std::to_string(trial_idx));
+
+  SimConfig config = variant.config ? *variant.config : spec.config;
+  std::uint64_t budget = instructions;
+
+  CellResult cell;
+  cell.cell.variant_idx = static_cast<std::uint32_t>(variant_idx);
+  cell.cell.app_idx = static_cast<std::uint32_t>(app_idx);
+  cell.cell.trial_idx = static_cast<std::uint32_t>(trial_idx);
+  if (spec.geometry.enabled()) {
+    cell.geometry.present = true;
+    cell.geometry.dl1_size_bytes = config.dl1.size_bytes;
+    cell.geometry.dl1_assoc = config.dl1.associativity;
+    const mem::WayDisableConfig& wd = config.dl1_way_disable;
+    cell.geometry.ways_disabled =
+        wd.fixed_mask != 0
+            ? static_cast<std::uint32_t>(std::popcount(wd.fixed_mask))
+            : wd.count;
+  }
+
+  std::uint64_t workload_seed = 0;
+  if (spec.derive_seeds) {
+    const std::uint64_t seed =
+        derive_cell_seed(spec.base_seed, variant_idx, app_idx, trial_idx);
+    cell.cell.seed = seed;
+    // Two decorrelated sub-streams: one for the synthetic workload, one
+    // for fault injection, so fault timing never aliases address streams.
+    // Trace cells have no generator; they discard the workload stream but
+    // still consume it, keeping fault seeds aligned with synthetic cells
+    // at the same coordinates.
+    std::uint64_t state = seed;
+    workload_seed = split_mix64(state);
+    config.fault_seed = split_mix64(state);
+  }
+
+  Simulator simulator = [&]() -> Simulator {
+    if (traced) {
+      auto source =
+          std::make_unique<trace::StreamingTraceSource>(spec.trace.path);
+      if (spec.trace.fingerprint != 0 &&
+          source->info().fingerprint != spec.trace.fingerprint) {
+        throw std::runtime_error(
+            "trace campaign: " + spec.trace.path +
+            " does not match the campaign's trace fingerprint (the file "
+            "changed since the campaign was planned)");
+      }
+      const TraceShard shard = trace_shard(spec, app_idx);
+      budget = shard.instructions;
+      source->seek_to(shard.begin);
+      return Simulator(config, variant.scheme, std::move(source), cell_label);
+    }
+    trace::WorkloadProfile profile = trace::profile_for(spec.apps[app_idx]);
+    if (spec.derive_seeds) profile.seed = workload_seed;
+    return Simulator(config, variant.scheme, std::move(profile));
+  }();
+  if (spec.obs.any()) simulator.enable_observability(spec.obs);
+  if (spec.rel.any()) simulator.enable_rel(spec.rel);
+  if (spec.sampling.enabled()) {
+    SamplingOptions sampling = spec.sampling;
+    if (sampling.mode == SampleMode::kRandom) {
+      // Per-cell placement stream, stateless like the workload/fault seeds
+      // above, so sampled campaigns stay thread-count independent.
+      sampling.seed = derive_cell_seed(spec.base_seed ^ mix64(sampling.seed),
+                                       variant_idx, app_idx, trial_idx);
+    }
+    SampledRunResult sampled =
+        SamplingController(simulator, sampling).run(budget);
+    cell.result = std::move(sampled.estimate);
+    cell.sampling = sampled.provenance;
+  } else {
+    cell.result = simulator.run(budget);
+  }
+  cell.result.scheme = variant.label;
+  if (spec.obs.any()) {
+    cell.obs = std::make_unique<obs::CellObservability>(
+        simulator.collect_observability());
+  }
+  if (spec.rel.any()) {
+    cell.rel = std::make_unique<rel::RelReport>(simulator.collect_rel());
+  }
+  return cell;
 }
 
 void CampaignRunner::set_default_progress_enabled(bool enabled) noexcept {
@@ -466,8 +459,8 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     const std::size_t variant_idx = index / (apps * trials);
     const std::size_t app_idx = (index / trials) % apps;
     const std::size_t trial_idx = index % trials;
-    result.cells[index] =
-        run_cell(spec, variant_idx, app_idx, trial_idx, instructions);
+    result.cells[index] = run_campaign_cell(spec, variant_idx, app_idx,
+                                            trial_idx, instructions);
     reporter.note();
   };
 

@@ -38,8 +38,8 @@ namespace icr::sim {
                                              std::size_t app_idx,
                                              std::size_t trial_idx) noexcept;
 
-// A campaign driven by a recorded trace (ICRT v1 or v2) instead of the
-// synthetic app axis. The trace's instruction budget splits into
+// A campaign driven by a recorded ICRT-v2 trace instead of the synthetic
+// app axis. The trace's instruction budget splits into
 // `shard_instructions`-wide intervals; each interval becomes one cell on
 // the app axis (cold-start simulator, seek_to the interval's begin, run
 // its width), so one large trace spreads across farm work units exactly

@@ -284,6 +284,46 @@ std::size_t clear_stale_claims(const std::string& spool,
   return cleared;
 }
 
+OpenedSpool open_spool(const std::string& spool, const Manifest& manifest,
+                       bool resume, bool log_events) {
+  OpenedSpool opened;
+  if (!resume) {
+    if (util::fs::exists(manifest_path(spool))) {
+      throw std::invalid_argument(
+          "spool " + spool +
+          " already has a manifest; use --resume to continue it or point "
+          "--farm at a fresh directory");
+    }
+    init_spool(spool, manifest);
+    opened.manifest = manifest;
+    return opened;
+  }
+  opened.manifest = load_manifest(spool);
+  if (opened.manifest.config_hash != manifest.config_hash) {
+    // hex64 minus its "0x": the bare 16 digits the CLI has always printed.
+    throw std::invalid_argument(
+        "--resume: spool " + spool +
+        " holds a different experiment (config hash " +
+        util::hex64(opened.manifest.config_hash).substr(2) + " vs " +
+        util::hex64(manifest.config_hash).substr(2) + "); aborting");
+  }
+  std::vector<std::uint32_t> cleared_units;
+  opened.cleared =
+      clear_stale_claims(spool, opened.manifest.unit_count, &cleared_units);
+  if (log_events) {
+    // The sweep is part of the fleet's history: one stale-clear event per
+    // reclaimed unit, then the sweep summary, under the coordinator's own
+    // event stream.
+    EventLog coordinator_log(spool, "coordinator");
+    for (const std::uint32_t unit : cleared_units) {
+      coordinator_log.append(FarmEventType::kStaleClear,
+                             static_cast<std::int64_t>(unit));
+    }
+    coordinator_log.append(FarmEventType::kResumeSweep, -1, opened.cleared);
+  }
+  return opened;
+}
+
 CellRecord CellRecord::from_cell(const CellResult& cell) {
   CellRecord record;
   record.variant_idx = cell.cell.variant_idx;

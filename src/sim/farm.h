@@ -27,9 +27,10 @@
 //     through run_campaign_cell() and publishes units/unit_N.json by
 //     atomic rename. Workers exit when a full scan finds nothing to claim.
 //   * A killed worker leaves a claim without a record (and possibly a temp
-//     file). Resume = clear_stale_claims() + run more workers: the unit is
-//     re-run from scratch and — cells being deterministic — produces the
-//     exact bytes the killed worker would have.
+//     file). Resume = open_spool() with resume set, which clears stale
+//     claims, then more workers: the unit is re-run from scratch and —
+//     cells being deterministic — produces the exact bytes the killed
+//     worker would have.
 //   * The aggregator streams completed units in index order (== grid
 //     order, units are contiguous ranges) into the CSV/JSON exporters
 //     through the shared results_io building blocks. Memory is bounded by
@@ -148,6 +149,24 @@ std::size_t clear_stale_claims(const std::string& spool,
                                std::uint32_t unit_count,
                                std::vector<std::uint32_t>* cleared_units =
                                    nullptr);
+
+// A coordinator's spool after open_spool: the manifest it runs under and
+// how many stale claims a resume cleared.
+struct OpenedSpool {
+  Manifest manifest;
+  std::size_t cleared = 0;
+};
+
+// Opens `spool` for a coordinator of `manifest`. Fresh: refuses a spool
+// that already holds a manifest, else init_spool. Resume: refuses a stored
+// manifest whose config hash differs, keeps its sharding, clears stale
+// claims and, with `log_events`, logs one stale_clear per cleared unit and
+// one resume_sweep as "coordinator". Refusals are usage errors
+// (std::invalid_argument); I/O and parse failures throw
+// std::runtime_error. Only safe while no worker runs.
+[[nodiscard]] OpenedSpool open_spool(const std::string& spool,
+                                     const Manifest& manifest, bool resume,
+                                     bool log_events);
 
 // One checkpointed cell: grid coordinates, labels, the exported metric
 // vector as raw IEEE-754 bit patterns (exact round-trip — format_value of

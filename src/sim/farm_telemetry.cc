@@ -445,15 +445,22 @@ WorkerState classify_worker(const WorkerHeartbeat& heartbeat,
   return WorkerState::kRunning;
 }
 
-bool FarmStatus::drained() const noexcept {
-  if (!census.complete()) return false;
+FarmStatus::WorkerCounts FarmStatus::worker_counts() const noexcept {
+  WorkerCounts counts;
   for (const WorkerStatus& worker : workers) {
-    if (worker.state == WorkerState::kRunning ||
-        worker.state == WorkerState::kStraggler) {
-      return false;
+    switch (worker.state) {
+      case WorkerState::kRunning: ++counts.running; break;
+      case WorkerState::kStraggler: ++counts.straggler; break;
+      case WorkerState::kDead: ++counts.dead; break;
+      case WorkerState::kExited: ++counts.exited; break;
     }
   }
-  return true;
+  return counts;
+}
+
+bool FarmStatus::drained() const noexcept {
+  const WorkerCounts counts = worker_counts();
+  return census.complete() && counts.running == 0 && counts.straggler == 0;
 }
 
 FarmStatus collect_farm_status(const std::string& spool,
@@ -601,16 +608,7 @@ std::string latency_bucket_label(std::uint32_t bucket) {
 }  // namespace
 
 std::string render_farm_status(const FarmStatus& status) {
-  std::size_t running = 0, stragglers = 0, dead = 0, exited = 0;
-  for (const WorkerStatus& worker : status.workers) {
-    switch (worker.state) {
-      case WorkerState::kRunning: ++running; break;
-      case WorkerState::kStraggler: ++stragglers; break;
-      case WorkerState::kDead: ++dead; break;
-      case WorkerState::kExited: ++exited; break;
-    }
-  }
-
+  const FarmStatus::WorkerCounts counts = status.worker_counts();
   std::string out;
   char line[256];
   std::snprintf(line, sizeof line,
@@ -631,7 +629,8 @@ std::string render_farm_status(const FarmStatus& status) {
   std::snprintf(line, sizeof line,
                 "workers %zu (%zu running, %zu straggler, %zu dead, %zu "
                 "exited)\n",
-                status.workers.size(), running, stragglers, dead, exited);
+                status.workers.size(), counts.running, counts.straggler,
+                counts.dead, counts.exited);
   out += line;
   std::snprintf(line, sizeof line, "events  %zu merged",
                 status.event_count);
@@ -688,15 +687,7 @@ std::string render_farm_status(const FarmStatus& status) {
 }
 
 std::string farm_status_to_ndjson(const FarmStatus& status) {
-  std::size_t running = 0, stragglers = 0, dead = 0, exited = 0;
-  for (const WorkerStatus& worker : status.workers) {
-    switch (worker.state) {
-      case WorkerState::kRunning: ++running; break;
-      case WorkerState::kStraggler: ++stragglers; break;
-      case WorkerState::kDead: ++dead; break;
-      case WorkerState::kExited: ++exited; break;
-    }
-  }
+  const FarmStatus::WorkerCounts counts = status.worker_counts();
   std::string out;
   util::JsonWriter json(out);
   const SpoolStatus& census = status.census;
@@ -709,9 +700,10 @@ std::string farm_status_to_ndjson(const FarmStatus& status) {
   json.field("claims_outstanding", census.claims_outstanding);
   json.field("claims_live", status.claims_live);
   json.field("claims_stale", status.claims_stale);
-  json.field("workers", status.workers.size()).field("running", running);
-  json.field("straggler", stragglers).field("dead", dead);
-  json.field("exited", exited);
+  json.field("workers", status.workers.size());
+  json.field("running", counts.running);
+  json.field("straggler", counts.straggler).field("dead", counts.dead);
+  json.field("exited", counts.exited);
   json.field("percent", util::Brief{status.throughput.percent});
   json.field("cells_per_second", util::Brief{status.throughput.rate});
   json.field("eta_seconds", util::Brief{status.throughput.eta_seconds});

@@ -272,6 +272,12 @@ struct FarmStatus {
   double elapsed_seconds = 0.0;  // since the earliest recorded event
   obs::Throughput throughput;    // fleet cells/sec + ETA over elapsed
 
+  // Workers per staleness class; every renderer counts through this.
+  struct WorkerCounts {
+    std::size_t running = 0, straggler = 0, dead = 0, exited = 0;
+  };
+  [[nodiscard]] WorkerCounts worker_counts() const noexcept;
+
   // Grid complete and no worker still running or straggling.
   [[nodiscard]] bool drained() const noexcept;
 };

@@ -1,7 +1,6 @@
 #include "src/sim/sampling.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/obs/prof.h"
 #include "src/sim/simulator.h"
@@ -94,18 +93,7 @@ std::vector<SampleWindow> plan_windows(std::uint64_t budget,
 
 SamplingController::SamplingController(Simulator& simulator,
                                        const SamplingOptions& options)
-    : options_(options), energy_(simulator.config().energy) {
-  hooks_.run = [&simulator](std::uint64_t n) { (void)simulator.run(n); };
-  hooks_.fast_forward = [&simulator](std::uint64_t n) {
-    simulator.fast_forward(n);
-  };
-  hooks_.result = [&simulator] { return simulator.result(); };
-}
-
-SamplingController::SamplingController(Hooks hooks,
-                                       const SamplingOptions& options,
-                                       const energy::EnergyParams& energy)
-    : hooks_(std::move(hooks)), options_(options), energy_(energy) {}
+    : simulator_(simulator), options_(options) {}
 
 SampledRunResult SamplingController::run(std::uint64_t budget) {
   ICR_PROF_ZONE("SamplingController::run");
@@ -114,15 +102,14 @@ SampledRunResult SamplingController::run(std::uint64_t budget) {
   if (!options_.enabled() || budget == 0) {
     // Passthrough: exactly what the caller would have done without a
     // controller, result untouched (bit-identity guarded by tier-1 test).
-    hooks_.run(budget);
-    out.estimate = hooks_.result();
+    out.estimate = simulator_.run(budget);
     out.provenance.measured_instructions = budget;
     return out;
   }
 
   // Positions below are relative to where this simulation already is, so a
   // controller can drive a simulator that has run before.
-  const std::uint64_t origin = hooks_.result().instructions;
+  const std::uint64_t origin = simulator_.result().instructions;
   out.windows = plan_windows(budget, options_);
   out.provenance.sampled = true;
   out.provenance.warmup_instructions = clamped_warmup(budget, options_);
@@ -130,12 +117,12 @@ SampledRunResult SamplingController::run(std::uint64_t budget) {
   std::vector<RunResult> deltas;
   std::vector<double> weights;
   for (const SampleWindow& w : out.windows) {
-    std::uint64_t pos = hooks_.result().instructions - origin;
-    if (pos < w.begin) hooks_.fast_forward(w.begin - pos);
-    const RunResult before = hooks_.result();
+    std::uint64_t pos = simulator_.result().instructions - origin;
+    if (pos < w.begin) simulator_.fast_forward(w.begin - pos);
+    const RunResult before = simulator_.result();
     pos = before.instructions - origin;
-    if (pos < w.end) hooks_.run(w.end - pos);
-    const RunResult after = hooks_.result();
+    if (pos < w.end) (void)simulator_.run(w.end - pos);
+    const RunResult after = simulator_.result();
     // The detailed->functional drain can overshoot a boundary; a window it
     // swallowed whole (possible only below kMinWindowWidth) measures
     // nothing and must not contribute a zero delta.
@@ -149,15 +136,15 @@ SampledRunResult SamplingController::run(std::uint64_t budget) {
   }
   // Cover the tail so decay/fault/scrub state reflects the whole budget
   // and back-to-back controller runs resume from the right position.
-  const std::uint64_t pos = hooks_.result().instructions - origin;
-  if (pos < budget) hooks_.fast_forward(budget - pos);
+  const std::uint64_t pos = simulator_.result().instructions - origin;
+  if (pos < budget) simulator_.fast_forward(budget - pos);
 
   ICR_CHECK(!deltas.empty());  // planner guarantees measurable windows
   out.estimate = reconstruct_weighted(deltas, weights);
   // Counter reconstruction scales energy_events; re-price them so the
   // energy breakdown matches the estimated event counts.
-  out.estimate.energy =
-      energy::EnergyModel(energy_).evaluate(out.estimate.energy_events);
+  out.estimate.energy = energy::EnergyModel(simulator_.config().energy)
+                            .evaluate(out.estimate.energy_events);
   return out;
 }
 

@@ -31,10 +31,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "src/energy/energy_model.h"
 #include "src/sim/metrics.h"
 
 namespace icr::sim {
@@ -116,25 +114,10 @@ struct SampledRunResult {
   std::vector<SampleWindow> windows;  // the executed plan
 };
 
-// Drives one simulation through warmup, windows and gaps. Constructed
-// either directly over a Simulator or over hooks, so the trace-replay path
-// (tools/icr_sim.cc), which assembles its own pipeline, samples through
-// the same controller.
+// Drives one simulation through warmup, windows and gaps.
 class SamplingController {
  public:
-  struct Hooks {
-    // Runs `n` more instructions in the detailed model.
-    std::function<void(std::uint64_t)> run;
-    // Advances `n` instructions functionally (Pipeline::fast_forward).
-    std::function<void(std::uint64_t)> fast_forward;
-    // Cumulative RunResult snapshot; result().instructions must track the
-    // committed-instruction position the two advance hooks move.
-    std::function<RunResult()> result;
-  };
-
   SamplingController(Simulator& simulator, const SamplingOptions& options);
-  SamplingController(Hooks hooks, const SamplingOptions& options,
-                     const energy::EnergyParams& energy);
 
   // Executes the plan over `budget` instructions and reconstructs the
   // whole-run estimate. With options.enabled() == false this is a plain
@@ -143,9 +126,8 @@ class SamplingController {
   [[nodiscard]] SampledRunResult run(std::uint64_t budget);
 
  private:
-  Hooks hooks_;
+  Simulator& simulator_;
   SamplingOptions options_;
-  energy::EnergyParams energy_;
 };
 
 }  // namespace icr::sim

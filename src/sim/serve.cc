@@ -1,11 +1,13 @@
 #include "src/sim/serve.h"
 
 #include <chrono>
-#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "src/obs/exposition.h"
 #include "src/obs/throughput.h"
+#include "src/sim/cli.h"
 #include "src/util/json.h"
 
 namespace icr::sim::farm {
@@ -40,16 +42,17 @@ std::string farm_metrics(const FarmStatus& status) {
   out.sample("icr_farm_claims", {{"state", "stale"}},
              static_cast<std::uint64_t>(status.claims_stale));
 
-  std::uint64_t by_state[4] = {0, 0, 0, 0};
-  for (const WorkerStatus& worker : status.workers) {
-    ++by_state[static_cast<int>(worker.state)];
-  }
+  const FarmStatus::WorkerCounts counts = status.worker_counts();
   out.family("icr_farm_workers", "workers with a heartbeat, by state",
              "gauge");
-  out.sample("icr_farm_workers", {{"state", "running"}}, by_state[0]);
-  out.sample("icr_farm_workers", {{"state", "straggler"}}, by_state[1]);
-  out.sample("icr_farm_workers", {{"state", "dead"}}, by_state[2]);
-  out.sample("icr_farm_workers", {{"state", "exited"}}, by_state[3]);
+  out.sample("icr_farm_workers", {{"state", "running"}},
+             std::uint64_t{counts.running});
+  out.sample("icr_farm_workers", {{"state", "straggler"}},
+             std::uint64_t{counts.straggler});
+  out.sample("icr_farm_workers", {{"state", "dead"}},
+             std::uint64_t{counts.dead});
+  out.sample("icr_farm_workers", {{"state", "exited"}},
+             std::uint64_t{counts.exited});
 
   out.family("icr_farm_progress_percent", "cells done as a percentage",
              "gauge");
@@ -327,14 +330,12 @@ void parse_serve_spec(const std::string& spec, ServeOptions* options) {
       throw std::runtime_error("--serve: empty bind address in '" + spec + "'");
     }
   }
-  char* end = nullptr;
-  const long port = std::strtol(port_text.c_str(), &end, 10);
-  if (port_text.empty() || end == nullptr || *end != '\0' || port < 0 ||
-      port > 65535) {
+  const std::optional<std::uint64_t> port = cli::parse_u64(port_text);
+  if (!port || *port > 65535) {
     throw std::runtime_error("--serve: bad port in '" + spec +
                              "' (expected PORT or ADDR:PORT)");
   }
-  options->port = static_cast<std::uint16_t>(port);
+  options->port = static_cast<std::uint16_t>(*port);
 }
 
 std::unique_ptr<obs::http::Server> start_status_server(
@@ -365,12 +366,14 @@ std::unique_ptr<obs::http::Server> start_status_server(
         // Resume semantics (docs/SERVING.md): the id of each frame is its
         // index in the merged (time, worker, seq) stream; Last-Event-ID or
         // ?after=N means "I have everything up to and including N".
-        std::uint64_t next = 0;
+        // An id that does not parse counts as absent (replay from 0), and
+        // the largest id saturates instead of wrapping back to 0.
         std::string last = request.header("last-event-id");
         if (last.empty()) last = request.query_param("after");
-        if (!last.empty()) {
-          next = std::strtoull(last.c_str(), nullptr, 10) + 1;
-        }
+        const std::optional<std::uint64_t> seen = cli::parse_u64(last);
+        std::uint64_t next =
+            seen ? *seen + (*seen != std::numeric_limits<std::uint64_t>::max())
+                 : 0;
         const bool once = request.query_param("once") == "1";
         for (;;) {
           const std::vector<std::string> lines = src->event_lines();

@@ -90,41 +90,37 @@ rel::RelReport Simulator::collect_rel() const {
 
 RunResult Simulator::run(std::uint64_t instructions) {
   ICR_PROF_ZONE("Simulator::run");
-  if (obs_ != nullptr && obs_->sampler != nullptr) {
-    // Run in sampling-interval chunks. Targets are absolute so the commit
-    // stage's overshoot (up to commit_width-1 per chunk) never accumulates:
-    // the chunked execution commits the same instruction stream, cycle for
-    // cycle, as a single pipeline_->run(instructions) call.
-    const std::uint64_t interval = obs_->sampler->interval_instructions();
-    const std::uint64_t target = pipeline_->stats().committed + instructions;
-    while (pipeline_->stats().committed < target) {
-      const std::uint64_t next =
-          std::min(pipeline_->stats().committed + interval, target);
-      pipeline_->run(next - pipeline_->stats().committed);
-      obs_->sampler->sample(pipeline_->stats().committed, pipeline_->cycle());
-    }
-    return result();
-  }
-  pipeline_->run(instructions);
+  advance(instructions, /*detailed=*/true);
   return result();
 }
 
 void Simulator::fast_forward(std::uint64_t instructions) {
   ICR_PROF_ZONE("Simulator::fast_forward");
-  if (obs_ != nullptr && obs_->sampler != nullptr) {
-    // Keep the telemetry cadence through fast-forwarded regions, same
-    // chunking as run(). Boundary duplicates collapse inside the sampler.
-    const std::uint64_t interval = obs_->sampler->interval_instructions();
-    const std::uint64_t target = pipeline_->stats().committed + instructions;
-    while (pipeline_->stats().committed < target) {
-      const std::uint64_t next =
-          std::min(pipeline_->stats().committed + interval, target);
-      pipeline_->fast_forward(next - pipeline_->stats().committed);
-      obs_->sampler->sample(pipeline_->stats().committed, pipeline_->cycle());
-    }
+  // Keeps the telemetry cadence through fast-forwarded regions; boundary
+  // duplicates collapse inside the sampler.
+  advance(instructions, /*detailed=*/false);
+}
+
+void Simulator::advance(std::uint64_t instructions, bool detailed) {
+  const auto call = [&](std::uint64_t n) {
+    detailed ? (void)pipeline_->run(n) : (void)pipeline_->fast_forward(n);
+  };
+  if (obs_ == nullptr || obs_->sampler == nullptr) {
+    call(instructions);
     return;
   }
-  pipeline_->fast_forward(instructions);
+  // Advance in sampling-interval chunks. Targets are absolute so the commit
+  // stage's overshoot (up to commit_width-1 per chunk) never accumulates:
+  // the chunked execution commits the same instruction stream, cycle for
+  // cycle, as a single uninterrupted call.
+  const std::uint64_t interval = obs_->sampler->interval_instructions();
+  const std::uint64_t target = pipeline_->stats().committed + instructions;
+  while (pipeline_->stats().committed < target) {
+    const std::uint64_t next =
+        std::min(pipeline_->stats().committed + interval, target);
+    call(next - pipeline_->stats().committed);
+    obs_->sampler->sample(pipeline_->stats().committed, pipeline_->cycle());
+  }
 }
 
 obs::CellObservability Simulator::collect_observability() const {

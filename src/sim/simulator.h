@@ -85,6 +85,11 @@ class Simulator {
   [[nodiscard]] rel::RelReport collect_rel() const;
 
  private:
+  // The one chunk loop behind run() (detailed) and fast_forward(): with
+  // interval telemetry on, advances in sampling-interval chunks against
+  // absolute committed-instruction targets, sampling after each.
+  void advance(std::uint64_t instructions, bool detailed);
+
   SimConfig config_;
   core::Scheme scheme_;
   std::unique_ptr<trace::TraceSource> source_;

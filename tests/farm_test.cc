@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <stdexcept>
 #include <random>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 
 #include "src/sim/campaign.h"
 #include "src/sim/cli.h"
+#include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
 #include "src/util/fs.h"
 
@@ -368,6 +371,105 @@ TEST(FarmWorker, MaxUnitsStopsEarlyAndResumeCompletes) {
   const WorkerReport rest = run_worker_loop(spool, spec);
   EXPECT_EQ(first.units_run + rest.units_run, manifest.unit_count);
   EXPECT_TRUE(scan_spool(spool, manifest).complete());
+}
+
+std::string hash_text(std::uint64_t hash) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+TEST(FarmSpool, ResumeRejectsADifferentExperimentAndLeavesTheSpoolAlone) {
+  const std::string spool = make_temp_spool();
+  const CampaignSpec spec = small_spec();
+  const Manifest stored = manifest_for(spec, 2);
+  init_spool(spool, stored);
+  ASSERT_TRUE(util::fs::try_create_exclusive(claim_path(spool, 1), "{}\n"));
+  const std::string manifest_text = util::fs::read_text_file(
+      manifest_path(spool));
+
+  CampaignSpec other = spec;
+  other.base_seed ^= 1;
+  const Manifest requested = manifest_for(other, 2);
+  ASSERT_NE(requested.config_hash, stored.config_hash);
+  try {
+    (void)open_spool(spool, requested, /*resume=*/true, /*log_events=*/true);
+    FAIL() << "a resume of a different experiment must throw";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(hash_text(stored.config_hash)), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(hash_text(requested.config_hash)), std::string::npos)
+        << what;
+  }
+  // Untouched: same manifest bytes, the stale claim still there, no sweep
+  // events.
+  EXPECT_EQ(util::fs::read_text_file(manifest_path(spool)), manifest_text);
+  EXPECT_TRUE(util::fs::exists(claim_path(spool, 1)));
+  EXPECT_FALSE(util::fs::exists(event_log_dir(spool)));
+}
+
+TEST(FarmSpool, FreshOpenRefusesASpoolThatHasAManifest) {
+  const std::string spool = make_temp_spool();
+  const Manifest manifest = manifest_for(small_spec(), 2);
+  const OpenedSpool first =
+      open_spool(spool, manifest, /*resume=*/false, /*log_events=*/false);
+  EXPECT_EQ(first.manifest.to_json(), manifest.to_json());
+  EXPECT_EQ(first.cleared, 0u);
+  EXPECT_TRUE(util::fs::exists(manifest_path(spool)));
+  EXPECT_THROW(
+      (void)open_spool(spool, manifest, /*resume=*/false, /*log_events=*/false),
+      std::invalid_argument);
+}
+
+TEST(FarmSpool, ResumeKeepsTheStoredSharding) {
+  const std::string spool = make_temp_spool();
+  const CampaignSpec spec = small_spec();
+  const Manifest stored = manifest_for(spec, 2);
+  init_spool(spool, stored);
+  // unit_cells is not part of the experiment, so the hash still matches.
+  const OpenedSpool resumed = open_spool(spool, manifest_for(spec, 3),
+                                         /*resume=*/true, /*log_events=*/false);
+  EXPECT_EQ(resumed.manifest.unit_cells, 2u);
+  EXPECT_EQ(resumed.manifest.unit_count, stored.unit_count);
+  EXPECT_EQ(resumed.cleared, 0u);
+}
+
+TEST(FarmSpool, ResumeClearsAStaleClaimAndLogsTheSweep) {
+  const CampaignSpec spec = small_spec();
+  const Manifest manifest = manifest_for(spec, 2);
+  // Unit 0 finished (claim + record); unit 1 was claimed by a killed worker.
+  const auto plant = [&](const std::string& spool) {
+    init_spool(spool, manifest);
+    ASSERT_TRUE(util::fs::try_create_exclusive(claim_path(spool, 0), "{}\n"));
+    util::fs::atomic_write_text_file(unit_path(spool, 0), unit_to_json(0, {}));
+    ASSERT_TRUE(util::fs::try_create_exclusive(claim_path(spool, 1), "{}\n"));
+  };
+
+  const std::string logged = make_temp_spool();
+  plant(logged);
+  const OpenedSpool opened =
+      open_spool(logged, manifest, /*resume=*/true, /*log_events=*/true);
+  EXPECT_EQ(opened.cleared, 1u);
+  EXPECT_TRUE(util::fs::exists(claim_path(logged, 0)));
+  EXPECT_FALSE(util::fs::exists(claim_path(logged, 1)));
+  const std::vector<FarmEvent> events = read_farm_events(logged);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].worker_id, "coordinator");
+  EXPECT_EQ(events[0].type, FarmEventType::kStaleClear);
+  EXPECT_EQ(events[0].unit, 1);
+  EXPECT_EQ(events[1].worker_id, "coordinator");
+  EXPECT_EQ(events[1].type, FarmEventType::kResumeSweep);
+  EXPECT_EQ(events[1].cells, 1u);
+
+  const std::string quiet = make_temp_spool();
+  plant(quiet);
+  EXPECT_EQ(open_spool(quiet, manifest, /*resume=*/true, /*log_events=*/false)
+                .cleared,
+            1u);
+  EXPECT_FALSE(util::fs::exists(claim_path(quiet, 1)));
+  EXPECT_FALSE(util::fs::exists(event_log_dir(quiet)));
 }
 
 TEST(FarmCli, UnknownFlagHelperExitsWithUsageHint) {

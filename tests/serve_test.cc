@@ -221,6 +221,37 @@ TEST(ServeFarm, ServesStatusMetricsEventsAndDashboardOverASpool) {
   server->stop();
 }
 
+TEST(ServeFarm, EventsReplayFromZeroWhenTheResumeIdDoesNotParse) {
+  // An id that does not parse counts as absent, so the stream replays from
+  // event 0 instead of silently resuming at 1; the largest id saturates
+  // instead of wrapping back to 0.
+  const CampaignSpec spec = small_spec();
+  const std::string spool = build_two_worker_spool(spec);
+  const Manifest manifest = load_manifest(spool);
+  const std::size_t events = collect_farm_status(spool, manifest).event_count;
+  ASSERT_GT(events, 1u);
+  SpoolStatusSource source(spool, manifest);
+  const auto server = start_status_server(source, ServeOptions{});
+  const std::string base = server->url();
+
+  const obs::http::FetchResult garbage =
+      obs::http::http_get(base + "/events?after=abc&once=1");
+  ASSERT_EQ(garbage.status, 200);
+  EXPECT_EQ(garbage.body.rfind("id: 0\n", 0), 0u) << garbage.body.substr(0, 80);
+  EXPECT_EQ(sse_data_lines(garbage.body).size(), events);
+
+  const obs::http::FetchResult header = obs::http::http_get(
+      base + "/events?once=1", 10.0, {"Last-Event-ID: -1"});
+  EXPECT_EQ(header.body.rfind("id: 0\n", 0), 0u);
+  EXPECT_EQ(sse_data_lines(header.body).size(), events);
+
+  const obs::http::FetchResult last = obs::http::http_get(
+      base + "/events?after=18446744073709551615&once=1");
+  ASSERT_EQ(last.status, 200);
+  EXPECT_TRUE(sse_data_lines(last.body).empty());
+  server->stop();
+}
+
 TEST(ServeFarm, ServingLeavesAggregatedExportsByteIdentical) {
   const CampaignSpec spec = small_spec();
   const std::string spool = build_two_worker_spool(spec);

@@ -10,7 +10,6 @@
 //   icr_sim --record=run.icrt --app=gcc --instructions=200000
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -24,7 +23,6 @@
 #include "src/rel/rel_io.h"
 #include "src/sim/campaign.h"
 #include "src/sim/cli.h"
-#include "src/sim/experiment.h"
 #include "src/sim/results_io.h"
 #include "src/sim/sampling.h"
 #include "src/sim/serve.h"
@@ -36,6 +34,7 @@
 using namespace icr;
 using sim::cli::app_by_name;
 using sim::cli::fault_by_name;
+using sim::cli::number_flag;
 using sim::cli::parse_flag;
 using sim::cli::scheme_by_name;
 using sim::cli::victim_by_name;
@@ -43,40 +42,21 @@ using sim::cli::victim_by_name;
 namespace {
 
 struct Options {
+  sim::cli::RunFlags run{"icr_sim"};  // flags shared with run_campaign
   std::string app = "gzip";
   std::string trace_path;   // replay instead of the synthetic app
   std::string record_path;  // record the app's trace and exit
   std::string scheme = "ICR-P-PS(S)";
-  std::uint64_t instructions = 0;  // 0 = ICR_SIM_INSTRUCTIONS / 1M default
-  std::uint64_t window = 0;
   std::string victim = "dead-only";
   bool leave_replicas = false;
   bool write_through = false;
   std::uint32_t rcache = 0;
-  std::string fault_model = "random";
-  double fault_prob = 0.0;
   std::string geometry;  // dL1 override: SIZE/ASSOC (e.g. 16K/4)
   std::uint32_t ways_disabled = 0;
   std::uint32_t way_mask = 0;  // explicit per-set mask; overrides the count
-  std::string way_pattern = "fixed";
-  std::uint64_t way_seed = 0x0DDB17ULL;
-  std::uint64_t warmup = 0;
-  std::uint32_t sample_windows = 0;
-  std::uint64_t sample_width = 0;
-  std::string sample_mode = "systematic";
-  std::uint64_t sample_seed = 0x5A3D11ULL;
   bool csv = false;
-  std::uint64_t stats_interval = 0;  // 0 = off (default when outputs ask)
-  std::string intervals_out;
-  std::string heatmap_out;
-  std::string trace_out;
-  std::string trace_filter = "all";
-  bool rel = false;
   std::string rel_out;
   std::string rel_intervals_out;
-  bool prof = false;
-  std::string prof_out;
-  std::string serve_spec;  // HTTP status server: PORT or ADDR:PORT
 };
 
 void usage() {
@@ -173,96 +153,68 @@ void print_report(const sim::RunResult& r) {
   t.print();
 }
 
+// Applies --geometry=SIZE/WAYS to the dL1 (no-op when empty); exits 2 on a
+// malformed value, throws std::invalid_argument on an invalid geometry.
+void apply_geometry(const std::string& geometry, sim::SimConfig& config) {
+  if (geometry.empty()) return;
+  const std::size_t slash = geometry.find('/');
+  if (slash == std::string::npos) {
+    throw std::invalid_argument("--geometry expects SIZE/WAYS, e.g. 16K/4");
+  }
+  const auto size = sim::cli::parse_size(geometry.substr(0, slash));
+  const auto ways = sim::cli::parse_u32(geometry.substr(slash + 1));
+  if (!size || !ways) sim::cli::bad_value("icr_sim", "--geometry", geometry);
+  config.dl1.size_bytes = *size;
+  config.dl1.associativity = *ways;
+  config.dl1.validate();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
     std::string value;
-    if (parse_flag(argv[i], "--app", value)) {
+    if (opt.run.parse(arg) ||
+        number_flag("icr_sim", arg, "--rcache", opt.rcache) ||
+        number_flag("icr_sim", arg, "--ways-disabled", opt.ways_disabled) ||
+        number_flag("icr_sim", arg, "--way-mask", opt.way_mask, 0)) {
+      continue;
+    }
+    if (parse_flag(arg, "--app", value)) {
       opt.app = value;
-    } else if (parse_flag(argv[i], "--trace", value)) {
+    } else if (parse_flag(arg, "--trace", value)) {
       opt.trace_path = value;
-    } else if (parse_flag(argv[i], "--record", value)) {
+    } else if (parse_flag(arg, "--record", value)) {
       opt.record_path = value;
-    } else if (parse_flag(argv[i], "--scheme", value)) {
+    } else if (parse_flag(arg, "--scheme", value)) {
       opt.scheme = value;
-    } else if (parse_flag(argv[i], "--instructions", value)) {
-      opt.instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--window", value)) {
-      opt.window = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--victim", value)) {
+    } else if (parse_flag(arg, "--victim", value)) {
       opt.victim = value;
-    } else if (std::strcmp(argv[i], "--leave-replicas") == 0) {
+    } else if (std::strcmp(arg, "--leave-replicas") == 0) {
       opt.leave_replicas = true;
-    } else if (std::strcmp(argv[i], "--write-through") == 0) {
+    } else if (std::strcmp(arg, "--write-through") == 0) {
       opt.write_through = true;
-    } else if (parse_flag(argv[i], "--rcache", value)) {
-      opt.rcache = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--fault-model", value)) {
-      opt.fault_model = value;
-    } else if (parse_flag(argv[i], "--fault-prob", value)) {
-      opt.fault_prob = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--geometry", value)) {
+    } else if (parse_flag(arg, "--geometry", value)) {
       opt.geometry = value;
-    } else if (parse_flag(argv[i], "--ways-disabled", value)) {
-      opt.ways_disabled = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--way-mask", value)) {
-      opt.way_mask = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 0));
-    } else if (parse_flag(argv[i], "--way-pattern", value)) {
-      opt.way_pattern = value;
-    } else if (parse_flag(argv[i], "--way-seed", value)) {
-      opt.way_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (parse_flag(argv[i], "--warmup", value)) {
-      opt.warmup = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--sample-windows", value)) {
-      opt.sample_windows = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--sample-width", value)) {
-      opt.sample_width = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--sample-mode", value)) {
-      opt.sample_mode = value;
-    } else if (parse_flag(argv[i], "--sample-seed", value)) {
-      opt.sample_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
+    } else if (std::strcmp(arg, "--csv") == 0) {
       opt.csv = true;
-    } else if (parse_flag(argv[i], "--stats-interval", value)) {
-      opt.stats_interval = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--intervals-out", value)) {
-      opt.intervals_out = value;
-    } else if (parse_flag(argv[i], "--heatmap-out", value)) {
-      opt.heatmap_out = value;
-    } else if (parse_flag(argv[i], "--trace-out", value)) {
-      opt.trace_out = value;
-    } else if (parse_flag(argv[i], "--trace-filter", value)) {
-      opt.trace_filter = value;
-    } else if (std::strcmp(argv[i], "--rel") == 0) {
-      opt.rel = true;
-    } else if (parse_flag(argv[i], "--rel-out", value)) {
+    } else if (parse_flag(arg, "--rel-out", value)) {
       opt.rel_out = value;
-    } else if (parse_flag(argv[i], "--rel-intervals-out", value)) {
+    } else if (parse_flag(arg, "--rel-intervals-out", value)) {
       opt.rel_intervals_out = value;
-    } else if (std::strcmp(argv[i], "--prof") == 0) {
-      opt.prof = true;
-    } else if (parse_flag(argv[i], "--prof-out", value)) {
-      opt.prof_out = value;
-      opt.prof = true;
-    } else if (parse_flag(argv[i], "--serve", value)) {
-      opt.serve_spec = value;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
+    } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage();
       return 0;
     } else {
-      sim::cli::unknown_flag("icr_sim", argv[i]);
+      sim::cli::unknown_flag("icr_sim", arg);
     }
   }
+  const sim::cli::RunFlags& run = opt.run;
 
-  const std::uint64_t instructions = opt.instructions != 0
-                                         ? opt.instructions
+  const std::uint64_t instructions = run.instructions != 0
+                                         ? run.instructions
                                          : sim::default_instruction_count();
 
   if (!opt.record_path.empty()) {
@@ -277,49 +229,23 @@ int main(int argc, char** argv) {
   }
 
   core::Scheme scheme = scheme_by_name(opt.scheme)
-                            .with_decay_window(opt.window)
+                            .with_decay_window(run.window)
                             .with_victim_policy(victim_by_name(opt.victim))
                             .with_leave_replicas(opt.leave_replicas);
   if (opt.write_through) scheme = scheme.with_write_through(8);
 
   sim::SimConfig config = sim::SimConfig::table1();
-  config.fault_model = fault_by_name(opt.fault_model);
-  config.fault_probability = opt.fault_prob;
+  config.fault_model = fault_by_name(run.fault_model);
+  config.fault_probability = run.fault_prob;
   config.rcache_entries = opt.rcache;
   try {
-    if (!opt.geometry.empty()) {
-      const std::size_t slash = opt.geometry.find('/');
-      if (slash == std::string::npos) {
-        throw std::invalid_argument("--geometry expects SIZE/WAYS, e.g. 16K/4");
-      }
-      std::string size_text = opt.geometry.substr(0, slash);
-      std::uint64_t mult = 1;
-      if (!size_text.empty() &&
-          (size_text.back() == 'K' || size_text.back() == 'k')) {
-        mult = 1024;
-        size_text.pop_back();
-      } else if (!size_text.empty() &&
-                 (size_text.back() == 'M' || size_text.back() == 'm')) {
-        mult = 1024 * 1024;
-        size_text.pop_back();
-      }
-      config.dl1.size_bytes = static_cast<std::uint32_t>(
-          std::strtoull(size_text.c_str(), nullptr, 10) * mult);
-      config.dl1.associativity = static_cast<std::uint32_t>(std::strtoul(
-          opt.geometry.c_str() + slash + 1, nullptr, 10));
-      config.dl1.validate();
-    }
+    apply_geometry(opt.geometry, config);
     if (opt.ways_disabled != 0 || opt.way_mask != 0) {
-      if (opt.way_pattern != "fixed" && opt.way_pattern != "random") {
-        throw std::invalid_argument("--way-pattern must be fixed or random");
-      }
       config.dl1_way_disable.count = opt.ways_disabled;
       config.dl1_way_disable.fixed_mask = opt.way_mask;
       config.dl1_way_disable.pattern =
-          opt.way_pattern == "random"
-              ? mem::WayDisableConfig::Pattern::kRandom
-              : mem::WayDisableConfig::Pattern::kFixed;
-      config.dl1_way_disable.seed = opt.way_seed;
+          sim::cli::way_pattern_by_name(run.way_pattern);
+      config.dl1_way_disable.seed = run.way_seed;
       config.dl1_way_disable.validate(config.dl1.associativity);
     }
   } catch (const std::exception& error) {
@@ -327,34 +253,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs::ObsOptions obsopt;
-  obsopt.stats_interval = opt.stats_interval;
-  if (obsopt.stats_interval == 0 &&
-      (!opt.intervals_out.empty() || !opt.heatmap_out.empty())) {
-    obsopt.stats_interval = obs::kDefaultStatsInterval;
-  }
-  if (!opt.trace_out.empty()) {
-    obsopt.trace_categories = obs::parse_category_list(opt.trace_filter);
-    if (obsopt.trace_categories == 0) {
-      std::fprintf(stderr, "bad --trace-filter '%s'\n",
-                   opt.trace_filter.c_str());
-      return 2;
-    }
-  }
-
-  if (!opt.rel_out.empty() || !opt.rel_intervals_out.empty()) opt.rel = true;
+  const obs::ObsOptions obsopt = run.obs();
   rel::RelOptions relopt;
-  relopt.enabled = opt.rel;
-  relopt.probability = opt.fault_prob;
+  relopt.enabled =
+      run.rel || !opt.rel_out.empty() || !opt.rel_intervals_out.empty();
+  relopt.probability = run.fault_prob;
+  const sim::SamplingOptions sampling = run.sampling();
 
-  sim::SamplingOptions sampling;
-  sampling.warmup_instructions = opt.warmup;
-  sampling.windows = opt.sample_windows;
-  sampling.window_width = opt.sample_width;
-  sampling.mode = sim::cli::sample_mode_by_name(opt.sample_mode);
-  sampling.seed = opt.sample_seed;
-
-  if (opt.prof) obs::prof::begin_capture();
+  if (run.prof) obs::prof::begin_capture();
 
   // HTTP status server for long runs. The simulation thread pushes
   // snapshots between run chunks; chunked execution commits the identical
@@ -362,10 +268,10 @@ int main(int argc, char** argv) {
   // never changes results.
   std::unique_ptr<sim::farm::SimStatusSource> serve_source;
   std::unique_ptr<obs::http::Server> serve_server;
-  if (!opt.serve_spec.empty()) {
+  if (!run.serve_spec.empty()) {
     try {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
+      sim::farm::parse_serve_spec(run.serve_spec, &serve_options);
       serve_source = std::make_unique<sim::farm::SimStatusSource>(
           opt.scheme, opt.trace_path.empty() ? opt.app : opt.trace_path,
           instructions);
@@ -378,8 +284,36 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const auto serve_update = [&](sim::Simulator& simulator,
-                                std::uint64_t done) {
+
+  // Replay a recorded trace or generate the app's stream: either drives
+  // the exact same Simulator wiring, so a replayed trace reproduces its
+  // generator-driven run bit for bit (guarded by tier-1 test).
+  std::unique_ptr<trace::StreamingTraceSource> replay;
+  if (!opt.trace_path.empty()) {
+    try {
+      sim::check_trace_label(opt.trace_path, opt.trace_path);
+      replay = std::make_unique<trace::StreamingTraceSource>(opt.trace_path);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "icr_sim: %s\n", error.what());
+      return 1;
+    }
+    // Provenance header; stderr under --csv so stdout stays parseable.
+    std::fprintf(opt.csv ? stderr : stdout,
+                 "replaying %s: ICRT-v%u, %llu record(s), fingerprint "
+                 "0x%016llx\n",
+                 opt.trace_path.c_str(), replay->info().version,
+                 static_cast<unsigned long long>(replay->info().records),
+                 static_cast<unsigned long long>(replay->info().fingerprint));
+  }
+  sim::Simulator simulator =
+      replay != nullptr
+          ? sim::Simulator(config, scheme, std::move(replay), opt.trace_path)
+          : sim::Simulator(config, scheme,
+                           trace::profile_for(app_by_name(opt.app)));
+  simulator.enable_observability(obsopt);
+  simulator.enable_rel(relopt);
+
+  const auto serve_update = [&](std::uint64_t done) {
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     if (obs::Observability* o = simulator.observability()) {
       const auto values = o->registry.snapshot_counters();
@@ -390,102 +324,47 @@ int main(int argc, char** argv) {
       }
     }
     serve_source->update(done, std::move(counters),
-                         opt.prof ? obs::prof::snapshot_zones()
+                         run.prof ? obs::prof::snapshot_zones()
                                   : std::vector<obs::prof::ZoneNode>{});
   };
-  const auto run_serving = [&](sim::Simulator& simulator) {
-    if (serve_source == nullptr) return simulator.run(instructions);
+
+  sim::SampledRunResult sampled;
+  if (serve_source != nullptr && !sampling.enabled()) {
     // Chunk against the *committed* count, like Simulator::run does for
     // sampling intervals: the commit stage overshoots each call by up to
     // commit_width-1, and absolute targets keep that from accumulating —
     // the chunked run commits the exact stream a single run() would.
     const std::uint64_t chunk =
         std::max<std::uint64_t>(instructions / 200, 10000);
-    const std::uint64_t base = simulator.result().instructions;
-    const std::uint64_t target = base + instructions;
-    sim::RunResult chunk_result = simulator.result();
-    while (chunk_result.instructions < target) {
+    sim::RunResult& done = sampled.estimate;
+    while (done.instructions < instructions) {
       const std::uint64_t next =
-          std::min(chunk_result.instructions + chunk, target);
-      chunk_result = simulator.run(next - chunk_result.instructions);
-      serve_update(simulator,
-                   std::min(chunk_result.instructions - base, instructions));
+          std::min(done.instructions + chunk, instructions);
+      done = simulator.run(next - done.instructions);
+      serve_update(std::min(done.instructions, instructions));
     }
-    return chunk_result;
-  };
-
-  sim::RunResult result;
-  sim::SampleProvenance provenance;
-  obs::CellObservability telemetry;
-  rel::RelReport rel_report;
-  if (!opt.trace_path.empty()) {
-    // Replay path: the recorded trace drives the exact same Simulator
-    // wiring the synthetic path uses, so a replayed trace reproduces its
-    // generator-driven run bit for bit (guarded by tier-1 test).
-    std::unique_ptr<trace::StreamingTraceSource> source;
-    try {
-      sim::check_trace_label(opt.trace_path, opt.trace_path);
-      source = std::make_unique<trace::StreamingTraceSource>(opt.trace_path);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "icr_sim: %s\n", error.what());
-      return 1;
-    }
-    // Provenance header; stderr under --csv so stdout stays parseable.
-    std::fprintf(opt.csv ? stderr : stdout,
-                 "replaying %s: ICRT-v%u, %llu record(s), fingerprint "
-                 "0x%016llx\n",
-                 opt.trace_path.c_str(), source->info().version,
-                 static_cast<unsigned long long>(source->info().records),
-                 static_cast<unsigned long long>(source->info().fingerprint));
-    sim::Simulator simulator(config, scheme, std::move(source),
-                             opt.trace_path);
-    if (obsopt.any()) simulator.enable_observability(obsopt);
-    if (relopt.enabled) simulator.enable_rel(relopt);
-    if (sampling.enabled()) {
-      sim::SampledRunResult sampled =
-          sim::SamplingController(simulator, sampling).run(instructions);
-      result = std::move(sampled.estimate);
-      provenance = sampled.provenance;
-      if (serve_source != nullptr) serve_update(simulator, instructions);
-    } else {
-      result = run_serving(simulator);
-    }
-    if (obsopt.any()) telemetry = simulator.collect_observability();
-    if (relopt.enabled) rel_report = simulator.collect_rel();
-  } else if (obsopt.any() || relopt.enabled || sampling.enabled() ||
-             serve_source != nullptr) {
-    sim::Simulator simulator(config, scheme,
-                             trace::profile_for(app_by_name(opt.app)));
-    if (obsopt.any()) simulator.enable_observability(obsopt);
-    if (relopt.enabled) simulator.enable_rel(relopt);
-    if (sampling.enabled()) {
-      sim::SampledRunResult sampled =
-          sim::SamplingController(simulator, sampling).run(instructions);
-      result = std::move(sampled.estimate);
-      provenance = sampled.provenance;
-      if (serve_source != nullptr) serve_update(simulator, instructions);
-    } else {
-      result = run_serving(simulator);
-    }
-    if (obsopt.any()) telemetry = simulator.collect_observability();
-    if (relopt.enabled) rel_report = simulator.collect_rel();
   } else {
-    result =
-        sim::run_one(app_by_name(opt.app), scheme, config, instructions);
+    // A bit-identical passthrough when sampling is off.
+    sampled = sim::SamplingController(simulator, sampling).run(instructions);
+    if (serve_source != nullptr) serve_update(instructions);
   }
   if (serve_source != nullptr) serve_source->finish();
+  const sim::RunResult& result = sampled.estimate;
+  const sim::SampleProvenance& provenance = sampled.provenance;
+  const obs::CellObservability telemetry = simulator.collect_observability();
+  const rel::RelReport rel_report = simulator.collect_rel();
 
   // End the capture before reporting: the simulation is what we profile,
   // not the table rendering. The table goes to stderr so --csv stdout
   // stays machine-readable.
-  if (opt.prof) {
+  if (run.prof) {
     const obs::prof::Profile profile = obs::prof::end_capture();
     std::fputs(obs::prof::format_self_time_table(profile).c_str(), stderr);
-    if (!opt.prof_out.empty()) {
-      sim::write_text_file(opt.prof_out, obs::prof::to_chrome_trace(
+    if (!run.prof_out.empty()) {
+      sim::write_text_file(run.prof_out, obs::prof::to_chrome_trace(
                                              profile, "icr_sim"));
       std::fprintf(stderr, "wrote host profile to %s\n",
-                   opt.prof_out.c_str());
+                   run.prof_out.c_str());
     }
   }
 
@@ -505,7 +384,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(provenance.budget),
                   100.0 * provenance.coverage());
     }
-    if (opt.rel) std::fputs(rel::format_report(rel_report).c_str(), stdout);
+    if (relopt.enabled) {
+      std::fputs(rel::format_report(rel_report).c_str(), stdout);
+    }
   }
 
   const obs::CellTag tag{result.scheme, result.app, 0};
@@ -522,31 +403,31 @@ int main(int argc, char** argv) {
     std::printf("wrote %zu interval classes to %s\n",
                 rel_report.intervals.size(), opt.rel_intervals_out.c_str());
   }
-  if (!opt.intervals_out.empty()) {
-    sim::write_text_file(opt.intervals_out,
+  if (!run.intervals_out.empty()) {
+    sim::write_text_file(run.intervals_out,
                          obs::intervals_to_csv(telemetry.intervals, tag));
     std::printf("wrote %zu intervals to %s\n",
                 telemetry.intervals.interval_count(),
-                opt.intervals_out.c_str());
+                run.intervals_out.c_str());
   }
-  if (!opt.heatmap_out.empty()) {
-    sim::write_text_file(opt.heatmap_out,
+  if (!run.heatmap_out.empty()) {
+    sim::write_text_file(run.heatmap_out,
                          obs::occupancy_to_csv(telemetry.intervals, tag));
-    std::printf("wrote occupancy heatmap to %s\n", opt.heatmap_out.c_str());
+    std::printf("wrote occupancy heatmap to %s\n", run.heatmap_out.c_str());
   }
-  if (!opt.trace_out.empty()) {
+  if (!run.trace_out.empty()) {
     std::string ndjson;
     obs::append_ndjson(ndjson, telemetry.events, tag);
-    sim::write_text_file(opt.trace_out, ndjson);
+    sim::write_text_file(run.trace_out, ndjson);
     std::printf("wrote %zu events to %s (%llu emitted, %llu dropped)\n",
-                telemetry.events.size(), opt.trace_out.c_str(),
+                telemetry.events.size(), run.trace_out.c_str(),
                 static_cast<unsigned long long>(telemetry.trace_emitted),
                 static_cast<unsigned long long>(telemetry.trace_dropped));
   }
 
   // Inline interval summary when sampling was on but nobody asked for the
   // raw CSV (and the single-line --csv mode isn't active).
-  if (obsopt.stats_interval != 0 && opt.intervals_out.empty() && !opt.csv) {
+  if (obsopt.stats_interval != 0 && run.intervals_out.empty() && !opt.csv) {
     const auto pts = obs::interval_points(telemetry.intervals);
     const obs::IntervalSummary s = obs::summarize(pts);
     TextTable t("interval telemetry (" +

@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,13 +48,17 @@
 using namespace icr;
 using sim::cli::app_by_name;
 using sim::cli::fault_by_name;
+using sim::cli::number_flag;
 using sim::cli::parse_flag;
 using sim::cli::scheme_by_name;
 using sim::cli::split_csv;
 
 namespace {
 
+constexpr const char* kProgram = "run_campaign";
+
 struct Options {
+  sim::cli::RunFlags run{kProgram};  // flags shared with icr_sim
   std::string schemes;  // comma list; empty = all ten paper schemes
   std::string apps;     // comma list; empty = all eight applications
   std::string trace_path;  // recorded trace replacing the app axis
@@ -61,21 +66,10 @@ struct Options {
   std::uint32_t trials = 1;
   unsigned threads = 0;  // 0 = ICR_SIM_THREADS or hardware concurrency
   std::uint64_t seed = 0x1C9CA37ULL;
-  std::uint64_t instructions = 0;
-  std::uint64_t window = 0;
-  std::uint64_t warmup = 0;
-  std::uint32_t sample_windows = 0;
-  std::uint64_t sample_width = 0;
-  std::string sample_mode = "systematic";
-  std::uint64_t sample_seed = 0x5A3D11ULL;
-  std::string fault_model = "random";
-  double fault_prob = 0.0;
   // Degraded-geometry sweep axes (docs/GEOMETRY.md).
   std::string dl1_sizes;      // comma list of dL1 sizes (K/M suffixes ok)
   std::string dl1_assocs;     // comma list of associativities
   std::string ways_disabled;  // comma list of disabled-way counts
-  std::string way_pattern = "fixed";  // fixed|random per-set draw
-  std::uint64_t way_seed = 0x0DDB17ULL;
   std::string csv_path;
   std::string json_path;
   bool no_timing = false;
@@ -97,21 +91,11 @@ struct Options {
   std::string farm_status_dir;    // status mode: spool to inspect
   double watch_seconds = 0.0;     // status mode: refresh period; 0 = once
   std::string status_json;        // status mode: NDJSON out ("-" = stdout)
-  double stale_after = 15.0;      // straggler threshold (seconds)
-  double dead_after = 60.0;       // dead threshold (seconds)
-  std::string serve_spec;         // HTTP status server: PORT or ADDR:PORT
-  // Per-cell telemetry / reliability / profiling (in-process mode only).
-  std::uint64_t stats_interval = 0;
-  std::string intervals_out;
-  std::string heatmap_out;
-  std::string trace_out;
-  std::string trace_filter = "all";
-  bool rel = false;
+  sim::farm::StalenessPolicy staleness;  // --stale-after / --dead-after
+  // Per-cell reliability exports (in-process mode only).
   std::string rel_csv;
   std::string rel_json;
   std::string rel_intervals;
-  bool prof = false;
-  std::string prof_out;
 };
 
 void usage() {
@@ -221,15 +205,15 @@ void usage() {
 }
 
 // Comma list of unsigned values; K/M suffixes scale by 1024 (so
-// --dl1-sizes=8K,16K reads naturally). Bare numbers pass through.
-std::vector<std::uint32_t> parse_u32_list(const std::string& csv) {
+// --dl1-sizes=8K,16K reads naturally). Bare numbers pass through; anything
+// else exits 2 naming `flag`.
+std::vector<std::uint32_t> parse_u32_list(const char* flag,
+                                          const std::string& csv) {
   std::vector<std::uint32_t> out;
   for (const std::string& item : split_csv(csv)) {
-    char* end = nullptr;
-    unsigned long long v = std::strtoull(item.c_str(), &end, 10);
-    if (end != nullptr && (*end == 'K' || *end == 'k')) v *= 1024ULL;
-    if (end != nullptr && (*end == 'M' || *end == 'm')) v *= 1024ULL * 1024ULL;
-    out.push_back(static_cast<std::uint32_t>(v));
+    const std::optional<std::uint32_t> value = sim::cli::parse_size(item);
+    if (!value) sim::cli::bad_value(kProgram, flag, csv);
+    out.push_back(*value);
   }
   return out;
 }
@@ -264,7 +248,7 @@ int run_worker_mode(const Options& opt) {
           std::make_unique<sim::farm::WorkerTelemetry>(opt.spool, topt);
     }
     double epoch_unix_us = 0.0;
-    if (opt.prof) {
+    if (opt.run.prof) {
       obs::prof::begin_capture();
       epoch_unix_us = unix_now_microseconds();
     }
@@ -277,7 +261,7 @@ int run_worker_mode(const Options& opt) {
     };
     const sim::farm::WorkerReport report = sim::farm::run_worker_loop(
         opt.spool, spec, opt.max_units, on_unit_done, telemetry.get());
-    if (opt.prof) {
+    if (opt.run.prof) {
       const obs::prof::Profile profile = obs::prof::end_capture();
       util::fs::make_directories(sim::farm::worker_trace_dir(opt.spool));
       util::fs::atomic_write_text_file(
@@ -325,18 +309,15 @@ int run_farm_status_mode(const Options& opt) {
   try {
     const sim::farm::Manifest manifest =
         sim::farm::load_manifest(opt.farm_status_dir);
-    sim::farm::StalenessPolicy staleness;
-    staleness.straggler_after_seconds = opt.stale_after;
-    staleness.dead_after_seconds = opt.dead_after;
     // With --serve the process stays up (re-rendering only under --watch)
     // until the fleet drains, so remote readers can poll a stable URL.
     std::unique_ptr<sim::farm::SpoolStatusSource> serve_source;
     std::unique_ptr<obs::http::Server> serve_server;
-    if (!opt.serve_spec.empty()) {
+    if (!opt.run.serve_spec.empty()) {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
+      sim::farm::parse_serve_spec(opt.run.serve_spec, &serve_options);
       serve_source = std::make_unique<sim::farm::SpoolStatusSource>(
-          opt.farm_status_dir, manifest, staleness);
+          opt.farm_status_dir, manifest, opt.staleness);
       serve_server =
           sim::farm::start_status_server(*serve_source, serve_options);
       std::printf("serving farm status on %s (spool %s)\n",
@@ -346,7 +327,7 @@ int run_farm_status_mode(const Options& opt) {
     bool first = true;
     for (;;) {
       sim::farm::FarmStatusOptions status_options;
-      status_options.staleness = staleness;
+      status_options.staleness = opt.staleness;
       const sim::farm::FarmStatus status = sim::farm::collect_farm_status(
           opt.farm_status_dir, manifest, status_options);
       const bool refresh = first || opt.watch_seconds > 0.0;
@@ -383,53 +364,23 @@ int run_farm_status_mode(const Options& opt) {
 // farm-level progress, and stream-aggregate the completed units.
 int run_coordinator_mode(const Options& opt, const sim::CampaignSpec& spec,
                          const char* self) {
-  using sim::farm::Manifest;
-  sim::farm::Manifest manifest = sim::farm::manifest_for(spec, opt.unit_cells);
   const std::string& spool = opt.farm_dir;
+  const sim::farm::Manifest planned =
+      sim::farm::manifest_for(spec, opt.unit_cells);
+  sim::farm::OpenedSpool opened;
   try {
-    if (opt.resume) {
-      const Manifest existing = sim::farm::load_manifest(spool);
-      if (existing.config_hash != manifest.config_hash) {
-        std::fprintf(stderr,
-                     "--resume: spool %s holds a different experiment "
-                     "(config hash %016llx vs %016llx); aborting\n",
-                     spool.c_str(),
-                     static_cast<unsigned long long>(existing.config_hash),
-                     static_cast<unsigned long long>(manifest.config_hash));
-        return 2;
-      }
-      manifest = existing;  // keep the original sharding
-      std::vector<std::uint32_t> cleared_units;
-      const std::size_t cleared = sim::farm::clear_stale_claims(
-          spool, manifest.unit_count, &cleared_units);
-      if (opt.heartbeat_seconds > 0.0) {
-        // The sweep is part of the fleet's history: one stale-clear event
-        // per reclaimed unit, then the sweep summary, under the
-        // coordinator's own event stream.
-        sim::farm::EventLog coordinator_log(spool, "coordinator");
-        for (const std::uint32_t unit : cleared_units) {
-          coordinator_log.append(sim::farm::FarmEventType::kStaleClear,
-                                 static_cast<std::int64_t>(unit));
-        }
-        coordinator_log.append(sim::farm::FarmEventType::kResumeSweep, -1,
-                               cleared);
-      }
-      if (cleared != 0 && !opt.quiet) {
-        std::printf("resume: cleared %zu stale claim(s)\n", cleared);
-      }
-    } else {
-      if (util::fs::exists(sim::farm::manifest_path(spool))) {
-        std::fprintf(stderr,
-                     "spool %s already has a manifest; use --resume to "
-                     "continue it or point --farm at a fresh directory\n",
-                     spool.c_str());
-        return 2;
-      }
-      sim::farm::init_spool(spool, manifest);
-    }
+    opened = sim::farm::open_spool(spool, planned, opt.resume,
+                                   /*log_events=*/opt.heartbeat_seconds > 0.0);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "farm: %s\n", error.what());
     return 1;
+  }
+  const sim::farm::Manifest& manifest = opened.manifest;
+  if (opened.cleared != 0 && !opt.quiet) {
+    std::printf("resume: cleared %zu stale claim(s)\n", opened.cleared);
   }
 
   std::printf("farm: %u scheme(s) x %u app(s) x %u trial(s) = %llu cells in "
@@ -445,15 +396,12 @@ int run_coordinator_mode(const Options& opt, const sim::CampaignSpec& spec,
   // scope exit, after aggregation.
   std::unique_ptr<sim::farm::SpoolStatusSource> serve_source;
   std::unique_ptr<obs::http::Server> serve_server;
-  if (!opt.serve_spec.empty()) {
+  if (!opt.run.serve_spec.empty()) {
     try {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
-      sim::farm::StalenessPolicy staleness;
-      staleness.straggler_after_seconds = opt.stale_after;
-      staleness.dead_after_seconds = opt.dead_after;
+      sim::farm::parse_serve_spec(opt.run.serve_spec, &serve_options);
       serve_source = std::make_unique<sim::farm::SpoolStatusSource>(
-          spool, manifest, staleness);
+          spool, manifest, opt.staleness);
       serve_server =
           sim::farm::start_status_server(*serve_source, serve_options);
       std::printf("serving farm status on %s\n", serve_server->url().c_str());
@@ -575,131 +523,82 @@ int main(int argc, char** argv) {
   Options opt;
   bool seed_given = false;
   for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
     std::string value;
-    if (parse_flag(argv[i], "--schemes", value)) {
-      opt.schemes = value;
-    } else if (parse_flag(argv[i], "--apps", value)) {
-      opt.apps = value;
-    } else if (parse_flag(argv[i], "--trace", value)) {
-      opt.trace_path = value;
-    } else if (parse_flag(argv[i], "--shard-instructions", value)) {
-      opt.shard_instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--trials", value)) {
-      opt.trials = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--threads", value)) {
-      opt.threads =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--seed", value)) {
-      opt.seed = std::strtoull(value.c_str(), nullptr, 0);
+    if (opt.run.parse(arg) ||
+        number_flag(kProgram, arg, "--shard-instructions",
+                    opt.shard_instructions) ||
+        number_flag(kProgram, arg, "--trials", opt.trials) ||
+        number_flag(kProgram, arg, "--threads", opt.threads) ||
+        number_flag(kProgram, arg, "--unit-cells", opt.unit_cells) ||
+        number_flag(kProgram, arg, "--max-units", opt.max_units) ||
+        number_flag(kProgram, arg, "--heartbeat", opt.heartbeat_seconds) ||
+        number_flag(kProgram, arg, "--stale-after",
+                    opt.staleness.straggler_after_seconds) ||
+        number_flag(kProgram, arg, "--dead-after",
+                    opt.staleness.dead_after_seconds)) {
+      continue;
+    }
+    if (number_flag(kProgram, arg, "--seed", opt.seed, 0)) {
       seed_given = true;
-    } else if (parse_flag(argv[i], "--instructions", value)) {
-      opt.instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--window", value)) {
-      opt.window = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--warmup", value)) {
-      opt.warmup = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--sample-windows", value)) {
-      opt.sample_windows = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--sample-width", value)) {
-      opt.sample_width = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--sample-mode", value)) {
-      opt.sample_mode = value;
-    } else if (parse_flag(argv[i], "--sample-seed", value)) {
-      opt.sample_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (parse_flag(argv[i], "--fault-model", value)) {
-      opt.fault_model = value;
-    } else if (parse_flag(argv[i], "--fault-prob", value)) {
-      opt.fault_prob = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--dl1-sizes", value)) {
-      opt.dl1_sizes = value;
-    } else if (parse_flag(argv[i], "--dl1-assocs", value)) {
-      opt.dl1_assocs = value;
-    } else if (parse_flag(argv[i], "--ways-disabled", value)) {
-      opt.ways_disabled = value;
-    } else if (parse_flag(argv[i], "--way-pattern", value)) {
-      opt.way_pattern = value;
-    } else if (parse_flag(argv[i], "--way-seed", value)) {
-      opt.way_seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (parse_flag(argv[i], "--csv", value)) {
-      opt.csv_path = value;
-    } else if (parse_flag(argv[i], "--json", value)) {
-      opt.json_path = value;
-    } else if (std::strcmp(argv[i], "--no-timing") == 0) {
-      opt.no_timing = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      opt.quiet = true;
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      opt.progress = true;
-    } else if (parse_flag(argv[i], "--farm", value)) {
-      opt.farm_dir = value;
-    } else if (parse_flag(argv[i], "--workers", value)) {
-      opt.workers =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
+    } else if (number_flag(kProgram, arg, "--workers", opt.workers)) {
       opt.workers_given = true;
-    } else if (parse_flag(argv[i], "--unit-cells", value)) {
-      opt.unit_cells = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
+    } else if (parse_flag(arg, "--schemes", value)) {
+      opt.schemes = value;
+    } else if (parse_flag(arg, "--apps", value)) {
+      opt.apps = value;
+    } else if (parse_flag(arg, "--trace", value)) {
+      opt.trace_path = value;
+    } else if (parse_flag(arg, "--dl1-sizes", value)) {
+      opt.dl1_sizes = value;
+    } else if (parse_flag(arg, "--dl1-assocs", value)) {
+      opt.dl1_assocs = value;
+    } else if (parse_flag(arg, "--ways-disabled", value)) {
+      opt.ways_disabled = value;
+    } else if (parse_flag(arg, "--csv", value)) {
+      opt.csv_path = value;
+    } else if (parse_flag(arg, "--json", value)) {
+      opt.json_path = value;
+    } else if (std::strcmp(arg, "--no-timing") == 0) {
+      opt.no_timing = true;
+    } else if (std::strcmp(arg, "--quiet") == 0) {
+      opt.quiet = true;
+    } else if (std::strcmp(arg, "--progress") == 0) {
+      opt.progress = true;
+    } else if (parse_flag(arg, "--farm", value)) {
+      opt.farm_dir = value;
+    } else if (std::strcmp(arg, "--resume") == 0) {
       opt.resume = true;
-    } else if (std::strcmp(argv[i], "--worker") == 0) {
+    } else if (std::strcmp(arg, "--worker") == 0) {
       opt.worker = true;
-    } else if (parse_flag(argv[i], "--spool", value)) {
+    } else if (parse_flag(arg, "--spool", value)) {
       opt.spool = value;
-    } else if (parse_flag(argv[i], "--max-units", value)) {
-      opt.max_units = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(argv[i], "--worker-id", value)) {
+    } else if (parse_flag(arg, "--worker-id", value)) {
       opt.worker_id = value;
-    } else if (parse_flag(argv[i], "--heartbeat", value)) {
-      opt.heartbeat_seconds = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--farm-trace-out", value)) {
+    } else if (parse_flag(arg, "--farm-trace-out", value)) {
       opt.farm_trace_out = value;
-    } else if (parse_flag(argv[i], "--farm-status", value)) {
+    } else if (parse_flag(arg, "--farm-status", value)) {
       opt.farm_status_dir = value;
-    } else if (std::strcmp(argv[i], "--watch") == 0) {
+    } else if (std::strcmp(arg, "--watch") == 0) {
       opt.watch_seconds = 2.0;
-    } else if (parse_flag(argv[i], "--watch", value)) {
-      opt.watch_seconds = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--status-json", value)) {
+    } else if (number_flag(kProgram, arg, "--watch", opt.watch_seconds)) {
+      // --watch=S
+    } else if (parse_flag(arg, "--status-json", value)) {
       opt.status_json = value;
-    } else if (parse_flag(argv[i], "--stale-after", value)) {
-      opt.stale_after = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--dead-after", value)) {
-      opt.dead_after = std::atof(value.c_str());
-    } else if (parse_flag(argv[i], "--serve", value)) {
-      opt.serve_spec = value;
-    } else if (parse_flag(argv[i], "--stats-interval", value)) {
-      opt.stats_interval = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(argv[i], "--intervals-out", value)) {
-      opt.intervals_out = value;
-    } else if (parse_flag(argv[i], "--heatmap-out", value)) {
-      opt.heatmap_out = value;
-    } else if (parse_flag(argv[i], "--trace-out", value)) {
-      opt.trace_out = value;
-    } else if (parse_flag(argv[i], "--trace-filter", value)) {
-      opt.trace_filter = value;
-    } else if (std::strcmp(argv[i], "--rel") == 0) {
-      opt.rel = true;
-    } else if (parse_flag(argv[i], "--rel-csv", value)) {
+    } else if (parse_flag(arg, "--rel-csv", value)) {
       opt.rel_csv = value;
-    } else if (parse_flag(argv[i], "--rel-json", value)) {
+    } else if (parse_flag(arg, "--rel-json", value)) {
       opt.rel_json = value;
-    } else if (parse_flag(argv[i], "--rel-intervals", value)) {
+    } else if (parse_flag(arg, "--rel-intervals", value)) {
       opt.rel_intervals = value;
-    } else if (std::strcmp(argv[i], "--prof") == 0) {
-      opt.prof = true;
-    } else if (parse_flag(argv[i], "--prof-out", value)) {
-      opt.prof_out = value;
-      opt.prof = true;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
+    } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       usage();
       return 0;
     } else {
-      sim::cli::unknown_flag("run_campaign", argv[i]);
+      sim::cli::unknown_flag(kProgram, arg);
     }
   }
+  sim::cli::RunFlags& run = opt.run;
 
   if (!opt.farm_status_dir.empty()) {
     if (opt.worker || !opt.farm_dir.empty()) {
@@ -714,7 +613,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--worker and --farm are mutually exclusive\n");
       return 2;
     }
-    if (!opt.serve_spec.empty()) {
+    if (!run.serve_spec.empty()) {
       std::fprintf(stderr,
                    "--serve belongs to the coordinator, in-process, or "
                    "--farm-status invocation, not to workers\n");
@@ -730,26 +629,22 @@ int main(int argc, char** argv) {
   sim::CampaignSpec spec;
   spec.trials = opt.trials == 0 ? 1 : opt.trials;
   spec.base_seed = opt.seed;
-  spec.instructions = opt.instructions;
+  spec.instructions = run.instructions;
   spec.derive_seeds = spec.trials > 1 || seed_given;
-  spec.config.fault_model = fault_by_name(opt.fault_model);
-  spec.config.fault_probability = opt.fault_prob;
-  spec.sampling.warmup_instructions = opt.warmup;
-  spec.sampling.windows = opt.sample_windows;
-  spec.sampling.window_width = opt.sample_width;
-  spec.sampling.mode = sim::cli::sample_mode_by_name(opt.sample_mode);
-  spec.sampling.seed = opt.sample_seed;
+  spec.config.fault_model = fault_by_name(run.fault_model);
+  spec.config.fault_probability = run.fault_prob;
+  spec.sampling = run.sampling();
 
   if (opt.schemes.empty()) {
     for (core::Scheme s : core::Scheme::all_paper_schemes()) {
       std::string label = s.name;
       spec.variants.emplace_back(std::move(label),
-                                 s.with_decay_window(opt.window));
+                                 s.with_decay_window(run.window));
     }
   } else {
     for (const std::string& name : split_csv(opt.schemes)) {
       spec.variants.emplace_back(
-          name, scheme_by_name(name).with_decay_window(opt.window));
+          name, scheme_by_name(name).with_decay_window(run.window));
     }
   }
   if (!opt.trace_path.empty()) {
@@ -787,18 +682,12 @@ int main(int argc, char** argv) {
   // geometry/way-disable cells before the grid is hashed or sharded.
   if (!opt.dl1_sizes.empty() || !opt.dl1_assocs.empty() ||
       !opt.ways_disabled.empty()) {
-    if (opt.way_pattern != "fixed" && opt.way_pattern != "random") {
-      std::fprintf(stderr, "bad --way-pattern '%s' (fixed|random)\n",
-                   opt.way_pattern.c_str());
-      return 2;
-    }
-    spec.geometry.sizes = parse_u32_list(opt.dl1_sizes);
-    spec.geometry.assocs = parse_u32_list(opt.dl1_assocs);
-    spec.geometry.ways_disabled = parse_u32_list(opt.ways_disabled);
-    spec.geometry.pattern = opt.way_pattern == "random"
-                                ? mem::WayDisableConfig::Pattern::kRandom
-                                : mem::WayDisableConfig::Pattern::kFixed;
-    spec.geometry.way_seed = opt.way_seed;
+    spec.geometry.pattern = sim::cli::way_pattern_by_name(run.way_pattern);
+    spec.geometry.sizes = parse_u32_list("--dl1-sizes", opt.dl1_sizes);
+    spec.geometry.assocs = parse_u32_list("--dl1-assocs", opt.dl1_assocs);
+    spec.geometry.ways_disabled =
+        parse_u32_list("--ways-disabled", opt.ways_disabled);
+    spec.geometry.way_seed = run.way_seed;
     try {
       sim::expand_geometry_sweep(spec);
     } catch (const std::exception& error) {
@@ -811,10 +700,10 @@ int main(int argc, char** argv) {
     // Telemetry/rel/prof extracts are per-cell in-memory objects; the farm
     // checkpoints only the exported metric schema, so those flags have no
     // farm equivalent yet. Reject loudly rather than silently dropping.
-    if (opt.stats_interval != 0 || !opt.intervals_out.empty() ||
-        !opt.heatmap_out.empty() || !opt.trace_out.empty() || opt.rel ||
+    if (run.stats_interval != 0 || !run.intervals_out.empty() ||
+        !run.heatmap_out.empty() || !run.trace_out.empty() || run.rel ||
         !opt.rel_csv.empty() || !opt.rel_json.empty() ||
-        !opt.rel_intervals.empty() || opt.prof || !opt.prof_out.empty()) {
+        !opt.rel_intervals.empty() || run.prof || !run.prof_out.empty()) {
       std::fprintf(stderr,
                    "--farm does not support the telemetry/rel/prof flags; "
                    "run those in-process\n");
@@ -830,44 +719,26 @@ int main(int argc, char** argv) {
   // Observability: interval sampling and/or event tracing per cell. The
   // options never enter the campaign config hash — telemetry must not
   // change any result.
-  if (opt.stats_interval != 0 && opt.intervals_out.empty()) {
-    opt.intervals_out = "intervals.csv";
-  }
-  if (opt.stats_interval == 0 &&
-      (!opt.intervals_out.empty() || !opt.heatmap_out.empty())) {
-    opt.stats_interval = obs::kDefaultStatsInterval;
+  if (run.stats_interval != 0 && run.intervals_out.empty()) {
+    run.intervals_out = "intervals.csv";
   }
   // Analytical reliability tracking: any rel export implies enabling the
   // tracker; --rel alone defaults to rel.csv. Like obs, rel options never
   // enter the config hash.
-  if (!opt.rel_csv.empty() || !opt.rel_json.empty() ||
-      !opt.rel_intervals.empty()) {
-    opt.rel = true;
-  }
-  if (opt.rel && opt.rel_csv.empty() && opt.rel_json.empty() &&
-      opt.rel_intervals.empty()) {
-    opt.rel_csv = "rel.csv";
-  }
-  spec.rel.enabled = opt.rel;
-  spec.rel.probability = opt.fault_prob;
-
-  spec.obs.stats_interval = opt.stats_interval;
-  if (!opt.trace_out.empty()) {
-    spec.obs.trace_categories = obs::parse_category_list(opt.trace_filter);
-    if (spec.obs.trace_categories == 0) {
-      std::fprintf(stderr, "bad --trace-filter '%s'\n",
-                   opt.trace_filter.c_str());
-      return 2;
-    }
-  }
+  const bool rel_export = !opt.rel_csv.empty() || !opt.rel_json.empty() ||
+                          !opt.rel_intervals.empty();
+  if (run.rel && !rel_export) opt.rel_csv = "rel.csv";
+  spec.rel.enabled = run.rel || rel_export;
+  spec.rel.probability = run.fault_prob;
+  spec.obs = run.obs();
 
   sim::CampaignRunner runner(opt.threads);
   std::unique_ptr<sim::farm::CampaignStatusSource> serve_source;
   std::unique_ptr<obs::http::Server> serve_server;
-  if (!opt.serve_spec.empty()) {
+  if (!run.serve_spec.empty()) {
     try {
       sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.serve_spec, &serve_options);
+      sim::farm::parse_serve_spec(run.serve_spec, &serve_options);
       serve_source = std::make_unique<sim::farm::CampaignStatusSource>(
           spec.cell_count(), spec.instructions);
       serve_server =
@@ -895,7 +766,7 @@ int main(int argc, char** argv) {
               spec.trace.enabled() ? "trace shard(s)" : "app(s)", spec.trials,
               spec.cell_count(), runner.threads());
 
-  if (opt.prof) obs::prof::begin_capture();
+  if (run.prof) obs::prof::begin_capture();
   const sim::CampaignResult campaign = runner.run(spec);
   if (serve_source != nullptr) serve_source->finish();
 
@@ -943,41 +814,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(campaign.meta.config_hash),
               static_cast<unsigned long long>(campaign.meta.base_seed));
 
+  // Each export renders only when its path is set.
+  const auto write = [](const std::string& path, const auto& render) {
+    if (path.empty()) return;
+    sim::write_text_file(path, render());
+    std::printf("wrote %s\n", path.c_str());
+  };
   try {
-    if (!opt.csv_path.empty()) {
-      sim::write_text_file(opt.csv_path, sim::to_csv(campaign));
-      std::printf("wrote %s\n", opt.csv_path.c_str());
-    }
-    if (!opt.json_path.empty()) {
-      sim::write_text_file(opt.json_path,
-                           sim::to_json(campaign, !opt.no_timing));
-      std::printf("wrote %s\n", opt.json_path.c_str());
-    }
-    if (!opt.intervals_out.empty()) {
-      sim::write_text_file(opt.intervals_out, sim::intervals_to_csv(campaign));
-      std::printf("wrote %s\n", opt.intervals_out.c_str());
-    }
-    if (!opt.heatmap_out.empty()) {
-      sim::write_text_file(opt.heatmap_out, sim::occupancy_to_csv(campaign));
-      std::printf("wrote %s\n", opt.heatmap_out.c_str());
-    }
-    if (!opt.trace_out.empty()) {
-      sim::write_text_file(opt.trace_out, sim::trace_to_ndjson(campaign));
-      std::printf("wrote %s\n", opt.trace_out.c_str());
-    }
-    if (!opt.rel_csv.empty()) {
-      sim::write_text_file(opt.rel_csv, sim::rel_to_csv(campaign));
-      std::printf("wrote %s\n", opt.rel_csv.c_str());
-    }
-    if (!opt.rel_json.empty()) {
-      sim::write_text_file(opt.rel_json, sim::rel_to_json(campaign));
-      std::printf("wrote %s\n", opt.rel_json.c_str());
-    }
-    if (!opt.rel_intervals.empty()) {
-      sim::write_text_file(opt.rel_intervals,
-                           sim::rel_intervals_to_csv(campaign));
-      std::printf("wrote %s\n", opt.rel_intervals.c_str());
-    }
+    write(opt.csv_path, [&] { return sim::to_csv(campaign); });
+    write(opt.json_path,
+          [&] { return sim::to_json(campaign, !opt.no_timing); });
+    write(run.intervals_out, [&] { return sim::intervals_to_csv(campaign); });
+    write(run.heatmap_out, [&] { return sim::occupancy_to_csv(campaign); });
+    write(run.trace_out, [&] { return sim::trace_to_ndjson(campaign); });
+    write(opt.rel_csv, [&] { return sim::rel_to_csv(campaign); });
+    write(opt.rel_json, [&] { return sim::rel_to_json(campaign); });
+    write(opt.rel_intervals,
+          [&] { return sim::rel_intervals_to_csv(campaign); });
   } catch (const std::exception& error) {
     std::fprintf(stderr, "export failed: %s\n", error.what());
     return 1;
@@ -985,15 +838,15 @@ int main(int argc, char** argv) {
 
   // Capture ends after the exports so ResultsIO zones are included; each
   // campaign cell shows up as a labelled span in the trace.
-  if (opt.prof) {
+  if (run.prof) {
     const obs::prof::Profile profile = obs::prof::end_capture();
     std::fputs(obs::prof::format_self_time_table(profile).c_str(), stdout);
-    if (!opt.prof_out.empty()) {
+    if (!run.prof_out.empty()) {
       try {
         sim::write_text_file(
-            opt.prof_out, obs::prof::to_chrome_trace(profile, "run_campaign"));
+            run.prof_out, obs::prof::to_chrome_trace(profile, "run_campaign"));
         std::printf("wrote host profile to %s (open in Perfetto)\n",
-                    opt.prof_out.c_str());
+                    run.prof_out.c_str());
       } catch (const std::exception& error) {
         std::fprintf(stderr, "profile export failed: %s\n", error.what());
         return 1;
