@@ -1,20 +1,24 @@
-// Tier-2 sampled-vs-full accuracy harness (ISSUE 5 acceptance): for a
-// grid of paper schemes x applications, warmup + interval-sampled
-// estimates must land within stated relative-error bounds of the full
-// detailed run for the headline metrics (dL1 miss rate, replication
-// coverage, energy, cycles), and the per-app dL1 miss-rate ranking of the
-// schemes must be preserved exactly — a sampled campaign has to reach the
-// same qualitative conclusions as a full one.
+// Tier-2 sampled-vs-full accuracy harness: for a grid of paper schemes x
+// applications, warmup + interval-sampled estimates must land within
+// stated relative-error bounds of the full detailed run for the headline
+// metrics (dL1 miss rate, replication coverage, energy, cycles), and the
+// per-app dL1 miss-rate ranking of the schemes must be preserved exactly —
+// a sampled campaign has to reach the same qualitative conclusions as a
+// full one. Each sampled run must also do only its coverage's share of the
+// detailed work (detailed_work.h); the wall-time speed-up that follows is
+// printed for information, not asserted.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "src/sim/sampling.h"
 #include "src/sim/simulator.h"
+#include "tests/detailed_work.h"
 
 namespace icr::sim {
 namespace {
@@ -88,6 +92,10 @@ Comparison compare_one(const SchemePoint& point, trace::App app) {
   const SampledRunResult sampled =
       SamplingController(sampled_sim, options).run(kBudget);
   const auto t2 = std::chrono::steady_clock::now();
+  test::expect_detailed_share(
+      sampled, sampled_sim.pipeline().detailed_cycles(), out.full,
+      kWindowWidth, kCyclesTolerance,
+      std::string(point.label) + " on " + trace::to_string(app));
 
   out.sampled = sampled.estimate;
   out.full_seconds = std::chrono::duration<double>(t1 - t0).count();
@@ -162,12 +170,11 @@ TEST(SamplingAccuracy, EstimatesWithinBoundsAndRankingPreserved) {
   }
 
   const double speedup = sampled_total > 0.0 ? full_total / sampled_total : 0.0;
+  // For information only: the speed-up is F/D-bound host time (see
+  // docs/SAMPLING.md), too noisy to assert; the detailed-work share it
+  // follows from is asserted per cell above.
   std::printf("wall time: full %.2fs, sampled %.2fs — %.1fx speedup at 20%% "
               "coverage\n", full_total, sampled_total, speedup);
-  // The point of sampling: materially faster on the same instruction
-  // budget. 20% detailed coverage reliably clears 2x even on loaded CI
-  // machines; the >=5x demo at 5% coverage lives in bench/sampled_vs_full.
-  EXPECT_GE(speedup, 2.0);
 }
 
 }  // namespace
