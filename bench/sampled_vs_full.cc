@@ -2,8 +2,8 @@
 // interval sampling (docs/SAMPLING.md). Not a paper figure: it runs the
 // same (schemes x apps) campaign twice — full detail, then 5%-coverage
 // sampling — and reports the speedup plus the worst per-metric relative
-// error of the estimates. This is the ISSUE 5 acceptance demo: the sampled
-// campaign must clear 5x on the same instruction budget.
+// error of the estimates. The speedup is bounded by the ratio of detailed
+// to fast-forward host cost per instruction (docs/SAMPLING.md).
 #include <chrono>
 #include <cmath>
 #include <cstdio>

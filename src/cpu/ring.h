@@ -37,6 +37,10 @@ class Ring {
     ICR_DCHECK(!empty());
     return slots_[head_];
   }
+  [[nodiscard]] const T& front() const noexcept {
+    ICR_DCHECK(!empty());
+    return slots_[head_];
+  }
 
   // Removes the oldest element; requires !empty().
   void pop() noexcept {

@@ -136,6 +136,7 @@ std::unique_ptr<Simulator> make_sim(const std::string& scheme,
   const trace::App a = app == "gcc"      ? trace::App::kGcc
                        : app == "mcf"    ? trace::App::kMcf
                        : app == "vortex" ? trace::App::kVortex
+                       : app == "vpr"    ? trace::App::kVpr
                                          : trace::App::kParser;
   return std::make_unique<Simulator>(config, scheme_named(scheme),
                                      trace::profile_for(a));
@@ -179,6 +180,10 @@ constexpr Golden kGrid[] = {
     {"BaseP+WT8/mesa+div",
      {52810, 20000, 6183, 1669, 1565, 235, 0, 23923, 0, 0},
      0x534da13b197bc9f2ull},
+    // Commit blocks on write-buffer stalls while the core is otherwise idle.
+    {"BaseP+WT8/vortex",
+     {62817, 20000, 6634, 3035, 2796, 368, 44, 26877, 0, 0},
+     0x39b4652584c7f2c9ull},
 };
 
 TEST(PipelineGolden, DetailedGrid) {
@@ -188,6 +193,18 @@ TEST(PipelineGolden, DetailedGrid) {
     auto sim = make_sim(cell.substr(0, slash), cell.substr(slash + 1));
     expect_golden(g, sim->run(kInstructions));
   }
+}
+
+// A write-through store stalls commit while the rest of the core idles, so
+// the idle-cycle skip must wake at the end of the commit block. Skipping
+// past it shifts this cell's counters (the BaseP+WT8/vortex grid cell hits
+// the deadlock guard instead).
+TEST(PipelineGolden, WriteThroughCommitBlockCell) {
+  constexpr Golden kWant = {
+      "BaseP+WT8/vpr 50k",
+      {74265, 50002, 16424, 5925, 7011, 852, 69, 32160, 0, 0},
+      0x7e15b691ee165b57ull};
+  expect_golden(kWant, make_sim("BaseP+WT8", "vpr")->run(50000));
 }
 
 // Detailed -> functional -> detailed: the fast-forward drains the in-flight
