@@ -1,6 +1,7 @@
 #include "src/cpu/pipeline.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/obs/prof.h"
 #include "src/util/check.h"
@@ -17,12 +18,7 @@ Pipeline::Pipeline(PipelineConfig config, trace::TraceSource& source,
       injector_(injector),
       predictor_(config.branch),
       fus_(config.fus),
-      ruu_(config.ruu_size),
-      lsq_(config.lsq_size),
-      fetch_queue_(config.fetch_queue_size) {
-  ready_.reserve(config_.ruu_size);
-  in_flight_.reserve(config_.ruu_size);
-}
+      window_(config.ruu_size, config.lsq_size, config.fetch_queue_size) {}
 
 void Pipeline::verify_load(std::uint64_t addr,
                            const core::IcrCache::AccessOutcome& outcome) {
@@ -80,17 +76,18 @@ bool Pipeline::fetch_stalled() const noexcept {
 std::uint64_t Pipeline::next_wake(std::uint64_t guard) const {
   // Any stage that can act now makes this cycle busy.
   const bool commit_blocked = cycle_ < commit_blocked_until_;
-  if (!commit_blocked && !ruu_.empty() && ruu_.front().completed) {
+  if (!commit_blocked && !window_.ruu_empty() &&
+      window_.slot(window_.head()).completed) {
     return cycle_;  // commit
   }
   if (cycle_ >= next_complete_) return cycle_;  // writeback
-  if (!ready_.empty()) return cycle_;           // issue
-  if (!fetch_queue_.empty() && !ruu_.full() &&
-      !(fetch_queue_.front().instr.is_mem() && lsq_.full())) {
+  if (ready_ != 0) return cycle_;               // issue
+  if (!window_.fq_empty() && !window_.ruu_full() &&
+      !(window_.slot(window_.dispatched()).instr.is_mem() &&
+        window_.lsq_full())) {
     return cycle_;  // dispatch
   }
-  if (!fetch_stalled() && !fetch_queue_.full() &&
-      (!fetch_frozen_ || pending_fetch_)) {
+  if (!fetch_stalled() && !window_.fq_full() && (!fetch_frozen_ || held_)) {
     return cycle_;  // fetch
   }
   // All five are stuck until the earliest of their own deadlines. A
@@ -127,8 +124,9 @@ void Pipeline::tick(std::uint64_t guard) {
 
 void Pipeline::do_commit() {
   if (cycle_ < commit_blocked_until_) return;
-  for (std::uint32_t n = 0; n < config_.commit_width && !ruu_.empty(); ++n) {
-    RuuEntry& head = ruu_.front();
+  for (std::uint32_t n = 0;
+       n < config_.commit_width && !window_.ruu_empty(); ++n) {
+    const RuuEntry& head = window_.slot(window_.head());
     if (!head.completed) break;
     if (head.instr.is_store()) {
       const auto outcome =
@@ -139,16 +137,14 @@ void Pipeline::do_commit() {
         // Write-through buffer stall: commit is blocked for the remainder.
         commit_blocked_until_ = cycle_ + outcome.latency - 1;
       }
-      lsq_.pop_if_seq(head.seq);
       ++stats_.stores;
     } else if (head.instr.is_load()) {
-      lsq_.pop_if_seq(head.seq);
       ++stats_.loads;
     } else if (head.instr.is_branch()) {
       ++stats_.branches;
     }
     ++stats_.committed;
-    ruu_.pop();
+    window_.commit();
     if (cycle_ < commit_blocked_until_) return;  // stalled mid-group
   }
 }
@@ -165,36 +161,33 @@ void Pipeline::complete(RuuEntry& entry) {
   // Consumers are younger and cannot commit before this entry, so every
   // link resolves.
   for (std::uint64_t link = entry.first_consumer; link != 0;) {
-    RuuEntry& consumer = *ruu_.find_seq(link >> 1);
+    RuuEntry& consumer = *window_.find(link >> 1);
     link = consumer.next_consumer[link & 1];
-    if (--consumer.pending == 0) {
-      ready_.insert(
-          std::upper_bound(ready_.begin(), ready_.end(), consumer.seq),
-          consumer.seq);
-    }
+    if (--consumer.pending == 0) ready_ |= window_.bit(consumer.seq);
   }
 }
 
 void Pipeline::do_writeback() {
   if (cycle_ < next_complete_) return;
   next_complete_ = ~std::uint64_t{0};
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
-    RuuEntry& e = *ruu_.find_seq(in_flight_[i]);
+  // Slot order, not age order, is safe: complete() only sets ready bits,
+  // takes a max for the fetch block and matches the one mispredict seq
+  // fetch waits on, so the completions of one cycle commute.
+  for (std::uint64_t left = in_flight_; left != 0; left &= left - 1) {
+    RuuEntry& e = window_.slot(std::countr_zero(left));
     if (e.complete_cycle <= cycle_) {
       complete(e);
+      in_flight_ ^= window_.bit(e.seq);
     } else {
       next_complete_ = std::min(next_complete_, e.complete_cycle);
-      in_flight_[kept++] = e.seq;
     }
   }
-  in_flight_.resize(kept);
 }
 
 bool Pipeline::try_issue(RuuEntry& e) {
   // Store-to-load forwarding from the LSQ beats the cache.
-  const bool forwarded =
-      e.instr.is_load() && lsq_.forward_value(e.seq, e.instr.mem_addr);
+  const bool forwarded = e.instr.is_load() &&
+                         window_.forward(e.seq, e.instr.mem_addr) != nullptr;
   std::uint32_t latency = 0;
   if (!fus_.try_issue(e.instr.op, cycle_, latency)) return false;
   if (forwarded) {
@@ -213,9 +206,8 @@ bool Pipeline::try_issue(RuuEntry& e) {
   } else if (e.instr.is_store()) {
     latency = 1;  // address generation; the write happens at commit
   }
-  e.issued = true;
   e.complete_cycle = cycle_ + std::max<std::uint32_t>(1, latency);
-  in_flight_.push_back(e.seq);
+  in_flight_ |= window_.bit(e.seq);
   next_complete_ = std::min(next_complete_, e.complete_cycle);
   return true;
 }
@@ -224,46 +216,39 @@ void Pipeline::do_issue() {
   // Oldest first; an entry whose unit is busy stays ready and younger ones
   // still get their chance.
   std::uint32_t issued = 0;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < ready_.size(); ++i) {
-    const std::uint64_t seq = ready_[i];
-    if (issued < config_.issue_width && try_issue(*ruu_.find_seq(seq))) {
+  for (std::uint64_t age = window_.by_age(ready_);
+       age != 0 && issued < config_.issue_width; age &= age - 1) {
+    const std::uint64_t seq = window_.head() + std::countr_zero(age);
+    if (try_issue(window_.slot(seq))) {
+      ready_ ^= window_.bit(seq);
       ++issued;
-    } else {
-      ready_[kept++] = seq;
     }
   }
-  ready_.resize(kept);
 }
 
 void Pipeline::do_dispatch() {
   for (std::uint32_t n = 0;
-       n < config_.decode_width && !fetch_queue_.empty(); ++n) {
-    const FetchSlot& slot = fetch_queue_.front();
-    if (ruu_.full()) break;
-    if (slot.instr.is_mem() && lsq_.full()) break;
+       n < config_.decode_width && !window_.fq_empty(); ++n) {
+    if (window_.ruu_full()) break;
+    if (window_.slot(window_.dispatched()).instr.is_mem() &&
+        window_.lsq_full()) {
+      break;
+    }
 
-    RuuEntry& e = ruu_.push(slot.seq);
-    e.instr = slot.instr;
-    e.mispredicted = slot.mispredicted;
+    RuuEntry& e = window_.dispatch();
     const std::int16_t srcs[2] = {e.instr.src1, e.instr.src2};
     for (std::uint64_t k = 0; k < 2; ++k) {
       if (srcs[k] < 0) continue;
       // A committed (absent) or completed producer's value is available;
       // otherwise wait on the producer's wakeup list.
-      RuuEntry* producer = ruu_.find_seq(reg_writer_[srcs[k]]);
+      RuuEntry* producer = window_.find(reg_writer_[srcs[k]]);
       if (producer == nullptr || producer->completed) continue;
       e.next_consumer[k] = producer->first_consumer;
       producer->first_consumer = e.seq << 1 | k;
       ++e.pending;
     }
-    if (e.pending == 0) ready_.push_back(e.seq);  // youngest: stays sorted
+    if (e.pending == 0) ready_ |= window_.bit(e.seq);
     if (e.instr.dest >= 0) reg_writer_[e.instr.dest] = e.seq;
-    if (e.instr.is_mem()) {
-      lsq_.push(e.seq, e.instr.is_store(), e.instr.mem_addr,
-                e.instr.store_value);
-    }
-    fetch_queue_.pop();
   }
 }
 
@@ -273,14 +258,15 @@ void Pipeline::do_fetch() {
     return;
   }
   for (std::uint32_t n = 0; n < config_.fetch_width; ++n) {
-    if (fetch_queue_.full()) break;
-    // Draining for fast_forward(): flush the stalled instruction, if any,
-    // but never pull a new one off the source.
-    if (fetch_frozen_ && !pending_fetch_) break;
+    if (window_.fq_full()) break;
+    // Draining for fast_forward(): flush the held instruction, if any, but
+    // never pull a new one off the source.
+    if (fetch_frozen_ && !held_) break;
 
-    trace::Instruction instr =
-        pending_fetch_ ? *pending_fetch_ : source_.next();
-    pending_fetch_.reset();
+    RuuEntry& e = window_.fetch_slot();
+    if (!held_) e.instr = source_.next();
+    held_ = false;
+    const trace::Instruction& instr = e.instr;
 
     // Instruction-cache access when crossing into a new fetch block.
     const std::uint64_t block =
@@ -290,31 +276,24 @@ void Pipeline::do_fetch() {
       current_fetch_block_ = block;
       if (latency > hierarchy_.config().l1i_latency) {
         // Miss: hold this instruction and stall fetch for the full latency.
-        pending_fetch_ = instr;
+        held_ = true;
         fetch_blocked_until_ = cycle_ + latency;
         break;
       }
     }
 
-    FetchSlot slot;
-    slot.instr = instr;
-    slot.seq = next_seq_++;
-
-    if (instr.is_branch()) {
-      const bool mispredicted = predictor_.predict_and_update(
-          instr.pc, instr.branch_taken, instr.next_pc);
-      if (mispredicted) {
-        ++stats_.mispredicted_branches;
-        slot.mispredicted = true;
-        mispredict_wait_seq_ = slot.seq;
-        fetch_queue_.push(slot);
-        break;  // wrong-path bubble until the branch resolves
-      }
-      fetch_queue_.push(slot);
-      if (instr.branch_taken) break;  // redirect: stop fetching this cycle
-      continue;
+    e.mispredicted = instr.is_branch() &&
+                     predictor_.predict_and_update(instr.pc, instr.branch_taken,
+                                                   instr.next_pc);
+    window_.push();
+    if (e.mispredicted) {
+      ++stats_.mispredicted_branches;
+      mispredict_wait_seq_ = e.seq;
+      break;  // wrong-path bubble until the branch resolves
     }
-    fetch_queue_.push(slot);
+    if (instr.is_branch() && instr.branch_taken) {
+      break;  // redirect: stop fetching this cycle
+    }
   }
 }
 
@@ -335,11 +314,11 @@ const PipelineStats& Pipeline::run(std::uint64_t instruction_count,
 }
 
 void Pipeline::drain_in_flight() {
-  // Bounded: the in-flight population (fetch queue + RUU + one pending
+  // Bounded: the in-flight population (fetch queue + RUU + one held
   // fetch) is fixed and fetch is frozen, so every tick makes progress.
   const std::uint64_t guard = cycle_ + 1000000;
   fetch_frozen_ = true;
-  while (!ruu_.empty() || !fetch_queue_.empty() || pending_fetch_) {
+  while (!window_.empty() || held_) {
     ICR_CHECK(cycle_ < guard);  // model deadlock guard
     tick(guard);
   }

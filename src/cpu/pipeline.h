@@ -20,14 +20,24 @@
 //               (trace-driven: a mispredicted branch stalls fetch until it
 //               resolves, modelling the wrong-path bubble)
 //
-// The scheduler is event-driven, so a cycle costs work in proportion to what
-// happens in it, not to RUU occupancy:
-//   * Wakeup readiness. At dispatch each instruction counts its producers
-//     that have not completed and queues itself on their wakeup lists;
-//     writeback decrements the counts. Issue walks only the ready list
-//     (dispatched, unissued, all operands available), kept in fetch order.
-//   * Completion-driven writeback. Issued instructions go on an in-flight
-//     list; writeback does nothing until the earliest completion cycle.
+// The scheduler keeps every in-flight instruction in one window
+// (src/cpu/window.h), and a cycle costs work in proportion to what happens
+// in it, not to window occupancy:
+//   * One window. Fetch writes each instruction into its slot (seq & mask)
+//     once; dispatch, issue, writeback and commit move head/dispatched/tail
+//     counters and bits. [head, dispatched) is the RUU, [dispatched, tail)
+//     the fetch queue, and the LSQ a count plus a bitmask of store slots.
+//     An instruction held by an L1I miss waits in the tail slot.
+//   * Bitmask sets. The window has at most 64 slots, so the ready set
+//     (dispatched, unissued, all operands available) and the in-flight set
+//     (issued, not completed) are one uint64_t each. At dispatch each
+//     instruction counts its producers that have not completed and queues
+//     itself on their wakeup lists; writeback decrements the counts and
+//     sets ready bits. Issue rotates the ready set so bit k is seq head + k
+//     and walks it oldest first.
+//   * Completion-driven writeback. Writeback does nothing until the
+//     earliest completion cycle, then walks the in-flight bits in slot
+//     order; the order cannot change a result (see do_writeback).
 //   * Idle spans. When no stage can act (next_wake), the clock jumps to the
 //     first cycle one can: the next completion, the end of a write-buffer
 //     commit block or of a fetch block. advance_clock makes the span's
@@ -45,15 +55,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "src/core/icr_cache.h"
 #include "src/cpu/branch_predictor.h"
 #include "src/cpu/functional_units.h"
-#include "src/cpu/lsq.h"
-#include "src/cpu/ring.h"
-#include "src/cpu/ruu.h"
+#include "src/cpu/window.h"
 #include "src/fault/fault_injector.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/trace/instruction.h"
@@ -133,12 +139,6 @@ class Pipeline {
   void attach_observability(obs::StatRegistry* registry);
 
  private:
-  struct FetchSlot {
-    trace::Instruction instr;
-    std::uint64_t seq = 0;
-    bool mispredicted = false;
-  };
-
   // One detailed cycle: every stage, then fault injection and scrubbing.
   // An idle span before it is skipped first, to next_wake(guard).
   void tick(std::uint64_t guard);
@@ -184,27 +184,24 @@ class Pipeline {
 
   BranchPredictor predictor_;
   FunctionalUnits fus_;
-  Ruu ruu_;
-  Lsq lsq_;
-  Ring<FetchSlot> fetch_queue_;
+  Window window_;
 
-  // Scheduler event lists, as RUU sequence numbers. ready_: dispatched,
-  // unissued entries with every operand available, in fetch order.
-  // in_flight_: issued, not yet completed; the earliest complete_cycle
-  // among them is next_complete_ (~0 when none).
-  std::vector<std::uint64_t> ready_;
-  std::vector<std::uint64_t> in_flight_;
+  // Scheduler sets of window slots (Window::bit). ready_: dispatched,
+  // unissued entries with every operand available. in_flight_: issued, not
+  // yet completed; the earliest complete_cycle among them is next_complete_
+  // (~0 when none).
+  std::uint64_t ready_ = 0;
+  std::uint64_t in_flight_ = 0;
   std::uint64_t next_complete_ = ~std::uint64_t{0};
 
   std::uint64_t cycle_ = 0;
   std::uint64_t functional_cycles_ = 0;  // fast_forward() after its drain
-  std::uint64_t next_seq_ = 1;
   bool fetch_frozen_ = false;  // drain_in_flight(): no new source reads
+  bool held_ = false;  // the tail slot holds an instruction an L1I miss stalled
   std::uint64_t fetch_blocked_until_ = 0;   // icache miss / mispredict bubble
   std::uint64_t mispredict_wait_seq_ = 0;   // branch fetch waits on
   std::uint64_t commit_blocked_until_ = 0;  // write-buffer stalls
   std::uint64_t current_fetch_block_ = ~std::uint64_t{0};
-  std::optional<trace::Instruction> pending_fetch_;  // stalled on icache miss
 
   // Architectural register file map: last writer's sequence number (0=none).
   std::uint64_t reg_writer_[trace::Instruction::kNumRegs] = {};

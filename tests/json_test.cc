@@ -70,7 +70,9 @@ TEST(JsonTest, RejectsMalformedInput) {
 
 TEST(JsonTest, EscapeIsInverseOfParse) {
   const std::string nasty = "line1\nquote\" slash\\ tab\t\x01";
-  const std::string doc = "\"" + icr::util::json_escape(nasty) + "\"";
+  std::string doc = "\"";
+  doc += icr::util::json_escape(nasty);
+  doc += '"';
   EXPECT_EQ(JsonValue::parse(doc).as_string(), nasty);
 }
 

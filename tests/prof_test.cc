@@ -16,9 +16,12 @@ namespace prof = icr::obs::prof;
 
 namespace {
 
-void burn(volatile int iterations) {
-  for (volatile int i = 0; i < iterations; ++i) {
-  }
+// Each iteration stores to a volatile sink, so the loop cannot be optimised
+// away.
+volatile int burn_sink = 0;
+
+void burn(int iterations) {
+  for (int i = 0; i < iterations; ++i) burn_sink = i;
 }
 
 TEST(ProfTest, OffByDefaultAndZonesAreInert) {

@@ -61,7 +61,9 @@ TEST(PlanWindows, SystematicPlanIsSortedDisjointAndPartitionsBudget) {
     EXPECT_GE(plan[j].begin, options.warmup_instructions);
     EXPECT_LE(plan[j].end, budget);
     EXPECT_EQ(plan[j].width(), 2000u);
-    if (j > 0) EXPECT_GE(plan[j].begin, plan[j - 1].end);
+    if (j > 0) {
+      EXPECT_GE(plan[j].begin, plan[j - 1].end);
+    }
     span_sum += plan[j].span;
   }
   EXPECT_EQ(span_sum, budget);
