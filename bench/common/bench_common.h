@@ -6,12 +6,10 @@
 // sim::default_instruction_count() (ICR_SIM_INSTRUCTIONS overrides).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "bench/common/bench_json.h"
 #include "src/sim/campaign.h"
 #include "src/sim/experiment.h"
 #include "src/util/table.h"
@@ -23,28 +21,13 @@ namespace icr::bench {
 //   --progress          force progress reporting even with --quiet
 //   --instructions=N    per-point instruction budget (sets ICR_SIM_INSTRUCTIONS)
 //   --threads=N         campaign worker threads (sets ICR_SIM_THREADS)
-//   --json-out=FILE     write an icr-bench-v1 JSON document on exit
+// Both numbers go through the checked sim::cli::number_flag parser, so a
+// malformed value exits 2 with "<bench>: bad value '<v>' for --<flag>".
 // Unrecognized "--" flags are rejected with exit code 2 through the shared
-// sim::cli::unknown_flag path (same behavior as the tools/ binaries);
-// benches that layer their own flags declare them via claim_flag() before
-// init(). --help/-h prints the shared flag list.
+// sim::cli::unknown_flag path (same behavior as the tools/ binaries).
+// --help/-h prints the shared flag list.
 // Call first thing in every bench main().
 void init(int argc, char** argv);
-
-// Registers `flag` (e.g. "--trials") as known to this binary before
-// calling init(), suppressing the unknown-flag warning for it.
-void claim_flag(const std::string& flag);
-
-// True once init() ran with --quiet.
-[[nodiscard]] bool quiet();
-
-// Destination of --json-out, empty when the flag was absent.
-[[nodiscard]] const std::string& json_out_path();
-
-// Appends one metric to the pending bench JSON document (no-op without
-// --json-out). The document is written once at process exit.
-void record_metric(const std::string& name, double value,
-                   Better better = Better::kNone, double noise = 0.0);
 
 // Prints the standard bench header (figure id, settings, instruction count).
 void print_header(const std::string& figure, const std::string& description);

@@ -89,12 +89,6 @@ int main(int argc, char** argv) {
     for (const double v : row) cells.push_back(format_double(v, 3));
     cells.push_back("w=" + std::to_string(windows[best]));
     ability.add_row(std::move(cells));
-    bench::record_metric("degraded_geometry/" + point.label +
-                             "/best_window",
-                         static_cast<double>(windows[best]));
-    bench::record_metric("degraded_geometry/" + point.label +
-                             "/peak_ability",
-                         row[best], bench::Better::kHigher, 0.1);
   }
   ability.print();
   std::printf("\n");

@@ -1,19 +1,13 @@
 // Engineering micro-benchmarks (google-benchmark) for the hot primitives:
 // parity, SEC-DED encode/decode, dL1 access paths, dead-block evaluation,
-// and trace generation throughput. Not a paper figure — a regression
-// baseline for the simulator itself.
+// and trace generation throughput. Not a paper figure and not a gate: a
+// plain google-benchmark binary for ad-hoc ns/op numbers. The benchmark
+// that can fail is perfbench (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
 
-#include "bench/common/bench_json.h"
 #include "src/coding/parity.h"
-#include "src/sim/results_io.h"
 #include "src/coding/secded.h"
 #include "src/core/icr_cache.h"
 #include "src/core/scheme.h"
@@ -91,8 +85,8 @@ BENCHMARK(BM_DL1StoreWithReplicaUpdate);
 
 // Replication-site search over a warmed set. The masked variant disables
 // ways per set (docs/GEOMETRY.md); its scan skips them through the
-// per-set bitmask, so masked search must not be slower than the full scan
-// beyond noise — the property the BENCH baseline pins down.
+// per-set bitmask, so masked search should not be slower than the full
+// scan beyond noise.
 void victim_search_bench(benchmark::State& state, std::uint32_t disabled) {
   mem::MemoryHierarchy hierarchy;
   mem::WayDisableConfig mask;
@@ -188,100 +182,6 @@ void BM_EndToEndSimulatedInstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndSimulatedInstruction)->Unit(benchmark::kMicrosecond);
 
-// Captures every per-iteration run while still printing the normal
-// console table.
-class CollectingReporter : public benchmark::ConsoleReporter {
- public:
-  std::vector<Run> runs;
-
-  void ReportRuns(const std::vector<Run>& report) override {
-    for (const Run& run : report) {
-      if (run.run_type == Run::RT_Iteration && !run.error_occurred) {
-        runs.push_back(run);
-      }
-    }
-    ConsoleReporter::ReportRuns(report);
-  }
-};
-
-std::string resolve_git_sha() {
-  if (const char* sha = std::getenv("GITHUB_SHA")) {
-    if (sha[0] != '\0') return sha;
-  }
-#ifdef ICR_GIT_SHA
-  return ICR_GIT_SHA;
-#else
-  return "unknown";
-#endif
-}
-
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects flags
-// it does not know, so --json-out is stripped before Initialize() and the
-// collected runs are exported as an icr-bench-v1 document afterwards.
-int main(int argc, char** argv) {
-  std::string json_out;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) {
-      json_out = argv[i] + 11;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  int bench_argc = static_cast<int>(passthrough.size());
-  benchmark::Initialize(&bench_argc, passthrough.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                             passthrough.data())) {
-    return 1;
-  }
-
-  CollectingReporter reporter;
-  const auto start = std::chrono::steady_clock::now();
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  benchmark::Shutdown();
-
-  if (json_out.empty()) return 0;
-  using icr::bench::BenchJson;
-  using icr::bench::BenchMetric;
-  using icr::bench::Better;
-  BenchJson doc;
-  doc.bench = "micro_ops";
-  doc.git_sha = resolve_git_sha();
-  doc.wall_seconds = wall.count();
-  for (const auto& run : reporter.runs) {
-    const double ns_per_op =
-        run.iterations == 0
-            ? run.real_accumulated_time * 1e9
-            : run.real_accumulated_time /
-                  static_cast<double>(run.iterations) * 1e9;
-    // Micro timings jitter heavily across CI machines: a generous default
-    // noise bound rides in each metric so baselines stay meaningful without
-    // tripping on scheduler variance (bench_compare --threshold can still
-    // tighten or loosen the gate for metrics without one).
-    doc.metrics.push_back(BenchMetric{run.benchmark_name() + "/ns_per_op",
-                                      ns_per_op, Better::kLower,
-                                      /*noise=*/0.5});
-    const auto items = run.counters.find("items_per_second");
-    if (items != run.counters.end()) {
-      doc.metrics.push_back(
-          BenchMetric{run.benchmark_name() + "/items_per_second",
-                      items->second.value, Better::kHigher, /*noise=*/0.5});
-      // The end-to-end benchmark's item rate is simulated instructions per
-      // second — the same MIPS number the campaign engine reports.
-      doc.mips = items->second.value / 1e6;
-    }
-  }
-  try {
-    icr::sim::write_text_file(json_out, to_json(doc));
-    std::fprintf(stderr, "bench json written to %s\n", json_out.c_str());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "bench json: %s\n", error.what());
-    return 1;
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "bench/common/bench_common.h"
@@ -91,8 +90,6 @@ int main(int argc, char** argv) {
     char cell[32];
     std::snprintf(cell, sizeof cell, "%.2f%%", 100.0 * worst);
     table.add_row({metric.name, cell});
-    bench::record_metric(std::string("max_error.") + metric.name, worst,
-                         bench::Better::kLower);
   }
   table.print();
 
@@ -108,7 +105,5 @@ int main(int argc, char** argv) {
   std::printf("full: %.2fs   sampled: %.2fs   speedup: %.1fx at %.1f%% "
               "detailed coverage\n",
               full_seconds, sampled_seconds, speedup, 100.0 * coverage);
-  bench::record_metric("speedup", speedup, bench::Better::kHigher);
-  bench::record_metric("coverage", coverage);
   return 0;
 }

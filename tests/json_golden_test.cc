@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/common/bench_json.h"
 #include "src/obs/obs_io.h"
 #include "src/obs/prof_io.h"
 #include "src/rel/rel_io.h"
@@ -424,35 +423,6 @@ TEST(JsonGolden, MergedChromeTraces) {
       obs::prof::merge_chrome_traces(
           {sim::farm::fleet_unit_spans_trace(fleet_events()), "[\n]\n",
            obs::prof::to_chrome_trace(fixed_profile(), "worker", 3, 0.0)}));
-}
-
-// ---- bench ----
-
-bench::BenchJson fixed_bench(bool noise, std::size_t metrics) {
-  bench::BenchJson doc;
-  doc.bench = "fig08_miss_rates";
-  doc.git_sha = "abc\"123";
-  doc.config_hash = "0x00000000deadbeef";
-  doc.wall_seconds = 1.5;
-  doc.mips = 2.0 / 3.0;
-  const bench::Better directions[] = {bench::Better::kLower,
-                                      bench::Better::kHigher,
-                                      bench::Better::kNone};
-  for (std::size_t i = 0; i < metrics; ++i) {
-    bench::BenchMetric metric;
-    metric.name = "metric_" + std::to_string(i);
-    metric.value = 0.1 * static_cast<double>(i + 1);
-    metric.better = directions[i % 3];
-    metric.noise = noise ? 0.05 : 0.0;
-    doc.metrics.push_back(metric);
-  }
-  return doc;
-}
-
-TEST(JsonGolden, BenchJson) {
-  expect_golden("bench.json", bench::to_json(fixed_bench(false, 3)));
-  expect_golden("bench_noise.json", bench::to_json(fixed_bench(true, 2)));
-  expect_golden("bench_empty.json", bench::to_json(fixed_bench(true, 0)));
 }
 
 // ---- live status (clock-dependent: parse and key order only) ----

@@ -10,7 +10,6 @@
 // how the resulting traces feed icr_sim --trace and run_campaign --trace.
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
@@ -21,6 +20,7 @@
 
 namespace {
 
+using icr::sim::cli::number_flag;
 using icr::sim::cli::parse_flag;
 using icr::sim::cli::unknown_flag;
 
@@ -71,17 +71,11 @@ using WriterOptions = icr::trace::TraceV2Writer::Options;
 // Returns true when `arg` was one of the flags shared by the writing
 // commands (--raw / --chunk-records).
 bool parse_common_flag(const char* arg, WriterOptions& options) {
-  std::string value;
   if (std::string(arg) == "--raw") {
     options.delta = false;
     return true;
   }
-  if (parse_flag(arg, "--chunk-records", value)) {
-    options.chunk_records =
-        static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-    return true;
-  }
-  return false;
+  return number_flag(kProgram, arg, "--chunk-records", options.chunk_records);
 }
 
 int cmd_record(int argc, char** argv) {
@@ -95,14 +89,13 @@ int cmd_record(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (parse_flag(argv[i], "--app", value)) {
       app_name = value;
-    } else if (parse_flag(argv[i], "--instructions", value)) {
-      instructions = std::strtoull(value.c_str(), nullptr, 10);
     } else if (parse_flag(argv[i], "--out", value)) {
       out = value;
-    } else if (parse_flag(argv[i], "--seed", value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 0);
+    } else if (number_flag(kProgram, argv[i], "--seed", seed, /*base=*/0)) {
       seed_given = true;
-    } else if (!parse_common_flag(argv[i], options)) {
+    } else if (!number_flag(kProgram, argv[i], "--instructions",
+                            instructions) &&
+               !parse_common_flag(argv[i], options)) {
       unknown_flag(kProgram, argv[i]);
     }
   }
