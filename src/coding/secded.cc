@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "src/obs/prof.h"
 #include "src/util/bitops.h"
 
 namespace icr {
@@ -92,7 +91,6 @@ unsigned data_bit_position(unsigned data_bit) noexcept {
 }  // namespace secded_internal
 
 std::uint8_t secded_encode(std::uint64_t data) noexcept {
-  ICR_PROF_ZONE_HOT("secded_encode");
   const std::uint8_t checks = checks_and_parity(data);
   const std::uint8_t hamming = checks & 0x7F;
   // Overall parity covers every codeword bit: all data bits plus the seven
@@ -103,7 +101,6 @@ std::uint8_t secded_encode(std::uint64_t data) noexcept {
 }
 
 SecDedResult secded_decode(std::uint64_t data, std::uint8_t check) noexcept {
-  ICR_PROF_ZONE_HOT("secded_decode");
   const std::uint8_t stored_hamming = check & 0x7F;
   const unsigned stored_overall = (check >> 7) & 1U;
 

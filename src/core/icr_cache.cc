@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/coding/parity.h"
-#include "src/obs/prof.h"
 #include "src/coding/secded.h"
 #include "src/rel/rel_tracker.h"
 #include "src/util/check.h"
@@ -236,7 +235,6 @@ IcrLine& IcrCache::allocate_primary_slot(std::uint64_t block,
 IcrLine* IcrCache::select_replica_victim(std::uint32_t set,
                                          std::uint64_t block,
                                          std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("IcrCache::select_replica_victim");
   const std::uint32_t disabled = disabled_mask(set);
   IcrLine* base = set_base(set);
   IcrLine* invalid = nullptr;
@@ -291,7 +289,6 @@ void IcrCache::attempt_replication(IcrLine& primary, std::uint64_t cycle) {
   }
 
   ++stats_.site_searches;
-  ICR_PROF_ZONE_HOT("IcrCache::site_search");
   const std::uint32_t home = geometry_.set_index(primary.block_addr);
 
   for (std::uint32_t d : distances_) {
@@ -369,7 +366,6 @@ void IcrCache::attempt_replication(IcrLine& primary, std::uint64_t cycle) {
 void IcrCache::verify_and_recover(IcrLine& line, std::uint32_t word_index,
                                   std::uint64_t cycle,
                                   AccessOutcome& outcome) {
-  ICR_PROF_ZONE_HOT("IcrCache::verify_and_recover");
   std::uint64_t word = read_word(line, word_index);
 
   if (parity_regime(line)) {
@@ -502,7 +498,6 @@ void IcrCache::verify_and_recover(IcrLine& line, std::uint32_t word_index,
 
 IcrCache::AccessOutcome IcrCache::load(std::uint64_t addr,
                                        std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("IcrCache::load");
   AccessOutcome outcome;
   ++stats_.loads;
   ++stats_.l1_read_accesses;
@@ -610,7 +605,6 @@ IcrCache::AccessOutcome IcrCache::load(std::uint64_t addr,
 IcrCache::AccessOutcome IcrCache::store(std::uint64_t addr,
                                         std::uint64_t value,
                                         std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("IcrCache::store");
   AccessOutcome outcome;
   ++stats_.stores;
   ++stats_.l1_write_accesses;
@@ -687,7 +681,6 @@ IcrCache::AccessOutcome IcrCache::store(std::uint64_t addr,
 
 void IcrCache::advance_scrubber(std::uint64_t cycle) {
   if (scheme_.scrub_interval == 0 || cycle < next_scrub_cycle_) return;
-  ICR_PROF_ZONE_HOT("IcrCache::scrub");
   next_scrub_cycle_ = cycle + scheme_.scrub_interval;
 
   const std::uint32_t set = scrub_cursor_;

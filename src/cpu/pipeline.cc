@@ -305,7 +305,6 @@ const PipelineStats& Pipeline::run(std::uint64_t instruction_count,
   ICR_PROF_ZONE("Pipeline::run");
   const std::uint64_t target = stats_.committed + instruction_count;
   while (stats_.committed < target) {
-    ICR_PROF_ZONE_HOT("Pipeline::tick");
     ICR_CHECK(cycle_ < max_cycles);  // model deadlock guard
     tick(max_cycles);
   }

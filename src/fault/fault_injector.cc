@@ -1,7 +1,5 @@
 #include "src/fault/fault_injector.h"
 
-#include "src/obs/prof.h"
-
 namespace icr::fault {
 
 const char* to_string(FaultModel model) noexcept {
@@ -50,7 +48,6 @@ bool FaultInjector::pick_valid_line(const core::IcrCache& cache,
 }
 
 void FaultInjector::inject_once(core::IcrCache& cache, std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("FaultInjector::inject_once");
   std::uint32_t set = 0;
   std::uint32_t way = 0;
   if (!pick_valid_line(cache, set, way)) {

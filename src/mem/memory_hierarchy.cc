@@ -1,7 +1,5 @@
 #include "src/mem/memory_hierarchy.h"
 
-#include "src/obs/prof.h"
-
 namespace icr::mem {
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig config)
@@ -19,7 +17,6 @@ std::uint32_t MemoryHierarchy::ifetch(std::uint64_t pc, std::uint64_t cycle) {
 
 std::uint32_t MemoryHierarchy::fetch_block(std::uint64_t block_addr,
                                            std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("MemoryHierarchy::fetch_block");
   ++l2_read_accesses_;
   const auto l2 = l2_.access(block_addr, /*is_write=*/false, cycle);
   std::uint32_t latency = config_.l2_latency;

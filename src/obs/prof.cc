@@ -10,7 +10,7 @@
 namespace icr::obs::prof {
 
 namespace internal {
-std::atomic<int> g_level{kOff};
+std::atomic<bool> g_capturing{false};
 }  // namespace internal
 
 namespace {
@@ -41,7 +41,7 @@ struct ThreadBuffer {
   std::vector<AggNode> nodes;  // nodes[0] is the virtual root
   int current = 0;
   std::uint16_t depth = 0;
-  std::vector<RawEvent> events;  // ring of the most recent coarse events
+  std::vector<RawEvent> events;  // ring of the most recent events
   std::size_t event_capacity = 0;
   std::size_t event_next = 0;
   bool event_wrapped = false;
@@ -60,7 +60,6 @@ struct Registry {
   std::atomic<std::uint64_t> generation{0};
   Clock::time_point epoch{};
   CaptureOptions options;
-  std::atomic<bool> capturing{false};
 };
 
 Registry& registry() {
@@ -77,7 +76,7 @@ thread_local ThreadCache tl_cache;
 
 ThreadBuffer* local_buffer() {
   Registry& r = registry();
-  if (!r.capturing.load(std::memory_order_acquire)) return nullptr;
+  if (!internal::g_capturing.load(std::memory_order_acquire)) return nullptr;
   // Lock-free fast path: this thread already registered for this capture.
   if (tl_cache.buffer != nullptr &&
       tl_cache.generation == r.generation.load(std::memory_order_relaxed)) {
@@ -85,7 +84,7 @@ ThreadBuffer* local_buffer() {
   }
   std::lock_guard<std::mutex> lock(r.mutex);
   // Re-check under the lock: end_capture() may have raced us.
-  if (!r.capturing.load(std::memory_order_relaxed)) return nullptr;
+  if (!internal::g_capturing.load(std::memory_order_relaxed)) return nullptr;
   auto buffer = std::make_unique<ThreadBuffer>();
   buffer->tid = static_cast<std::uint32_t>(r.buffers.size());
   buffer->event_capacity = r.options.events_per_thread;
@@ -143,10 +142,6 @@ void flatten(const MergeNode& node, const std::string& path, int depth,
 
 }  // namespace
 
-bool capturing() noexcept {
-  return registry().capturing.load(std::memory_order_relaxed);
-}
-
 void begin_capture(const CaptureOptions& options) {
   Registry& r = registry();
   {
@@ -155,20 +150,17 @@ void begin_capture(const CaptureOptions& options) {
     r.generation.fetch_add(1, std::memory_order_relaxed);
     r.options = options;
     r.epoch = Clock::now();
-    r.capturing.store(true, std::memory_order_release);
+    internal::g_capturing.store(true, std::memory_order_release);
   }
-  internal::g_level.store(options.level < kOff ? kOff : options.level,
-                          std::memory_order_relaxed);
 }
 
 Profile end_capture() {
   Registry& r = registry();
-  internal::g_level.store(kOff, std::memory_order_relaxed);
   Profile profile;
 
   std::lock_guard<std::mutex> lock(r.mutex);
-  if (!r.capturing.load(std::memory_order_relaxed)) return profile;
-  r.capturing.store(false, std::memory_order_release);
+  if (!internal::g_capturing.load(std::memory_order_relaxed)) return profile;
+  internal::g_capturing.store(false, std::memory_order_release);
   profile.wall_ns = now_ns();
   profile.threads = static_cast<std::uint32_t>(r.buffers.size());
 
@@ -204,7 +196,7 @@ std::vector<ZoneNode> snapshot_zones() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mutex);
   std::vector<ZoneNode> zones;
-  if (!r.capturing.load(std::memory_order_relaxed)) return zones;
+  if (!internal::g_capturing.load(std::memory_order_relaxed)) return zones;
   MergeNode root;
   for (const auto& buffer : r.buffers) {
     merge_tree(*buffer, 0, root);
@@ -226,8 +218,7 @@ const ZoneNode* Profile::find(const std::string& path) const noexcept {
   return nullptr;
 }
 
-void ScopedZone::begin(const char* name, int zone_level,
-                       const std::string* label) noexcept {
+void ScopedZone::begin(const char* name, const std::string* label) noexcept {
   ThreadBuffer* buffer = local_buffer();
   if (buffer == nullptr) return;
 
@@ -255,7 +246,6 @@ void ScopedZone::begin(const char* name, int zone_level,
   ++buffer->depth;
 
   armed_ = true;
-  emit_event_ = zone_level <= kCoarse;
   node_ = node_index;
   if (label != nullptr && !label->empty()) {
     buffer->labels.push_back(*label);
@@ -286,7 +276,7 @@ void ScopedZone::end() noexcept {
   buffer->current = node.parent < 0 ? 0 : node.parent;
   if (buffer->depth > 0) --buffer->depth;
 
-  if (emit_event_ && buffer->event_capacity > 0) {
+  if (buffer->event_capacity > 0) {
     RawEvent raw;
     raw.name = node.name;
     raw.label_idx = label_idx_;

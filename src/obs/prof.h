@@ -1,15 +1,17 @@
 // Host-side profiler for the simulator itself.
 //
 // Where src/obs instruments the *simulated* cache hierarchy, this profiles
-// the *simulating* process: RAII scoped zones record where wall time goes
-// (pipeline tick vs. replication-site search vs. SEC-DED decode vs. rel
-// hooks vs. export), so "make it faster" PRs know what to attack first.
+// the *simulating* process: RAII scoped zones record where the wall time of
+// a run goes (campaign cells, run chunks, fast-forward, export), so "make
+// it faster" PRs know which stage to attack first. Zones sit only on
+// coarse paths: a zone costs a few tens of nanoseconds while a capture is
+// live, more than a cache access or a SEC-DED check, so per-cycle and
+// per-access costs come from the perfbench layer ladder (`--trace 1`) and
+// from a `-pg` build with gprof instead (docs/PROFILING.md).
 //
 // Design constraints, in order:
 //   * Always compiled, runtime-toggleable. When no capture is active every
-//     zone costs one relaxed atomic load and a predictable branch — cheap
-//     enough to leave in per-cycle paths (guarded by the micro_ops wall-time
-//     budget in the acceptance tests).
+//     zone costs one relaxed atomic load and a predictable branch.
 //   * Per-thread, lock-free recording. Each thread owns its buffer; the
 //     global registry mutex is taken only on first use of a thread per
 //     capture. Campaign workers therefore never contend.
@@ -18,12 +20,9 @@
 //     children sorted by name, so the merged zone table is independent of
 //     thread scheduling. Timings vary run to run; structure does not.
 //
-// Two detail levels keep traces usable:
-//   * kCoarse zones (campaign cells, run chunks, exports) aggregate AND
-//     record a trace event each — they become slices in the Chrome trace.
-//   * kHot zones (per-cycle tick, per-access cache paths, SEC-DED decode)
-//     aggregate only: they appear in the self-time table with call counts
-//     but never flood the event ring.
+// Every zone both aggregates (call count, total and self time) and records
+// a span into a bounded per-thread ring, which becomes a slice in the
+// Chrome trace.
 //
 // Threading contract: begin_capture()/end_capture() must be called while no
 // zone is live and no worker thread is still recording (CampaignRunner joins
@@ -37,37 +36,29 @@
 
 namespace icr::obs::prof {
 
-inline constexpr int kOff = 0;
-inline constexpr int kCoarse = 1;  // cells, run chunks, exports
-inline constexpr int kHot = 2;     // per-cycle / per-access zones
-
 namespace internal {
-extern std::atomic<int> g_level;
+extern std::atomic<bool> g_capturing;
 }  // namespace internal
 
-// Current capture level; zones with zone_level > level() record nothing.
-[[nodiscard]] inline int level() noexcept {
-  return internal::g_level.load(std::memory_order_relaxed);
+// True between begin_capture() and end_capture().
+[[nodiscard]] inline bool capturing() noexcept {
+  return internal::g_capturing.load(std::memory_order_relaxed);
 }
 
-// True between begin_capture() and end_capture().
-[[nodiscard]] bool capturing() noexcept;
-
 struct CaptureOptions {
-  int level = kHot;  // record coarse + hot zones by default
   // Ring capacity of each thread's trace-event buffer; the ring keeps the
   // most recent events and counts the overwritten ones as dropped.
   std::size_t events_per_thread = std::size_t{1} << 16;
 };
 
-// Starts a capture: resets all buffers, stamps the epoch, and raises the
-// level so zones begin recording. Restarting an active capture is allowed
+// Starts a capture: resets all buffers, stamps the epoch, and sets the
+// flag that makes zones record. Restarting an active capture is allowed
 // and simply begins a fresh one.
 void begin_capture(const CaptureOptions& options = {});
 
 // One aggregated zone (a unique path through the zone nesting).
 struct ZoneNode {
-  std::string path;  // "Campaign::cell/Pipeline::run/Pipeline::tick"
+  std::string path;  // "Campaign::cell/Simulator::run/Pipeline::run"
   std::string name;  // last path component
   int depth = 0;     // 0 for root zones
   std::uint64_t count = 0;
@@ -75,7 +66,7 @@ struct ZoneNode {
   std::uint64_t self_ns = 0;   // total minus instrumented children
 };
 
-// One retained trace event (coarse zones only).
+// One retained trace event.
 struct SpanEvent {
   std::string name;
   std::string label;  // dynamic detail ("BaseP/mcf/0"); empty for most
@@ -103,7 +94,7 @@ struct Profile {
   [[nodiscard]] const ZoneNode* find(const std::string& path) const noexcept;
 };
 
-// Stops the capture (level drops to kOff) and merges all thread buffers.
+// Stops the capture (zones go inert again) and merges all thread buffers.
 [[nodiscard]] Profile end_capture();
 
 // Non-destructive merged zone table of the capture in progress — the same
@@ -115,16 +106,16 @@ struct Profile {
 [[nodiscard]] std::vector<ZoneNode> snapshot_zones();
 
 // RAII zone. Construct via the ICR_PROF_ZONE* macros; the object is inert
-// (one load + branch) unless a capture at a sufficient level is active.
+// (one load + branch) unless a capture is active.
 class ScopedZone {
  public:
-  explicit ScopedZone(const char* name, int zone_level = kCoarse) noexcept {
-    if (zone_level <= level()) begin(name, zone_level, nullptr);
+  explicit ScopedZone(const char* name) noexcept {
+    if (capturing()) begin(name, nullptr);
   }
-  // Coarse zone with a dynamic label (campaign cells). The label is only
+  // Zone with a dynamic label (campaign cells). The label is only
   // evaluated into the per-thread pool while recording.
   ScopedZone(const char* name, const std::string& label) noexcept {
-    if (kCoarse <= level()) begin(name, kCoarse, &label);
+    if (capturing()) begin(name, &label);
   }
   ~ScopedZone() {
     if (armed_) end();
@@ -133,11 +124,10 @@ class ScopedZone {
   ScopedZone& operator=(const ScopedZone&) = delete;
 
  private:
-  void begin(const char* name, int zone_level, const std::string* label) noexcept;
+  void begin(const char* name, const std::string* label) noexcept;
   void end() noexcept;
 
   bool armed_ = false;
-  bool emit_event_ = false;
   int node_ = 0;
   std::uint32_t label_idx_ = 0;  // 0 = none, else pool index + 1
   std::uint64_t start_ns_ = 0;
@@ -146,21 +136,14 @@ class ScopedZone {
 #define ICR_PROF_CAT2(a, b) a##b
 #define ICR_PROF_CAT(a, b) ICR_PROF_CAT2(a, b)
 
-// Coarse zone: aggregated + retained as a trace slice.
+// Zone: aggregated + retained as a trace slice.
 #define ICR_PROF_ZONE(name) \
   ::icr::obs::prof::ScopedZone ICR_PROF_CAT(icr_prof_zone_, __LINE__)(name)
 
-// Hot zone: aggregated only (call counts + self time), never traced.
-#define ICR_PROF_ZONE_HOT(name)                                    \
-  ::icr::obs::prof::ScopedZone ICR_PROF_CAT(icr_prof_zone_,        \
-                                            __LINE__)(name,        \
-                                                      ::icr::obs:: \
-                                                          prof::kHot)
-
-// Coarse zone with a dynamic label; label_expr is evaluated only while a
-// capture is live.
+// Zone with a dynamic label; label_expr is evaluated only while a capture
+// is live.
 #define ICR_PROF_ZONE_LABELED(name, label_expr)                         \
   ::icr::obs::prof::ScopedZone ICR_PROF_CAT(icr_prof_zone_, __LINE__)(  \
-      name, ::icr::obs::prof::level() > 0 ? (label_expr) : std::string())
+      name, ::icr::obs::prof::capturing() ? (label_expr) : std::string())
 
 }  // namespace icr::obs::prof

@@ -45,7 +45,7 @@ std::string to_chrome_trace(const Profile& profile,
   json.field("dropped_events", profile.dropped_events);
   json.field("epoch_unix_us", util::Micros{ts_offset_us}).end().end();
 
-  // The aggregated zone table (covers hot zones that never emit spans).
+  // The aggregated zone table (covers spans the ring dropped).
   for (const ZoneNode& zone : profile.zones) {
     begin_metadata_event(json, "icr_zone_stats", pid, 0);
     json.field("path", zone.path).field("zone", zone.name);

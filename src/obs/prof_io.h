@@ -2,11 +2,11 @@
 //
 // Chrome trace-event format: the export is a top-level JSON *array* of
 // events, loadable directly in Perfetto / chrome://tracing:
-//   * every retained coarse span becomes a "ph":"X" complete event with
+//   * every retained span becomes a "ph":"X" complete event with
 //     "ts"/"dur" in microseconds and "tid" = capture thread index;
 //   * thread/process names ride along as "ph":"M" metadata events;
-//   * the full aggregated zone table (including hot zones that never emit
-//     spans) is embedded as one "icr_zone_stats" metadata event per zone,
+//   * the full aggregated zone table (including zones whose spans the ring
+//     dropped) is embedded as one "icr_zone_stats" metadata event per zone,
 //     plus one "icr_capture" metadata event with wall time / thread count /
 //     drop counters — viewers ignore them, icr_report --prof reads them
 //     back, so a single file carries both the timeline and the totals.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/obs/prof.h"
-
 namespace icr::rel {
 
 namespace {
@@ -104,7 +102,6 @@ void RelTracker::set_pending(std::uint64_t word_addr, double mass) {
 
 void RelTracker::on_fill(std::uint64_t block, std::uint32_t replica_count,
                          std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("RelTracker::on_fill");
   advance(cycle);
   Line& line = lines_[block];
   line.replica_count = replica_count;
@@ -125,7 +122,6 @@ void RelTracker::on_fill(std::uint64_t block, std::uint32_t replica_count,
 
 void RelTracker::on_evict(std::uint64_t block, bool dirty,
                           std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("RelTracker::on_evict");
   const auto it = lines_.find(block);
   if (it == lines_.end()) return;
   Line& line = it->second;
@@ -192,7 +188,6 @@ void RelTracker::on_replica_evict(std::uint64_t block, std::uint64_t cycle) {
 
 void RelTracker::on_read(std::uint64_t block, std::uint32_t word_index,
                          bool dirty, bool parity_regime, std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("RelTracker::on_read");
   const auto it = lines_.find(block);
   if (it == lines_.end() || word_index >= config_.words_per_line) return;
   Line& line = it->second;
@@ -222,7 +217,6 @@ void RelTracker::on_read(std::uint64_t block, std::uint32_t word_index,
 
 void RelTracker::on_write(std::uint64_t block, std::uint32_t word_index,
                           bool dirty_after, std::uint64_t cycle) {
-  ICR_PROF_ZONE_HOT("RelTracker::on_write");
   const auto it = lines_.find(block);
   if (it == lines_.end() || word_index >= config_.words_per_line) return;
   Line& line = it->second;

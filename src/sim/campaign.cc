@@ -12,6 +12,7 @@
 #include "src/obs/prof.h"
 #include "src/trace/trace_v2.h"
 #include "src/obs/throughput.h"
+#include "src/sim/cli.h"
 #include "src/sim/simulator.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -380,8 +381,8 @@ std::uint64_t derive_cell_seed(std::uint64_t base_seed,
 unsigned resolve_thread_count(unsigned requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("ICR_SIM_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
+    const std::optional<std::uint32_t> n = cli::parse_u32(env);
+    if (n && *n > 0) return *n;
   }
   return util::ThreadPool::hardware_threads();
 }

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -214,6 +215,13 @@ void decode_raw(const std::uint8_t* data, std::size_t bytes,
 
 void decode_delta(const std::uint8_t* data, std::size_t bytes,
                   std::uint32_t records, std::vector<Instruction>& out) {
+  // Every delta record is at least its op and flags bytes: a count the
+  // chunk cannot hold is corrupt, and must not size the reservation.
+  if (records > bytes / 2) {
+    throw std::runtime_error("delta chunk of " + std::to_string(bytes) +
+                             " bytes cannot hold " + std::to_string(records) +
+                             " records");
+  }
   out.clear();
   out.reserve(records);
   std::size_t pos = 0;
@@ -385,7 +393,9 @@ TraceV2Writer::TraceV2Writer(const std::string& path, Options options)
   h.flags = options_.delta ? kFlagDeltaAllowed : 0;
   pack_header(h, header);
   write_bytes(header, sizeof header, "header");
-  pending_.reserve(options_.chunk_records);
+  // Any u32 chunk size is valid; reserve no more than a default chunk and
+  // let larger chunks grow as records arrive.
+  pending_.reserve(std::min(options_.chunk_records, kV2DefaultChunkRecords));
 }
 
 TraceV2Writer::~TraceV2Writer() {

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/sim/results_io.h"
+#include "src/util/thread_pool.h"
 
 namespace icr::sim {
 namespace {
@@ -145,8 +146,12 @@ TEST(Campaign, ThreadResolutionPrefersExplicitThenEnvThenHardware) {
   setenv("ICR_SIM_THREADS", "3", 1);
   EXPECT_EQ(resolve_thread_count(0), 3u);
   EXPECT_EQ(resolve_thread_count(7), 7u);
-  setenv("ICR_SIM_THREADS", "junk", 1);
-  EXPECT_GE(resolve_thread_count(0), 1u);
+  const unsigned hardware = util::ThreadPool::hardware_threads();
+  // Only a whole positive number overrides: no numeric prefix, no sign.
+  for (const char* bad : {"junk", "12abc", "-5"}) {
+    setenv("ICR_SIM_THREADS", bad, 1);
+    EXPECT_EQ(resolve_thread_count(0), hardware) << bad;
+  }
   unsetenv("ICR_SIM_THREADS");
   EXPECT_GE(resolve_thread_count(0), 1u);
 }

@@ -57,6 +57,11 @@ TEST(Experiment, InstructionCountEnvOverride) {
   EXPECT_EQ(default_instruction_count(), 12345u);
   setenv("ICR_SIM_INSTRUCTIONS", "junk", 1);
   EXPECT_EQ(default_instruction_count(), 1'000'000u);
+  // Only a whole positive number overrides: no numeric prefix, no sign.
+  setenv("ICR_SIM_INSTRUCTIONS", "12abc", 1);
+  EXPECT_EQ(default_instruction_count(), 1'000'000u);
+  setenv("ICR_SIM_INSTRUCTIONS", "-5", 1);
+  EXPECT_EQ(default_instruction_count(), 1'000'000u);
   unsetenv("ICR_SIM_INSTRUCTIONS");
   EXPECT_EQ(default_instruction_count(), 1'000'000u);
 }

@@ -26,10 +26,9 @@ void burn(int iterations) {
 
 TEST(ProfTest, OffByDefaultAndZonesAreInert) {
   ASSERT_FALSE(prof::capturing());
-  ASSERT_EQ(prof::level(), prof::kOff);
   {
     ICR_PROF_ZONE("never_recorded");
-    ICR_PROF_ZONE_HOT("never_recorded_hot");
+    ICR_PROF_ZONE("never_recorded_nested");
   }
   prof::begin_capture();
   const prof::Profile profile = prof::end_capture();
@@ -44,7 +43,7 @@ TEST(ProfTest, NestedZonesAggregateByPath) {
     ICR_PROF_ZONE("outer");
     for (int i = 0; i < 3; ++i) {
       ICR_PROF_ZONE("inner");
-      ICR_PROF_ZONE_HOT("leaf");
+      ICR_PROF_ZONE("leaf");
       burn(100);
     }
   }
@@ -123,7 +122,6 @@ TEST(ProfTest, ThreadMergeIsDeterministic) {
 
 TEST(ProfTest, EventRingKeepsMostRecentAndCountsDrops) {
   prof::CaptureOptions options;
-  options.level = prof::kCoarse;
   options.events_per_thread = 8;
   prof::begin_capture(options);
   for (int i = 0; i < 20; ++i) {
@@ -139,37 +137,6 @@ TEST(ProfTest, EventRingKeepsMostRecentAndCountsDrops) {
   for (std::size_t i = 1; i < profile.events.size(); ++i) {
     EXPECT_GE(profile.events[i].start_ns, profile.events[i - 1].start_ns);
   }
-}
-
-TEST(ProfTest, HotZonesAggregateWithoutEvents) {
-  prof::begin_capture();
-  {
-    ICR_PROF_ZONE("coarse");
-    for (int i = 0; i < 5; ++i) {
-      ICR_PROF_ZONE_HOT("hot");
-    }
-  }
-  const prof::Profile profile = prof::end_capture();
-  EXPECT_EQ(profile.find("coarse/hot")->count, 5u);
-  std::size_t hot_events = 0;
-  for (const prof::SpanEvent& event : profile.events) {
-    if (event.name == "hot") ++hot_events;
-  }
-  EXPECT_EQ(hot_events, 0u);
-  EXPECT_EQ(profile.events.size(), 1u);  // just "coarse"
-}
-
-TEST(ProfTest, CoarseCaptureSkipsHotZones) {
-  prof::CaptureOptions options;
-  options.level = prof::kCoarse;
-  prof::begin_capture(options);
-  {
-    ICR_PROF_ZONE("coarse");
-    ICR_PROF_ZONE_HOT("hot");
-  }
-  const prof::Profile profile = prof::end_capture();
-  EXPECT_NE(profile.find("coarse"), nullptr);
-  EXPECT_EQ(profile.find("coarse/hot"), nullptr);
 }
 
 TEST(ProfTest, LabeledZonesRetainLabels) {
@@ -188,7 +155,7 @@ TEST(ProfIoTest, ChromeTraceRoundTrip) {
   {
     ICR_PROF_ZONE("outer");
     ICR_PROF_ZONE_LABELED("cell", std::string("with \"quotes\""));
-    ICR_PROF_ZONE_HOT("hot");
+    ICR_PROF_ZONE("leaf");
     burn(100);
   }
   const prof::Profile profile = prof::end_capture();
@@ -210,7 +177,7 @@ TEST(ProfIoTest, ChromeTraceRoundTrip) {
 
   const std::string table = prof::format_self_time_table(parsed.profile);
   EXPECT_NE(table.find("outer"), std::string::npos);
-  EXPECT_NE(table.find("hot"), std::string::npos);
+  EXPECT_NE(table.find("leaf"), std::string::npos);
   EXPECT_NE(table.find("instrumented total"), std::string::npos);
 }
 
@@ -233,10 +200,27 @@ TEST(ProfTest, CaptureNeverChangesRunResults) {
   const prof::Profile profile = prof::end_capture();
   EXPECT_EQ(off_a, on) << "a live capture must not change any metric";
 
-  // Sanity: the capture did see the simulator's hot zones.
+  // Sanity: the capture did see the simulator's zones.
   EXPECT_NE(profile.find("Simulator::run"), nullptr);
-  EXPECT_NE(profile.find("Simulator::run/Pipeline::run/Pipeline::tick"),
-            nullptr);
+  EXPECT_NE(profile.find("Simulator::run/Pipeline::run"), nullptr);
+}
+
+// Zones sit only on coarse paths: a probe costs more than a cache access or
+// a pipeline cycle, so a zone inside either would time mostly itself. One
+// detailed run therefore records each zone at most once.
+TEST(ProfTest, SimulatorCaptureHasNoPerAccessZones) {
+  prof::begin_capture();
+  (void)icr::sim::run_one(icr::trace::App::kGcc,
+                          icr::core::Scheme::IcrPPS_S(),
+                          icr::sim::SimConfig::table1(), 20000);
+  const prof::Profile profile = prof::end_capture();
+
+  const prof::ZoneNode* run = profile.find("Simulator::run");
+  ASSERT_NE(run, nullptr);
+  EXPECT_EQ(run->count, 1u);
+  for (const prof::ZoneNode& zone : profile.zones) {
+    EXPECT_LE(zone.count, 1u) << zone.path;
+  }
 }
 
 }  // namespace

@@ -388,6 +388,46 @@ TEST(TraceV2, OutOfRangeRecordRejectedAtDecode) {
   std::remove(path.c_str());
 }
 
+TEST(TraceV2, DeltaRecordCountBeyondChunkBytesRejected) {
+  // 98 bytes with valid checksums: one delta chunk declaring 4,000,000,000
+  // records in a 2-byte body. Every delta record takes at least 2 bytes, so
+  // the count is corrupt and must not size an allocation first.
+  const std::string path =
+      std::string(ICR_TEST_DATA_DIR) + "/delta_records_overflow.icrt";
+  for (const std::string& what :
+       {error_of([&] { (void)validate_trace(path); }),
+        error_of([&] { StreamingTraceSource replay(path); })}) {
+    EXPECT_NE(what.find("ICRT-v2:"), std::string::npos) << what;
+    EXPECT_NE(what.find("chunk 0: delta chunk of 2 bytes cannot hold "
+                        "4000000000 records"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(TraceV2, WriterTakesTheLargestChunkSize) {
+  // Any u32 chunk size is valid: the writer must not reserve it up front.
+  const std::string path = temp_path("v2_huge_chunk.icrt");
+  TraceV2Writer::Options options;
+  options.chunk_records = UINT32_MAX;
+  std::vector<Instruction> expected;
+  {
+    SyntheticWorkload source(profile_for(App::kParser));
+    TraceV2Writer writer(path, options);
+    for (int i = 0; i < 1000; ++i) {
+      expected.push_back(source.next());
+      writer.write(expected.back());
+    }
+    writer.close();
+  }
+  const TraceInfo info = validate_trace(path);
+  EXPECT_EQ(info.records, 1000u);
+  EXPECT_EQ(info.chunk_count, 1u);
+  StreamingTraceSource replay(path);
+  for (const Instruction& want : expected) expect_equal(replay.next(), want);
+  std::remove(path.c_str());
+}
+
 TEST(TraceV2, WriterFingerprintMatchesProbe) {
   const std::string path = temp_path("v2_wfp.icrt");
   SyntheticWorkload source(profile_for(App::kBzip2));
