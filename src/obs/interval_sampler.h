@@ -67,7 +67,6 @@ class IntervalSampler {
   [[nodiscard]] const IntervalSeries& series() const noexcept {
     return series_;
   }
-  [[nodiscard]] IntervalSeries take_series() { return std::move(series_); }
 
  private:
   const StatRegistry& registry_;

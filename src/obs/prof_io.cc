@@ -115,23 +115,19 @@ ParsedTrace parse_chrome_trace(const std::string& text) {
     if (ph != "M") continue;
     if (name == "icr_capture") {
       const util::JsonValue& args = event.get("args");
-      parsed.profile.wall_ns =
-          static_cast<std::uint64_t>(args.get("wall_ns").as_double());
-      parsed.profile.threads =
-          static_cast<std::uint32_t>(args.get("threads").as_double());
+      parsed.profile.wall_ns = args.get("wall_ns").as_int<std::uint64_t>();
+      parsed.profile.threads = args.get("threads").as_int<std::uint32_t>();
       parsed.profile.dropped_events =
-          static_cast<std::uint64_t>(args.get("dropped_events").as_double());
+          args.get("dropped_events").as_int<std::uint64_t>();
     } else if (name == "icr_zone_stats") {
       const util::JsonValue& args = event.get("args");
       ZoneNode zone;
       zone.path = args.get("path").as_string();
       zone.name = args.get("zone").as_string();
-      zone.depth = static_cast<int>(args.get("depth").as_double());
-      zone.count = static_cast<std::uint64_t>(args.get("count").as_double());
-      zone.total_ns =
-          static_cast<std::uint64_t>(args.get("total_ns").as_double());
-      zone.self_ns =
-          static_cast<std::uint64_t>(args.get("self_ns").as_double());
+      zone.depth = args.get("depth").as_int<int>();
+      zone.count = args.get("count").as_int<std::uint64_t>();
+      zone.total_ns = args.get("total_ns").as_int<std::uint64_t>();
+      zone.self_ns = args.get("self_ns").as_int<std::uint64_t>();
       parsed.profile.zones.push_back(std::move(zone));
     }
   }

@@ -1,15 +1,26 @@
 #include "src/sim/farm.h"
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 
+#include "src/obs/farm_progress.h"
+#include "src/obs/prof.h"
+#include "src/obs/prof_io.h"
 #include "src/sim/cli.h"
 #include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
+#include "src/sim/serve.h"
 #include "src/util/fs.h"
 #include "src/util/json.h"
 
@@ -23,19 +34,15 @@ std::uint64_t parse_hex64(const util::JsonValue& value) {
   return std::strtoull(value.as_string("0x0").c_str(), nullptr, 0);
 }
 
-std::uint64_t as_u64(const util::JsonValue& value) {
-  return static_cast<std::uint64_t>(value.as_double(0.0));
-}
-
 [[noreturn]] void bad_document(const std::string& what) {
   throw std::runtime_error("farm: " + what);
 }
 
 SamplingOptions parse_sampling(const util::JsonValue& v) {
   SamplingOptions s;
-  s.warmup_instructions = as_u64(v.get("warmup"));
-  s.windows = static_cast<std::uint32_t>(as_u64(v.get("windows")));
-  s.window_width = as_u64(v.get("window_width"));
+  s.warmup_instructions = v.get("warmup").as_int<std::uint64_t>();
+  s.windows = v.get("windows").as_int<std::uint32_t>();
+  s.window_width = v.get("window_width").as_int<std::uint64_t>();
   s.mode = cli::sample_mode_by_name(v.get("mode").as_string("systematic"));
   s.seed = parse_hex64(v.get("seed"));
   return s;
@@ -111,7 +118,7 @@ Manifest Manifest::parse(const std::string& text) {
   const util::JsonValue& f = doc.get("farm");
   if (!f.is_object()) bad_document("manifest has no \"farm\" object");
   Manifest m;
-  m.version = static_cast<int>(f.get("version").as_double(-1));
+  m.version = f.get("version").as_int<int>(-1);
   if (m.version != kFormatVersion) {
     bad_document("manifest version " + std::to_string(m.version) +
                  " (this build reads version " +
@@ -119,15 +126,15 @@ Manifest Manifest::parse(const std::string& text) {
   }
   m.config_hash = parse_hex64(f.get("config_hash"));
   m.base_seed = parse_hex64(f.get("base_seed"));
-  m.instructions = as_u64(f.get("instructions"));
-  m.trials = static_cast<std::uint32_t>(as_u64(f.get("trials")));
+  m.instructions = f.get("instructions").as_int<std::uint64_t>();
+  m.trials = f.get("trials").as_int<std::uint32_t>();
   m.derive_seeds = f.get("derive_seeds").as_bool(false);
-  m.variant_count = static_cast<std::uint32_t>(as_u64(f.get("variant_count")));
-  m.app_count = static_cast<std::uint32_t>(as_u64(f.get("app_count")));
-  m.total_cells = as_u64(f.get("total_cells"));
-  m.unit_cells = as_u64(f.get("unit_cells"));
-  m.unit_count = static_cast<std::uint32_t>(as_u64(f.get("unit_count")));
-  m.decay_window = as_u64(f.get("decay_window"));
+  m.variant_count = f.get("variant_count").as_int<std::uint32_t>();
+  m.app_count = f.get("app_count").as_int<std::uint32_t>();
+  m.total_cells = f.get("total_cells").as_int<std::uint64_t>();
+  m.unit_cells = f.get("unit_cells").as_int<std::uint64_t>();
+  m.unit_count = f.get("unit_count").as_int<std::uint32_t>();
+  m.decay_window = f.get("decay_window").as_int<std::uint64_t>();
   m.fault_model = f.get("fault_model").as_string("random");
   m.fault_probability = f.get("fault_probability").as_double(0.0);
   if (f.get("sampling").is_object()) {
@@ -136,14 +143,13 @@ Manifest Manifest::parse(const std::string& text) {
   if (f.get("geometry").is_object()) {
     const util::JsonValue& g = f.get("geometry");
     for (const util::JsonValue& v : g.get("sizes").items()) {
-      m.geometry.sizes.push_back(static_cast<std::uint32_t>(as_u64(v)));
+      m.geometry.sizes.push_back(v.as_int<std::uint32_t>());
     }
     for (const util::JsonValue& v : g.get("assocs").items()) {
-      m.geometry.assocs.push_back(static_cast<std::uint32_t>(as_u64(v)));
+      m.geometry.assocs.push_back(v.as_int<std::uint32_t>());
     }
     for (const util::JsonValue& v : g.get("ways_disabled").items()) {
-      m.geometry.ways_disabled.push_back(
-          static_cast<std::uint32_t>(as_u64(v)));
+      m.geometry.ways_disabled.push_back(v.as_int<std::uint32_t>());
     }
     m.geometry.pattern = g.get("pattern").as_string("fixed") == "random"
                              ? mem::WayDisableConfig::Pattern::kRandom
@@ -153,9 +159,10 @@ Manifest Manifest::parse(const std::string& text) {
   if (f.get("trace").is_object()) {
     const util::JsonValue& t = f.get("trace");
     m.trace.path = t.get("path").as_string();
-    m.trace.shard_instructions = as_u64(t.get("shard_instructions"));
+    m.trace.shard_instructions =
+        t.get("shard_instructions").as_int<std::uint64_t>();
     m.trace.fingerprint = parse_hex64(t.get("fingerprint"));
-    m.trace.records = as_u64(t.get("records"));
+    m.trace.records = t.get("records").as_int<std::uint64_t>();
   }
   for (const util::JsonValue& s : f.get("schemes").items()) {
     m.schemes.push_back(s.as_string());
@@ -377,12 +384,11 @@ std::string unit_to_json(std::uint32_t unit,
 std::vector<CellRecord> parse_unit_json(const std::string& text,
                                         std::uint32_t expected_unit) {
   const util::JsonValue doc = util::JsonValue::parse(text);
-  const int version = static_cast<int>(doc.get("version").as_double(-1));
+  const int version = doc.get("version").as_int<int>(-1);
   if (version != kFormatVersion) {
     bad_document("unit record version " + std::to_string(version));
   }
-  const std::uint32_t unit =
-      static_cast<std::uint32_t>(as_u64(doc.get("unit")));
+  const std::uint32_t unit = doc.get("unit").as_int<std::uint32_t>();
   if (unit != expected_unit) {
     bad_document("unit record is for unit " + std::to_string(unit) +
                  ", expected " + std::to_string(expected_unit));
@@ -390,10 +396,9 @@ std::vector<CellRecord> parse_unit_json(const std::string& text,
   std::vector<CellRecord> cells;
   for (const util::JsonValue& c : doc.get("cells").items()) {
     CellRecord record;
-    record.variant_idx =
-        static_cast<std::uint32_t>(as_u64(c.get("variant_idx")));
-    record.app_idx = static_cast<std::uint32_t>(as_u64(c.get("app_idx")));
-    record.trial_idx = static_cast<std::uint32_t>(as_u64(c.get("trial")));
+    record.variant_idx = c.get("variant_idx").as_int<std::uint32_t>();
+    record.app_idx = c.get("app_idx").as_int<std::uint32_t>();
+    record.trial_idx = c.get("trial").as_int<std::uint32_t>();
     record.seed = parse_hex64(c.get("seed"));
     record.variant = c.get("variant").as_string();
     record.app = c.get("app").as_string();
@@ -401,22 +406,22 @@ std::vector<CellRecord> parse_unit_json(const std::string& text,
       const util::JsonValue& g = c.get("geometry");
       record.geometry.present = true;
       record.geometry.dl1_size_bytes =
-          static_cast<std::uint32_t>(as_u64(g.get("dl1_size")));
-      record.geometry.dl1_assoc =
-          static_cast<std::uint32_t>(as_u64(g.get("dl1_assoc")));
+          g.get("dl1_size").as_int<std::uint32_t>();
+      record.geometry.dl1_assoc = g.get("dl1_assoc").as_int<std::uint32_t>();
       record.geometry.ways_disabled =
-          static_cast<std::uint32_t>(as_u64(g.get("ways_disabled")));
+          g.get("ways_disabled").as_int<std::uint32_t>();
     }
     for (const util::JsonValue& bits : c.get("metric_bits").items()) {
       record.metric_bits.push_back(parse_hex64(bits));
     }
     const util::JsonValue& s = c.get("sampling");
     record.sampling.sampled = s.get("sampled").as_bool(false);
-    record.sampling.budget = as_u64(s.get("budget"));
-    record.sampling.warmup_instructions = as_u64(s.get("warmup"));
-    record.sampling.windows =
-        static_cast<std::uint32_t>(as_u64(s.get("windows")));
-    record.sampling.measured_instructions = as_u64(s.get("measured"));
+    record.sampling.budget = s.get("budget").as_int<std::uint64_t>();
+    record.sampling.warmup_instructions =
+        s.get("warmup").as_int<std::uint64_t>();
+    record.sampling.windows = s.get("windows").as_int<std::uint32_t>();
+    record.sampling.measured_instructions =
+        s.get("measured").as_int<std::uint64_t>();
     cells.push_back(std::move(record));
   }
   return cells;
@@ -494,6 +499,51 @@ WorkerReport run_worker_loop(
   }
   if (telemetry != nullptr) telemetry->on_exit(report);
   return report;
+}
+
+int run_worker(const std::string& spool, const WorkerOptions& options) {
+  try {
+    const CampaignSpec spec = spec_from_manifest(load_manifest(spool));
+    WorkerOptions named = options;
+    if (named.worker_id.empty()) {
+      named.worker_id = "pid" + std::to_string(::getpid());
+    }
+    std::unique_ptr<WorkerTelemetry> telemetry;
+    if (options.heartbeat_seconds > 0.0) {
+      telemetry = std::make_unique<WorkerTelemetry>(spool, named);
+    }
+    double epoch_unix_us = 0.0;
+    if (options.prof) {
+      obs::prof::begin_capture();
+      epoch_unix_us = unix_now_seconds() * 1e6;
+    }
+    const auto on_unit_done = [&](const WorkUnit& unit) {
+      if (!options.quiet) {
+        std::fprintf(stderr, "worker %d: unit %u done (%llu cell(s))\n",
+                     ::getpid(), unit.index,
+                     static_cast<unsigned long long>(unit.cells()));
+      }
+    };
+    const WorkerReport report = run_worker_loop(
+        spool, spec, options.max_units, on_unit_done, telemetry.get());
+    if (options.prof) {
+      const obs::prof::Profile profile = obs::prof::end_capture();
+      util::fs::make_directories(worker_trace_dir(spool));
+      util::fs::atomic_write_text_file(
+          worker_trace_path(spool, named.worker_id),
+          obs::prof::to_chrome_trace(profile, "worker " + named.worker_id,
+                                     ::getpid(), epoch_unix_us));
+    }
+    if (!options.quiet) {
+      std::printf("worker %d: ran %u unit(s), %llu cell(s)\n", ::getpid(),
+                  report.units_run,
+                  static_cast<unsigned long long>(report.cells_run));
+    }
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "worker: %s\n", error.what());
+    return 1;
+  }
+  return 0;
 }
 
 SpoolStatus scan_spool(const std::string& spool, const Manifest& manifest) {
@@ -611,16 +661,20 @@ std::size_t FarmAggregator::state_bytes() const noexcept {
 
 void aggregate_spool(const std::string& spool, const Manifest& manifest,
                      const std::string& csv_out, const std::string& json_out) {
+  const auto open = [](std::ofstream& out, const std::string& path) {
+    if (path.empty()) return;
+    out.open(path, std::ios::binary | std::ios::trunc);
+    if (!out) bad_document("cannot open '" + path + "' for write");
+  };
+  const auto close = [](std::ofstream& out, const std::string& path) {
+    if (!out.is_open()) return;
+    out.flush();
+    if (!out) bad_document("write to '" + path + "' failed");
+  };
   std::ofstream csv;
   std::ofstream json;
-  if (!csv_out.empty()) {
-    csv.open(csv_out, std::ios::binary | std::ios::trunc);
-    if (!csv) bad_document("cannot open '" + csv_out + "' for write");
-  }
-  if (!json_out.empty()) {
-    json.open(json_out, std::ios::binary | std::ios::trunc);
-    if (!json) bad_document("cannot open '" + json_out + "' for write");
-  }
+  open(csv, csv_out);
+  open(json, json_out);
   FarmAggregator aggregator(manifest, csv.is_open() ? &csv : nullptr,
                             json.is_open() ? &json : nullptr);
   for (std::uint32_t u = 0; u < manifest.unit_count; ++u) {
@@ -628,14 +682,191 @@ void aggregate_spool(const std::string& spool, const Manifest& manifest,
         u, parse_unit_json(util::fs::read_text_file(unit_path(spool, u)), u));
   }
   aggregator.finish();
-  if (csv.is_open()) {
-    csv.flush();
-    if (!csv) bad_document("write to '" + csv_out + "' failed");
+  close(csv, csv_out);
+  close(json, json_out);
+}
+
+int run_coordinator(const std::string& spool, const CampaignSpec& spec,
+                    const CoordinatorOptions& options) {
+  // A malformed --serve is a usage error: refuse it before the spool
+  // exists or any worker runs.
+  if (!options.serve_spec.empty()) {
+    try {
+      ServeOptions checked;
+      parse_serve_spec(options.serve_spec, &checked);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "farm: %s\n", error.what());
+      return 2;
+    }
   }
-  if (json.is_open()) {
-    json.flush();
-    if (!json) bad_document("write to '" + json_out + "' failed");
+  OpenedSpool opened;
+  try {
+    opened = open_spool(spool, manifest_for(spec, options.unit_cells),
+                        options.resume,
+                        /*log_events=*/options.heartbeat_seconds > 0.0);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "%s\n", error.what());
+    return 2;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "farm: %s\n", error.what());
+    return 1;
   }
+  const Manifest& manifest = opened.manifest;
+  if (opened.cleared != 0 && !options.quiet) {
+    std::printf("resume: cleared %zu stale claim(s)\n", opened.cleared);
+  }
+  // A worker beyond the unit count would only find nothing to claim.
+  const unsigned workers = std::min(options.workers, manifest.unit_count);
+  std::printf("farm: %u scheme(s) x %u app(s) x %u trial(s) = %llu cells in "
+              "%u unit(s) of %llu, spool %s, %u worker(s)\n",
+              manifest.variant_count, manifest.app_count, manifest.trials,
+              static_cast<unsigned long long>(manifest.total_cells),
+              manifest.unit_count,
+              static_cast<unsigned long long>(manifest.unit_cells),
+              spool.c_str(), workers);
+
+  obs::FarmProgressOptions progress_options;
+  progress_options.enabled = options.progress;
+  obs::FarmProgressReporter reporter(progress_options, manifest.unit_count,
+                                     manifest.total_cells);
+
+  if (workers == 0 && !options.quiet) {
+    // No workers to fork: this invocation initializes or inspects a spool
+    // for externally started workers — print the census instead of exiting
+    // silently (the same scan --farm-status renders).
+    try {
+      print_farm_status(spool, collect_farm_status(spool, manifest));
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "farm: %s\n", error.what());
+    }
+  }
+
+  // Each child runs the --worker loop and leaves with _exit, so it never
+  // returns into the caller. Forking happens while this process has one
+  // thread: the status server below starts its threads afterwards.
+  WorkerOptions worker_options;
+  worker_options.heartbeat_seconds = options.heartbeat_seconds;
+  worker_options.prof = !options.farm_trace_out.empty();
+  worker_options.quiet = true;
+  std::fflush(nullptr);
+  std::vector<pid_t> children;
+  unsigned failed_workers = 0;
+  for (unsigned w = 0; w < workers; ++w) {
+    worker_options.worker_id = "w" + std::to_string(w);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      int status = 1;
+      try {
+        status = run_worker(spool, worker_options);
+      } catch (...) {
+      }
+      std::fflush(nullptr);
+      ::_exit(status);
+    }
+    if (pid < 0) {
+      std::fprintf(stderr, "fork: %s\n", std::strerror(errno));
+      ++failed_workers;
+    } else {
+      children.push_back(pid);
+    }
+  }
+
+  // HTTP status server over the spool: read-only by construction, so the
+  // exports stay byte-identical with --serve on (tier-1 guarded). Stops on
+  // scope exit, after aggregation. A failed bind stops the workers; their
+  // claims stay behind for --resume.
+  std::unique_ptr<SpoolStatusSource> serve_source;
+  std::unique_ptr<obs::http::Server> serve_server;
+  if (!options.serve_spec.empty()) {
+    try {
+      serve_source = std::make_unique<SpoolStatusSource>(spool, manifest,
+                                                         options.staleness);
+      serve_server = start_status_server(*serve_source, options.serve_spec);
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "farm: %s\n", error.what());
+      for (const pid_t pid : children) ::kill(pid, SIGTERM);
+      for (const pid_t pid : children) ::waitpid(pid, nullptr, 0);
+      return 2;
+    }
+    std::printf("serving farm status on %s\n", serve_server->url().c_str());
+    std::fflush(stdout);
+  }
+
+  for (;;) {
+    std::erase_if(children, [&failed_workers](pid_t pid) {
+      int status = 0;
+      const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
+      if (reaped == 0) return false;
+      if (reaped < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        ++failed_workers;
+      }
+      return true;
+    });
+    if (children.empty()) break;
+    const SpoolStatus now = scan_spool(spool, manifest);
+    reporter.poll(now.units_done, now.cells_done,
+                  static_cast<unsigned>(children.size()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  }
+
+  SpoolStatus final_status;
+  try {
+    final_status = scan_spool(spool, manifest);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "farm: %s\n", error.what());
+    return 1;
+  }
+  reporter.finish(final_status.units_done, final_status.cells_done);
+  if (failed_workers != 0) {
+    std::fprintf(stderr, "farm: %u worker(s) exited abnormally\n",
+                 failed_workers);
+  }
+
+  if (!options.farm_trace_out.empty()) {
+    // Merge the per-worker captures with the coordinator-synthesized unit
+    // spans into one fleet timeline. Useful even for an incomplete grid,
+    // so write it before the completeness gate.
+    try {
+      util::fs::atomic_write_text_file(options.farm_trace_out,
+                                       merge_fleet_trace(spool));
+      std::printf("wrote fleet trace to %s (open in Perfetto)\n",
+                  options.farm_trace_out.c_str());
+    } catch (const std::exception& error) {
+      std::fprintf(stderr, "farm trace: %s\n", error.what());
+      return 1;
+    }
+  }
+
+  if (!final_status.complete()) {
+    std::printf("farm: %u/%u unit(s) complete (%llu/%llu cells); resume "
+                "with: run_campaign --farm=%s --resume [--workers=N]\n",
+                final_status.units_done, final_status.unit_count,
+                static_cast<unsigned long long>(final_status.cells_done),
+                static_cast<unsigned long long>(manifest.total_cells),
+                spool.c_str());
+    // --workers=0 initializes or inspects a spool for externally started
+    // workers; an incomplete grid is its expected outcome, not a failure.
+    return workers == 0 ? 0 : 1;
+  }
+
+  try {
+    aggregate_spool(spool, manifest, options.csv_path, options.json_path);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "farm aggregate: %s\n", error.what());
+    return 1;
+  }
+  const double wall = reporter.elapsed_seconds();
+  std::printf("farm: %llu cells in %.2fs wall (%.2f cells/sec), config hash "
+              "%016llx, base seed %016llx\n",
+              static_cast<unsigned long long>(manifest.total_cells), wall,
+              wall > 0.0 ? static_cast<double>(manifest.total_cells) / wall
+                         : 0.0,
+              static_cast<unsigned long long>(manifest.config_hash),
+              static_cast<unsigned long long>(manifest.base_seed));
+  for (const std::string* path : {&options.csv_path, &options.json_path}) {
+    if (!path->empty()) std::printf("wrote %s\n", path->c_str());
+  }
+  return 0;
 }
 
 }  // namespace icr::sim::farm

@@ -3,7 +3,7 @@
 //
 // The campaign engine (src/sim/campaign.h) scales a (variants x apps x
 // trials) grid to one machine's threads; the farm scales it to any number
-// of worker *processes* — spawned by one coordinator or started by hand on
+// of worker *processes* — forked by one coordinator or started by hand on
 // several hosts sharing a spool directory — while keeping the engine's
 // determinism contract: exported results are bit-identical at any worker
 // count, including after an arbitrary kill/resume, because every cell's
@@ -144,7 +144,7 @@ void init_spool(const std::string& spool, const Manifest& manifest);
 // were cleared; `cleared_units`, when given, receives their indices (the
 // coordinator logs one stale-clear telemetry event per unit). Only safe
 // when no worker is currently running; the coordinator calls it on
-// --resume before spawning workers.
+// --resume before forking workers.
 std::size_t clear_stale_claims(const std::string& spool,
                                std::uint32_t unit_count,
                                std::vector<std::uint32_t>* cleared_units =
@@ -226,6 +226,22 @@ WorkerReport run_worker_loop(
     const std::function<void(const WorkUnit&)>& on_unit_done = nullptr,
     WorkerTelemetry* telemetry = nullptr);
 
+// One worker process's knobs: the `run_campaign --worker` flags.
+struct WorkerOptions {
+  std::string worker_id;           // hb/ and events/ identity; "" = pid<pid>
+  double heartbeat_seconds = 5.0;  // between-cell cadence; 0 = no telemetry
+  std::uint32_t max_units = 0;     // stop after N units; 0 = until dry
+  bool prof = false;  // leave a Chrome trace under spool/prof/
+  bool quiet = false;
+};
+
+// A whole worker: rebuilds the spec from the spool's manifest and runs
+// run_worker_loop with heartbeats and, with `prof`, a capture on the
+// shared fleet clock. Returns the process exit status: 0, or 1 after
+// printing the error. `run_campaign --worker` and every worker the
+// coordinator forks run this one function.
+int run_worker(const std::string& spool, const WorkerOptions& options);
+
 // Completion census of a spool, by unit record files present.
 struct SpoolStatus {
   std::uint32_t unit_count = 0;
@@ -286,5 +302,39 @@ class FarmAggregator {
 // Throws if the spool is incomplete or a unit fails to parse.
 void aggregate_spool(const std::string& spool, const Manifest& manifest,
                      const std::string& csv_out, const std::string& json_out);
+
+// Heartbeat ages that classify a worker (farm_telemetry.h).
+struct StalenessPolicy {
+  // A worker whose last heartbeat is at least this old is a straggler...
+  double straggler_after_seconds = 15.0;
+  // ...and at least this old is presumed dead (its claim is re-runnable
+  // after a resume sweep).
+  double dead_after_seconds = 60.0;
+};
+
+// The `run_campaign --farm=DIR` flags.
+struct CoordinatorOptions {
+  unsigned workers = 0;  // processes to fork; capped at the unit count
+  std::uint64_t unit_cells = 4;
+  bool resume = false;
+  double heartbeat_seconds = 5.0;  // handed to every worker exactly
+  std::string farm_trace_out;      // merged fleet Chrome trace; workers prof
+  std::string serve_spec;          // --serve=[ADDR:]PORT; "" = no server
+  StalenessPolicy staleness;       // for the served status
+  std::string csv_path;
+  std::string json_path;
+  bool quiet = false;
+  bool progress = false;
+};
+
+// The farm coordinator: opens (or resumes) the spool, forks the workers —
+// each child runs run_worker and leaves with _exit — then serves status,
+// reports progress, reaps, and aggregates a complete spool into the
+// exports. Workers are forked before the status server starts its
+// thread. Returns the process exit status: 0 exported (or a --workers=0
+// init), 1 on I/O failure or an incomplete grid, 2 on a refused spool, a
+// malformed serve spec or a failed bind.
+int run_coordinator(const std::string& spool, const CampaignSpec& spec,
+                    const CoordinatorOptions& options);
 
 }  // namespace icr::sim::farm

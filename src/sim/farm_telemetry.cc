@@ -7,9 +7,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "src/obs/prof_io.h"
+#include "src/sim/serve.h"
 #include "src/util/fs.h"
 #include "src/util/json.h"
 #include "src/util/table.h"
@@ -19,6 +23,33 @@ namespace icr::sim::farm {
 using Layout = util::JsonWriter::Layout;
 
 namespace {
+
+[[noreturn]] void bad_telemetry(const std::string& what) {
+  throw std::runtime_error("farm telemetry: " + what);
+}
+
+// The non-empty '\n'-terminated lines of `text`. A trailing line without
+// its terminator (a writer killed mid-append, or one still appending on
+// another host) is never returned; `*partial` says whether there was one.
+std::vector<std::string> complete_lines(const std::string& text,
+                                        bool* partial = nullptr) {
+  std::vector<std::string> lines;
+  std::size_t begin = 0;
+  for (std::size_t end; (end = text.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    if (end > begin) lines.push_back(text.substr(begin, end - begin));
+  }
+  if (partial != nullptr) *partial = begin < text.size();
+  return lines;
+}
+
+// dir/worker-<sanitized id><extension>
+std::string worker_file(const std::string& dir, const std::string& worker_id,
+                        const char* extension) {
+  return dir + "/worker-" + sanitize_worker_id(worker_id) + extension;
+}
+
+}  // namespace
 
 double unix_now_seconds() {
   return std::chrono::duration<double>(
@@ -31,24 +62,6 @@ double monotonic_seconds() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-[[noreturn]] void bad_telemetry(const std::string& what) {
-  throw std::runtime_error("farm telemetry: " + what);
-}
-
-std::string heartbeat_file_name(const std::string& worker_id) {
-  return "worker-" + worker_id + ".json";
-}
-
-std::string event_file_name(const std::string& worker_id) {
-  return "worker-" + worker_id + ".ndjson";
-}
-
-std::string trace_file_name(const std::string& worker_id) {
-  return "worker-" + worker_id + ".json";
-}
-
-}  // namespace
 
 std::string sanitize_worker_id(const std::string& id) {
   std::string out;
@@ -74,20 +87,17 @@ std::string worker_trace_dir(const std::string& spool) {
 
 std::string heartbeat_path(const std::string& spool,
                            const std::string& worker_id) {
-  return heartbeat_dir(spool) + "/" +
-         heartbeat_file_name(sanitize_worker_id(worker_id));
+  return worker_file(heartbeat_dir(spool), worker_id, ".json");
 }
 
 std::string event_log_path(const std::string& spool,
                            const std::string& worker_id) {
-  return event_log_dir(spool) + "/" +
-         event_file_name(sanitize_worker_id(worker_id));
+  return worker_file(event_log_dir(spool), worker_id, ".ndjson");
 }
 
 std::string worker_trace_path(const std::string& spool,
                               const std::string& worker_id) {
-  return worker_trace_dir(spool) + "/" +
-         trace_file_name(sanitize_worker_id(worker_id));
+  return worker_file(worker_trace_dir(spool), worker_id, ".json");
 }
 
 RusageSnapshot capture_rusage() {
@@ -142,7 +152,7 @@ WorkerHeartbeat WorkerHeartbeat::parse(const std::string& text) {
   const util::JsonValue& h = doc.get("hb");
   if (!h.is_object()) bad_telemetry("heartbeat has no \"hb\" object");
   WorkerHeartbeat hb;
-  hb.version = static_cast<int>(h.get("version").as_double(-1));
+  hb.version = h.get("version").as_int<int>(-1);
   if (hb.version != kTelemetryFormatVersion) {
     bad_telemetry("heartbeat version " + std::to_string(hb.version) +
                   " (this build reads version " +
@@ -150,37 +160,29 @@ WorkerHeartbeat WorkerHeartbeat::parse(const std::string& text) {
   }
   hb.worker_id = h.get("worker").as_string();
   if (hb.worker_id.empty()) bad_telemetry("heartbeat has no worker id");
-  hb.pid = static_cast<std::int64_t>(h.get("pid").as_double(0.0));
-  hb.seq = static_cast<std::uint64_t>(h.get("seq").as_double(0.0));
+  hb.pid = h.get("pid").as_int<std::int64_t>();
+  hb.seq = h.get("seq").as_int<std::uint64_t>();
   hb.time_unix_seconds = h.get("time_unix").as_double(0.0);
   hb.uptime_seconds = h.get("uptime_seconds").as_double(0.0);
-  hb.units_done =
-      static_cast<std::uint32_t>(h.get("units_done").as_double(0.0));
-  hb.cells_done =
-      static_cast<std::uint64_t>(h.get("cells_done").as_double(0.0));
-  hb.current_unit =
-      static_cast<std::int64_t>(h.get("current_unit").as_double(-1.0));
-  hb.current_cell =
-      static_cast<std::int64_t>(h.get("current_cell").as_double(-1.0));
-  hb.instructions_done =
-      static_cast<std::uint64_t>(h.get("instructions_done").as_double(0.0));
+  hb.units_done = h.get("units_done").as_int<std::uint32_t>();
+  hb.cells_done = h.get("cells_done").as_int<std::uint64_t>();
+  hb.current_unit = h.get("current_unit").as_int<std::int64_t>(-1);
+  hb.current_cell = h.get("current_cell").as_int<std::int64_t>(-1);
+  hb.instructions_done = h.get("instructions_done").as_int<std::uint64_t>();
   hb.mips = h.get("mips").as_double(0.0);
   hb.exited = h.get("exited").as_bool(false);
   const util::JsonValue& usage = h.get("rusage");
-  hb.rusage.maxrss_kb =
-      static_cast<std::uint64_t>(usage.get("maxrss_kb").as_double(0.0));
+  hb.rusage.maxrss_kb = usage.get("maxrss_kb").as_int<std::uint64_t>();
   hb.rusage.utime_seconds = usage.get("utime_seconds").as_double(0.0);
   hb.rusage.stime_seconds = usage.get("stime_seconds").as_double(0.0);
   for (const util::JsonValue& z : h.get("prof").items()) {
     obs::prof::ZoneNode zone;
     zone.path = z.get("path").as_string();
     zone.name = z.get("zone").as_string();
-    zone.depth = static_cast<int>(z.get("depth").as_double(0.0));
-    zone.count = static_cast<std::uint64_t>(z.get("count").as_double(0.0));
-    zone.total_ns =
-        static_cast<std::uint64_t>(z.get("total_ns").as_double(0.0));
-    zone.self_ns =
-        static_cast<std::uint64_t>(z.get("self_ns").as_double(0.0));
+    zone.depth = z.get("depth").as_int<int>();
+    zone.count = z.get("count").as_int<std::uint64_t>();
+    zone.total_ns = z.get("total_ns").as_int<std::uint64_t>();
+    zone.self_ns = z.get("self_ns").as_int<std::uint64_t>();
     hb.prof_zones.push_back(std::move(zone));
   }
   return hb;
@@ -226,18 +228,18 @@ std::string FarmEvent::to_ndjson_line() const {
 FarmEvent FarmEvent::parse(const std::string& line) {
   const util::JsonValue doc = util::JsonValue::parse(line);
   if (!doc.is_object()) bad_telemetry("event line is not an object");
-  const int version = static_cast<int>(doc.get("v").as_double(-1));
+  const int version = doc.get("v").as_int<int>(-1);
   if (version != kTelemetryFormatVersion) {
     bad_telemetry("event version " + std::to_string(version));
   }
   FarmEvent event;
   event.worker_id = doc.get("worker").as_string();
   if (event.worker_id.empty()) bad_telemetry("event has no worker id");
-  event.seq = static_cast<std::uint64_t>(doc.get("seq").as_double(0.0));
+  event.seq = doc.get("seq").as_int<std::uint64_t>();
   event.time_unix_seconds = doc.get("t").as_double(0.0);
   event.type = event_type_by_name(doc.get("type").as_string());
-  event.unit = static_cast<std::int64_t>(doc.get("unit").as_double(-1.0));
-  event.cells = static_cast<std::uint64_t>(doc.get("cells").as_double(0.0));
+  event.unit = doc.get("unit").as_int<std::int64_t>(-1);
+  event.cells = doc.get("cells").as_int<std::uint64_t>();
   event.duration_seconds = doc.get("dur").as_double(0.0);
   event.detail = doc.get("detail").as_string();
   return event;
@@ -249,20 +251,14 @@ EventLog::EventLog(const std::string& spool, const std::string& worker_id)
   path_ = event_log_path(spool, worker_id_);
   // Resume the per-worker sequence from an existing log so numbers stay
   // monotonic across process restarts (the coordinator reuses its id).
-  if (util::fs::exists(path_)) {
-    const std::string text = util::fs::read_text_file(path_);
-    std::size_t begin = 0;
-    while (begin < text.size()) {
-      const std::size_t end = text.find('\n', begin);
-      if (end == std::string::npos) break;  // partial trailing line
-      try {
-        const FarmEvent event = FarmEvent::parse(text.substr(begin, end - begin));
-        next_seq_ = std::max(next_seq_, event.seq + 1);
-      } catch (const std::exception&) {
-        // Corrupt line: skip; the reader counts it, the writer just needs
-        // a sequence floor.
-      }
-      begin = end + 1;
+  if (!util::fs::exists(path_)) return;
+  for (const std::string& line :
+       complete_lines(util::fs::read_text_file(path_))) {
+    try {
+      next_seq_ = std::max(next_seq_, FarmEvent::parse(line).seq + 1);
+    } catch (const std::exception&) {
+      // Corrupt line: skip; the reader counts it, the writer just needs a
+      // sequence floor.
     }
   }
 }
@@ -293,25 +289,16 @@ std::vector<FarmEvent> read_farm_events(const std::string& spool,
       if (name.size() < 7 || name.substr(name.size() - 7) != ".ndjson") {
         continue;
       }
-      const std::string text = util::fs::read_text_file(dir + "/" + name);
-      std::size_t begin = 0;
-      while (begin < text.size()) {
-        const std::size_t end = text.find('\n', begin);
-        if (end == std::string::npos) {
-          // No terminator: the writer was killed mid-append (or is mid
-          // write on another host). Never a parse target.
+      bool partial = false;
+      for (const std::string& line : complete_lines(
+               util::fs::read_text_file(dir + "/" + name), &partial)) {
+        try {
+          events.push_back(FarmEvent::parse(line));
+        } catch (const std::exception&) {
           ++dropped;
-          break;
         }
-        if (end > begin) {
-          try {
-            events.push_back(FarmEvent::parse(text.substr(begin, end - begin)));
-          } catch (const std::exception&) {
-            ++dropped;
-          }
-        }
-        begin = end + 1;
       }
+      dropped += partial ? 1 : 0;
     }
   }
   std::stable_sort(events.begin(), events.end(),
@@ -329,11 +316,10 @@ std::vector<FarmEvent> read_farm_events(const std::string& spool,
 }
 
 WorkerTelemetry::WorkerTelemetry(const std::string& spool,
-                                 const WorkerTelemetryOptions& options)
+                                 const WorkerOptions& options)
     : spool_(spool),
-      options_(options),
+      heartbeat_seconds_(options.heartbeat_seconds),
       events_(spool, options.worker_id) {
-  options_.worker_id = events_.worker_id();  // sanitized form
   util::fs::make_directories(heartbeat_dir(spool_));
   start_monotonic_seconds_ = monotonic_seconds();
 }
@@ -389,13 +375,13 @@ void WorkerTelemetry::on_exit(const WorkerReport& report) {
 bool WorkerTelemetry::heartbeat_due() const {
   if (!ever_beat_) return true;
   return monotonic_seconds() - last_beat_monotonic_seconds_ >=
-         options_.heartbeat_interval_seconds;
+         heartbeat_seconds_;
 }
 
 void WorkerTelemetry::publish_heartbeat() {
   const double now_monotonic = monotonic_seconds();
   WorkerHeartbeat hb;
-  hb.worker_id = options_.worker_id;
+  hb.worker_id = events_.worker_id();
   hb.pid = static_cast<std::int64_t>(::getpid());
   hb.seq = seq_++;
   hb.time_unix_seconds = unix_now_seconds();
@@ -411,7 +397,7 @@ void WorkerTelemetry::publish_heartbeat() {
   hb.rusage = capture_rusage();
   hb.prof_zones = obs::prof::snapshot_zones();
   util::fs::atomic_write_text_file(
-      heartbeat_path(spool_, options_.worker_id), hb.to_json());
+      heartbeat_path(spool_, events_.worker_id()), hb.to_json());
   last_beat_monotonic_seconds_ = now_monotonic;
   ever_beat_ = true;
 }
@@ -508,32 +494,26 @@ FarmStatus collect_farm_status(const std::string& spool,
   std::vector<FarmEvent> events =
       read_farm_events(spool, &status.dropped_event_lines);
   status.event_count = events.size();
-  double earliest = 0.0;
-  bool have_earliest = false;
+  double earliest = std::numeric_limits<double>::infinity();
   for (const FarmEvent& event : events) {
-    if (!have_earliest || event.time_unix_seconds < earliest) {
-      earliest = event.time_unix_seconds;
-      have_earliest = true;
-    }
+    earliest = std::min(earliest, event.time_unix_seconds);
     if (event.type == FarmEventType::kPublish) {
       status.unit_latency_ms.record(static_cast<std::uint64_t>(
           std::llround(std::max(0.0, event.duration_seconds) * 1000.0)));
     }
   }
-  if (!have_earliest) {
+  if (events.empty()) {
     // No events (telemetry off, or only heartbeats survived): fall back to
     // the oldest worker start implied by a heartbeat.
     for (const WorkerStatus& worker : status.workers) {
-      const double started = worker.heartbeat.time_unix_seconds -
-                             worker.heartbeat.uptime_seconds;
-      if (!have_earliest || started < earliest) {
-        earliest = started;
-        have_earliest = true;
-      }
+      earliest = std::min(earliest, worker.heartbeat.time_unix_seconds -
+                                        worker.heartbeat.uptime_seconds);
     }
   }
   status.elapsed_seconds =
-      have_earliest ? std::max(0.0, status.now_unix_seconds - earliest) : 0.0;
+      std::isfinite(earliest)
+          ? std::max(0.0, status.now_unix_seconds - earliest)
+          : 0.0;
   status.throughput = obs::estimate_throughput(
       status.census.cells_done, status.total_cells, status.elapsed_seconds);
 
@@ -547,23 +527,15 @@ FarmStatus collect_farm_status(const std::string& spool,
       if (claims_dir + "/" + name != claim_path(spool, unit)) continue;
       if (unit >= manifest.unit_count) continue;
       if (util::fs::exists(unit_path(spool, unit))) continue;  // published
-      bool live = false;
-      for (const WorkerStatus& worker : status.workers) {
-        if (worker.state != WorkerState::kRunning &&
-            worker.state != WorkerState::kStraggler) {
-          continue;
-        }
-        if (worker.heartbeat.current_unit ==
-            static_cast<std::int64_t>(unit)) {
-          live = true;
-          break;
-        }
-      }
-      if (live) {
-        ++status.claims_live;
-      } else {
-        ++status.claims_stale;
-      }
+      const bool live = std::any_of(
+          status.workers.begin(), status.workers.end(),
+          [unit](const WorkerStatus& worker) {
+            return (worker.state == WorkerState::kRunning ||
+                    worker.state == WorkerState::kStraggler) &&
+                   worker.heartbeat.current_unit ==
+                       static_cast<std::int64_t>(unit);
+          });
+      ++(live ? status.claims_live : status.claims_stale);
     }
   }
   return status;
@@ -686,6 +658,58 @@ std::string render_farm_status(const FarmStatus& status) {
   return out;
 }
 
+void print_farm_status(const std::string& spool, const FarmStatus& status) {
+  std::printf("farm status — spool %s\n", spool.c_str());
+  std::fputs(render_farm_status(status).c_str(), stdout);
+  std::fflush(stdout);
+}
+
+int watch_farm_status(const std::string& spool,
+                      const StatusWatchOptions& options) {
+  try {
+    const Manifest manifest = load_manifest(spool);
+    // With --serve the process stays up (re-rendering only under --watch)
+    // until the fleet drains, so remote readers can poll a stable URL.
+    std::unique_ptr<SpoolStatusSource> serve_source;
+    std::unique_ptr<obs::http::Server> serve_server;
+    if (!options.serve_spec.empty()) {
+      serve_source = std::make_unique<SpoolStatusSource>(spool, manifest,
+                                                         options.staleness);
+      serve_server = start_status_server(*serve_source, options.serve_spec);
+      std::printf("serving farm status on %s (spool %s)\n",
+                  serve_server->url().c_str(), spool.c_str());
+      std::fflush(stdout);
+    }
+    FarmStatusOptions status_options;
+    status_options.staleness = options.staleness;
+    for (bool first = true;; first = false) {
+      const FarmStatus status =
+          collect_farm_status(spool, manifest, status_options);
+      if (first || options.watch_seconds > 0.0) {
+        if (!options.quiet) {
+          if (!first) std::printf("\n");
+          print_farm_status(spool, status);
+        }
+        if (options.status_json == "-") {
+          std::fputs(farm_status_to_ndjson(status).c_str(), stdout);
+          std::fflush(stdout);
+        } else if (!options.status_json.empty()) {
+          util::fs::atomic_write_text_file(options.status_json,
+                                           farm_status_to_ndjson(status));
+        }
+      }
+      if (status.drained()) break;
+      if (options.watch_seconds <= 0.0 && serve_server == nullptr) break;
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          options.watch_seconds > 0.0 ? options.watch_seconds : 0.5));
+    }
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "farm status: %s\n", error.what());
+    return 1;
+  }
+  return 0;
+}
+
 std::string farm_status_to_ndjson(const FarmStatus& status) {
   const FarmStatus::WorkerCounts counts = status.worker_counts();
   std::string out;
@@ -742,8 +766,7 @@ FarmStatus farm_status_from_ndjson(const std::string& text) {
     pos = end + 1;
     if (line.empty()) continue;
     util::JsonValue record = util::JsonValue::parse(line);
-    const int schema =
-        static_cast<int>(record.get("schema").as_double(1.0));
+    const int schema = record.get("schema").as_int<int>(1);
     if (schema > kStatusSchemaVersion) {
       throw std::runtime_error(
           "status schema " + std::to_string(schema) +
@@ -755,25 +778,21 @@ FarmStatus farm_status_from_ndjson(const std::string& text) {
       saw_farm = true;
       status.schema = schema;
       status.census.unit_count =
-          static_cast<std::uint32_t>(record.get("unit_count").as_double());
+          record.get("unit_count").as_int<std::uint32_t>();
       status.census.units_done =
-          static_cast<std::uint32_t>(record.get("units_done").as_double());
+          record.get("units_done").as_int<std::uint32_t>();
       status.census.cells_done =
-          static_cast<std::uint64_t>(record.get("cells_done").as_double());
-      status.census.claims_outstanding = static_cast<std::uint32_t>(
-          record.get("claims_outstanding").as_double());
-      status.total_cells =
-          static_cast<std::uint64_t>(record.get("total_cells").as_double());
-      status.claims_live =
-          static_cast<std::uint32_t>(record.get("claims_live").as_double());
-      status.claims_stale =
-          static_cast<std::uint32_t>(record.get("claims_stale").as_double());
-      status.event_count =
-          static_cast<std::size_t>(record.get("events").as_double());
-      status.dropped_event_lines = static_cast<std::size_t>(
-          record.get("dropped_event_lines").as_double());
-      status.unreadable_heartbeats = static_cast<std::size_t>(
-          record.get("unreadable_heartbeats").as_double());
+          record.get("cells_done").as_int<std::uint64_t>();
+      status.census.claims_outstanding =
+          record.get("claims_outstanding").as_int<std::uint32_t>();
+      status.total_cells = record.get("total_cells").as_int<std::uint64_t>();
+      status.claims_live = record.get("claims_live").as_int<std::uint32_t>();
+      status.claims_stale = record.get("claims_stale").as_int<std::uint32_t>();
+      status.event_count = record.get("events").as_int<std::size_t>();
+      status.dropped_event_lines =
+          record.get("dropped_event_lines").as_int<std::size_t>();
+      status.unreadable_heartbeats =
+          record.get("unreadable_heartbeats").as_int<std::size_t>();
       status.elapsed_seconds = record.get("elapsed_seconds").as_double();
       status.throughput.percent = record.get("percent").as_double(100.0);
       status.throughput.rate = record.get("cells_per_second").as_double();
@@ -789,19 +808,14 @@ FarmStatus farm_status_from_ndjson(const std::string& text) {
       worker.cells_per_second = record.get("cells_per_second").as_double();
       WorkerHeartbeat& hb = worker.heartbeat;
       hb.worker_id = record.get("worker").as_string();
-      hb.pid = static_cast<std::int64_t>(record.get("pid").as_double());
-      hb.seq = static_cast<std::uint64_t>(record.get("seq").as_double());
-      hb.units_done =
-          static_cast<std::uint32_t>(record.get("units_done").as_double());
-      hb.cells_done =
-          static_cast<std::uint64_t>(record.get("cells_done").as_double());
-      hb.current_unit =
-          static_cast<std::int64_t>(record.get("current_unit").as_double(-1.0));
-      hb.current_cell =
-          static_cast<std::int64_t>(record.get("current_cell").as_double(-1.0));
+      hb.pid = record.get("pid").as_int<std::int64_t>();
+      hb.seq = record.get("seq").as_int<std::uint64_t>();
+      hb.units_done = record.get("units_done").as_int<std::uint32_t>();
+      hb.cells_done = record.get("cells_done").as_int<std::uint64_t>();
+      hb.current_unit = record.get("current_unit").as_int<std::int64_t>(-1);
+      hb.current_cell = record.get("current_cell").as_int<std::int64_t>(-1);
       hb.mips = record.get("mips").as_double();
-      hb.rusage.maxrss_kb =
-          static_cast<std::uint64_t>(record.get("maxrss_kb").as_double());
+      hb.rusage.maxrss_kb = record.get("maxrss_kb").as_int<std::uint64_t>();
       hb.exited = record.get("exited").as_bool();
       status.workers.push_back(std::move(worker));
     }

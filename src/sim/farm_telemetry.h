@@ -1,12 +1,11 @@
 // Fleet telemetry for the campaign farm: the spool directory itself is the
 // observability substrate.
 //
-// PR 6 (src/sim/farm.h) made the spool the *work* substrate — any process
-// can claim, run and publish units through files alone. This layer makes it
+// src/sim/farm.h makes the spool the *work* substrate; this layer makes it
 // the *status* substrate too: any process — the coordinator, an external
-// fleet manager, or a human running `run_campaign --farm-status` after a
-// crash — can reconstruct fleet state purely from files, with no IPC and no
-// surviving coordinator. Three file families, all outside the unit/claim
+// fleet manager, or `run_campaign --farm-status` after a crash — can
+// reconstruct fleet state from files alone, with no IPC and no surviving
+// coordinator. Three file families, all outside the unit/claim
 // directories the aggregator reads, so telemetry can never perturb the
 // byte-identical export guarantee (guarded by tier-1 test):
 //
@@ -57,6 +56,11 @@ inline constexpr int kTelemetryFormatVersion = 1;
 //   1 — PR 7: farm + worker records, no schema field.
 //   2 — PR 9: explicit "schema" field on every record.
 inline constexpr int kStatusSchemaVersion = 2;
+
+// Wall clock in unix seconds: heartbeats, events and fleet-trace epochs.
+[[nodiscard]] double unix_now_seconds();
+// Steady clock in seconds, for ages and rates within one process.
+[[nodiscard]] double monotonic_seconds();
 
 // Worker ids become file names; anything outside [A-Za-z0-9._-] maps to '_'
 // (empty ids become "worker").
@@ -168,18 +172,13 @@ class EventLog {
 [[nodiscard]] std::vector<FarmEvent> read_farm_events(
     const std::string& spool, std::size_t* dropped_lines = nullptr);
 
-// The worker-side publisher run_worker_loop drives. All writes go through
-// the atomic/append helpers above; nothing here touches the unit records,
-// the claims, or the campaign config hash.
-struct WorkerTelemetryOptions {
-  std::string worker_id;  // sanitized on construction; empty -> "worker"
-  double heartbeat_interval_seconds = 5.0;  // between-cell cadence
-};
-
+// The worker-side publisher run_worker_loop drives, under the worker id
+// (sanitized; empty -> "worker") and heartbeat cadence of `options`. All
+// writes go through the atomic/append helpers above; nothing here touches
+// the unit records, the claims, or the campaign config hash.
 class WorkerTelemetry {
  public:
-  WorkerTelemetry(const std::string& spool,
-                  const WorkerTelemetryOptions& options);
+  WorkerTelemetry(const std::string& spool, const WorkerOptions& options);
 
   // Hooks, in run_worker_loop order.
   void on_start(const Manifest& manifest);
@@ -189,19 +188,13 @@ class WorkerTelemetry {
   void on_unit_published(const WorkUnit& unit);
   void on_exit(const WorkerReport& report);
 
-  [[nodiscard]] const std::string& worker_id() const noexcept {
-    return options_.worker_id;
-  }
-
-  // Builds the current snapshot and atomically publishes it (public so the
-  // CLI can force a final beat around error paths).
-  void publish_heartbeat();
-
  private:
   [[nodiscard]] bool heartbeat_due() const;
+  // Builds the current snapshot and atomically publishes it.
+  void publish_heartbeat();
 
   std::string spool_;
-  WorkerTelemetryOptions options_;
+  double heartbeat_seconds_;
   EventLog events_;
   std::uint64_t instructions_per_cell_ = 0;
   std::uint64_t seq_ = 0;
@@ -217,14 +210,6 @@ class WorkerTelemetry {
 };
 
 // ---- The read side: farm_status ----------------------------------------
-
-struct StalenessPolicy {
-  // A worker whose last heartbeat is at least this old is a straggler...
-  double straggler_after_seconds = 15.0;
-  // ...and at least this old is presumed dead (its claim is re-runnable
-  // after a resume sweep).
-  double dead_after_seconds = 60.0;
-};
 
 enum class WorkerState { kRunning, kStraggler, kDead, kExited };
 [[nodiscard]] const char* to_string(WorkerState state) noexcept;
@@ -291,6 +276,27 @@ struct FarmStatus {
 
 // Human-readable fleet table (census, per-worker rows, latency histogram).
 [[nodiscard]] std::string render_farm_status(const FarmStatus& status);
+
+// Prints the "farm status — spool DIR" heading and the fleet table to
+// stdout: the one-shot view of `icr_report --farm SPOOL` and
+// `run_campaign --farm-status`.
+void print_farm_status(const std::string& spool, const FarmStatus& status);
+
+// The `run_campaign --farm-status=DIR` flags.
+struct StatusWatchOptions {
+  StalenessPolicy staleness;
+  double watch_seconds = 0.0;  // refresh period; 0 = render once
+  std::string status_json;     // NDJSON out ("-" = stdout)
+  std::string serve_spec;      // --serve: keep serving until drained
+  bool quiet = false;
+};
+
+// Renders the fleet state of `spool` from its files alone: once, or every
+// watch_seconds until the fleet is drained. With a serve spec the status
+// server stays up, polling, until the fleet drains. Returns the process
+// exit status: 0, or 1 after printing the error.
+int watch_farm_status(const std::string& spool,
+                      const StatusWatchOptions& options);
 
 // NDJSON for scripting: one {"type":"farm",...} summary line, then one
 // {"type":"worker",...} line per worker. Every record carries

@@ -1,6 +1,5 @@
 #include "src/sim/serve.h"
 
-#include <chrono>
 #include <limits>
 #include <optional>
 #include <stdexcept>
@@ -13,11 +12,8 @@
 namespace icr::sim::farm {
 namespace {
 
-double monotonic_now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
+// /events idle re-poll cadence while waiting for new events.
+constexpr double kEventsPollSeconds = 0.5;
 
 // The farm metric families (docs/SERVING.md). Everything is a gauge of the
 // spool's current state except the event/latency tallies, which only grow.
@@ -148,12 +144,10 @@ SpoolStatusSource::SpoolStatusSource(std::string spool, Manifest manifest,
                                      StalenessPolicy staleness)
     : spool_(std::move(spool)),
       manifest_(std::move(manifest)),
-      staleness_(staleness) {}
+      options_{staleness} {}
 
 FarmStatus SpoolStatusSource::collect() const {
-  FarmStatusOptions options;
-  options.staleness = staleness_;
-  return collect_farm_status(spool_, manifest_, options);
+  return collect_farm_status(spool_, manifest_, options_);
 }
 
 std::string SpoolStatusSource::status_ndjson() {
@@ -180,11 +174,11 @@ CampaignStatusSource::CampaignStatusSource(std::uint64_t total_cells,
                                            std::uint64_t instructions_per_cell)
     : total_cells_(total_cells),
       instructions_per_cell_(instructions_per_cell),
-      start_monotonic_seconds_(monotonic_now_seconds()) {}
+      start_monotonic_seconds_(monotonic_seconds()) {}
 
 std::string CampaignStatusSource::status_ndjson() {
   const std::uint64_t done = cells_done_.load();
-  const double elapsed = monotonic_now_seconds() - start_monotonic_seconds_;
+  const double elapsed = monotonic_seconds() - start_monotonic_seconds_;
   const obs::Throughput t =
       obs::estimate_throughput(done, total_cells_, elapsed);
   std::string out;
@@ -204,7 +198,7 @@ std::string CampaignStatusSource::status_ndjson() {
 
 std::string CampaignStatusSource::metrics_text() {
   const std::uint64_t done = cells_done_.load();
-  const double elapsed = monotonic_now_seconds() - start_monotonic_seconds_;
+  const double elapsed = monotonic_seconds() - start_monotonic_seconds_;
   const obs::Throughput t =
       obs::estimate_throughput(done, total_cells_, elapsed);
   obs::MetricsText out;
@@ -243,7 +237,7 @@ SimStatusSource::SimStatusSource(std::string scheme, std::string app,
     : scheme_(std::move(scheme)),
       app_(std::move(app)),
       total_instructions_(total_instructions),
-      start_monotonic_seconds_(monotonic_now_seconds()) {}
+      start_monotonic_seconds_(monotonic_seconds()) {}
 
 void SimStatusSource::update(
     std::uint64_t instructions_done,
@@ -267,7 +261,7 @@ bool SimStatusSource::finished() {
 
 std::string SimStatusSource::status_ndjson() {
   std::lock_guard<std::mutex> lock(mutex_);
-  const double elapsed = monotonic_now_seconds() - start_monotonic_seconds_;
+  const double elapsed = monotonic_seconds() - start_monotonic_seconds_;
   const obs::Throughput t = obs::estimate_throughput(
       instructions_done_, total_instructions_, elapsed);
   std::string out;
@@ -288,7 +282,7 @@ std::string SimStatusSource::status_ndjson() {
 
 std::string SimStatusSource::metrics_text() {
   std::lock_guard<std::mutex> lock(mutex_);
-  const double elapsed = monotonic_now_seconds() - start_monotonic_seconds_;
+  const double elapsed = monotonic_seconds() - start_monotonic_seconds_;
   const obs::Throughput t = obs::estimate_throughput(
       instructions_done_, total_instructions_, elapsed);
   obs::MetricsText out;
@@ -339,7 +333,9 @@ void parse_serve_spec(const std::string& spec, ServeOptions* options) {
 }
 
 std::unique_ptr<obs::http::Server> start_status_server(
-    StatusSource& source, const ServeOptions& options) {
+    StatusSource& source, const std::string& serve_spec) {
+  ServeOptions options;
+  parse_serve_spec(serve_spec, &options);
   auto server = std::make_unique<obs::http::Server>();
   StatusSource* src = &source;
   server->handle("/healthz", [](const obs::http::Request&) {
@@ -358,10 +354,9 @@ std::unique_ptr<obs::http::Server> start_status_server(
     return obs::http::Response{200, "text/html; charset=utf-8",
                                obs::dashboard_html()};
   });
-  const double poll_seconds = options.events_poll_seconds;
   server->handle_stream(
       "/events",
-      [src, poll_seconds](const obs::http::Request& request,
+      [src](const obs::http::Request& request,
                           obs::http::ClientStream& stream) {
         // Resume semantics (docs/SERVING.md): the id of each frame is its
         // index in the merged (time, worker, seq) stream; Last-Event-ID or
@@ -385,7 +380,7 @@ std::unique_ptr<obs::http::Server> start_status_server(
             stream.write("event: drained\ndata: {}\n\n");
             return;
           }
-          if (!stream.wait(poll_seconds)) return;
+          if (!stream.wait(kEventsPollSeconds)) return;
         }
       });
   obs::http::ServerOptions server_options;

@@ -68,7 +68,7 @@ class SpoolStatusSource : public StatusSource {
   [[nodiscard]] FarmStatus collect() const;
   std::string spool_;
   Manifest manifest_;
-  StalenessPolicy staleness_;
+  FarmStatusOptions options_;
 };
 
 // In-process campaign: progress is the runner's live completed-cell
@@ -126,18 +126,17 @@ class SimStatusSource : public StatusSource {
 struct ServeOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; Server::port() has the real one
-  // /events idle re-poll cadence while waiting for new events.
-  double events_poll_seconds = 0.5;
 };
 
 // "PORT" or "ADDR:PORT" (e.g. "8080", "0.0.0.0:8080") into `options`;
-// throws std::runtime_error on malformed input or a port outside 1..65535.
+// throws std::runtime_error on malformed input or a port above 65535.
 void parse_serve_spec(const std::string& spec, ServeOptions* options);
 
-// Registers the five endpoints on a fresh server and starts it. The source
-// must outlive the returned server; stop() (or destruction) joins every
-// connection. Throws std::runtime_error when the bind fails.
+// Registers the five endpoints on a fresh server and starts it on the
+// --serve text `serve_spec` (parse_serve_spec). The source must outlive the
+// returned server; stop() (or destruction) joins every connection. Throws
+// std::runtime_error on a malformed spec or a failed bind.
 [[nodiscard]] std::unique_ptr<obs::http::Server> start_status_server(
-    StatusSource& source, const ServeOptions& options);
+    StatusSource& source, const std::string& serve_spec);
 
 }  // namespace icr::sim::farm

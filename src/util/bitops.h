@@ -34,9 +34,4 @@ namespace icr {
   return is_pow2(n) ? x & (n - 1) : x % n;
 }
 
-// Extract bit `i` of x.
-[[nodiscard]] constexpr unsigned bit_of(std::uint64_t x, unsigned i) noexcept {
-  return static_cast<unsigned>((x >> i) & 1ULL);
-}
-
 }  // namespace icr

@@ -15,6 +15,7 @@
 
 #include <concepts>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -36,12 +37,6 @@ class JsonValue {
     return type_ == Type::kObject;
   }
   [[nodiscard]] bool is_array() const noexcept { return type_ == Type::kArray; }
-  [[nodiscard]] bool is_string() const noexcept {
-    return type_ == Type::kString;
-  }
-  [[nodiscard]] bool is_number() const noexcept {
-    return type_ == Type::kNumber;
-  }
 
   // Typed accessors with defaults: a missing/mistyped value yields the
   // fallback instead of throwing, so report tools degrade gracefully on
@@ -50,6 +45,22 @@ class JsonValue {
     return type_ == Type::kNumber ? number_
                                   : (type_ == Type::kBool ? (bool_ ? 1.0 : 0.0)
                                                           : fallback);
+  }
+  // as_double() converted to the integer type T: a missing or mistyped
+  // value yields the fallback, a fraction truncates toward zero, and a
+  // number outside T's range clamps to its nearest limit, so no document
+  // reaches an undefined float-to-integer conversion.
+  template <std::integral T>
+  [[nodiscard]] T as_int(T fallback = 0) const noexcept {
+    if (type_ != Type::kNumber && type_ != Type::kBool) return fallback;
+    const double value = as_double();
+    if (value <= static_cast<double>(std::numeric_limits<T>::min())) {
+      return std::numeric_limits<T>::min();
+    }
+    if (value >= static_cast<double>(std::numeric_limits<T>::max())) {
+      return std::numeric_limits<T>::max();
+    }
+    return static_cast<T>(value);
   }
   [[nodiscard]] bool as_bool(bool fallback = false) const noexcept {
     return type_ == Type::kBool ? bool_ : fallback;

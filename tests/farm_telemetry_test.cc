@@ -438,9 +438,9 @@ TEST(FarmTelemetry, WorkerLoopEmitsTelemetryWithoutPerturbingExports) {
   // forced unit-boundary beats fire (deterministic count).
   const std::string traced = make_temp_spool();
   init_spool(traced, manifest);
-  WorkerTelemetryOptions topt;
+  WorkerOptions topt;
   topt.worker_id = "w0";
-  topt.heartbeat_interval_seconds = 3600.0;
+  topt.heartbeat_seconds = 3600.0;
   WorkerTelemetry telemetry(traced, topt);
   const WorkerReport traced_report =
       run_worker_loop(traced, spec, 0, nullptr, &telemetry);

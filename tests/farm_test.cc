@@ -326,6 +326,25 @@ TEST(FarmAggregation, ByteIdenticalToInMemoryExportersAtAnyWorkerCount) {
   EXPECT_EQ(json4, want_json);
 }
 
+TEST(FarmCoordinator, ForkedWorkersExportTheInProcessBytes) {
+  // The coordinator end to end, in this process: it forks two workers that
+  // run the --worker loop and leave with _exit, then aggregates the spool.
+  const CampaignSpec spec = small_spec();
+  const std::string spool = make_temp_spool();
+  CoordinatorOptions options;
+  options.workers = 2;
+  options.unit_cells = 3;
+  options.csv_path = spool + ".csv";
+  options.json_path = spool + ".json";
+  options.quiet = true;
+  ASSERT_EQ(run_coordinator(spool, spec, options), 0);
+
+  const CampaignResult campaign = CampaignRunner(1).run(spec);
+  EXPECT_EQ(util::fs::read_text_file(options.csv_path), to_csv(campaign));
+  EXPECT_EQ(util::fs::read_text_file(options.json_path),
+            to_json(campaign, /*include_timing=*/false));
+}
+
 TEST(FarmAggregation, StateIndependentOfGridSize) {
   // The bounded-memory guarantee: aggregator-owned state is a fixed set of
   // counters, so a million-cell manifest costs the same as an 8-cell one.

@@ -1,6 +1,8 @@
 // util/json: the minimal JSON reader and the one JSON writer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -19,6 +21,26 @@ TEST(JsonTest, ParsesScalars) {
   EXPECT_DOUBLE_EQ(JsonValue::parse("42").as_double(), 42.0);
   EXPECT_DOUBLE_EQ(JsonValue::parse("-1.5e3").as_double(), -1500.0);
   EXPECT_EQ(JsonValue::parse("\"hi\"").as_string(), "hi");
+}
+
+TEST(JsonTest, IntegerAccessorClampsOutOfRangeNumbers) {
+  // Heartbeats, events, manifests and remote status records are read with
+  // as_int: a hostile number must clamp, never convert out of range.
+  const auto at = [](const char* text) { return JsonValue::parse(text); };
+  EXPECT_EQ(at("42.9").as_int<std::uint32_t>(), 42u);
+  EXPECT_EQ(at("-7.9").as_int<std::int64_t>(), -7);
+  EXPECT_EQ(at("true").as_int<int>(), 1);
+  EXPECT_EQ(at("1e300").as_int<std::uint64_t>(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(at("18446744073709551616").as_int<std::uint64_t>(),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(at("-1e300").as_int<std::int64_t>(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(at("-5").as_int<std::uint32_t>(), 0u);
+  EXPECT_EQ(at("5e9").as_int<std::uint32_t>(),
+            std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(at("\"12\"").as_int<int>(-1), -1);
+  EXPECT_EQ(at("{}").get("missing").as_int<std::int64_t>(-1), -1);
 }
 
 TEST(JsonTest, ParsesStringEscapes) {

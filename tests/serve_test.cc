@@ -62,11 +62,11 @@ std::string build_two_worker_spool(const CampaignSpec& spec) {
   const Manifest manifest = manifest_for(spec, /*unit_cells=*/2);
   init_spool(spool, manifest);
   const std::uint32_t half = manifest.unit_count / 2;
-  WorkerTelemetryOptions w0_options;
+  WorkerOptions w0_options;
   w0_options.worker_id = "w0";
   WorkerTelemetry w0(spool, w0_options);
   (void)run_worker_loop(spool, spec, /*max_units=*/half, nullptr, &w0);
-  WorkerTelemetryOptions w1_options;
+  WorkerOptions w1_options;
   w1_options.worker_id = "w1";
   WorkerTelemetry w1(spool, w1_options);
   (void)run_worker_loop(spool, spec, /*max_units=*/0, nullptr, &w1);
@@ -143,8 +143,7 @@ TEST(ServeFarm, ServesStatusMetricsEventsAndDashboardOverASpool) {
   const Manifest manifest = load_manifest(spool);
 
   SpoolStatusSource source(spool, manifest);
-  ServeOptions options;  // 127.0.0.1, ephemeral port
-  const auto server = start_status_server(source, options);
+  const auto server = start_status_server(source, "0");  // ephemeral port
   const std::string base = server->url();
 
   // /healthz
@@ -231,7 +230,7 @@ TEST(ServeFarm, EventsReplayFromZeroWhenTheResumeIdDoesNotParse) {
   const std::size_t events = collect_farm_status(spool, manifest).event_count;
   ASSERT_GT(events, 1u);
   SpoolStatusSource source(spool, manifest);
-  const auto server = start_status_server(source, ServeOptions{});
+  const auto server = start_status_server(source, "0");
   const std::string base = server->url();
 
   const obs::http::FetchResult garbage =
@@ -263,7 +262,7 @@ TEST(ServeFarm, ServingLeavesAggregatedExportsByteIdentical) {
 
   // Aggregate again while the server is up and actively fielding requests.
   SpoolStatusSource source(spool, manifest);
-  const auto server = start_status_server(source, ServeOptions{});
+  const auto server = start_status_server(source, "0");
   (void)obs::http::http_get(server->url() + "/metrics");
   (void)obs::http::http_get(server->url() + "/status");
   aggregate_spool(spool, manifest, out + "/serve.csv", out + "/serve.json");

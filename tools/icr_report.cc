@@ -485,11 +485,9 @@ int report_farm(const std::string& spool) {
     return report_farm_url(spool);
   }
   try {
-    const sim::farm::Manifest manifest = sim::farm::load_manifest(spool);
-    const sim::farm::FarmStatus status =
-        sim::farm::collect_farm_status(spool, manifest);
-    std::printf("farm status — spool %s\n", spool.c_str());
-    std::fputs(sim::farm::render_farm_status(status).c_str(), stdout);
+    sim::farm::print_farm_status(
+        spool, sim::farm::collect_farm_status(
+                   spool, sim::farm::load_manifest(spool)));
     return 0;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "icr_report: %s: %s\n", spool.c_str(), error.what());

@@ -270,13 +270,11 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::http::Server> serve_server;
   if (!run.serve_spec.empty()) {
     try {
-      sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(run.serve_spec, &serve_options);
       serve_source = std::make_unique<sim::farm::SimStatusSource>(
           opt.scheme, opt.trace_path.empty() ? opt.app : opt.trace_path,
           instructions);
       serve_server =
-          sim::farm::start_status_server(*serve_source, serve_options);
+          sim::farm::start_status_server(*serve_source, run.serve_spec);
       std::fprintf(stderr, "serving run status on %s\n",
                    serve_server->url().c_str());
     } catch (const std::exception& error) {

@@ -7,7 +7,7 @@
 //     optional CSV/JSON export. Per-cell metrics are bit-identical for any
 //     --threads value.
 //   * Farm coordinator (--farm=DIR): shards the grid into work units,
-//     writes a spool manifest, spawns --workers=N worker processes, and
+//     writes a spool manifest, forks --workers=N worker processes, and
 //     streams the completed units into the same CSV/JSON exporters. The
 //     export is bit-identical to an in-process run with --no-timing, at
 //     any worker count, including after kills and --resume (src/sim/farm.h
@@ -15,25 +15,22 @@
 //   * Farm worker (--worker --spool=DIR): claims and runs work units from
 //     an existing spool. Start any number, on any hosts sharing the spool.
 //
+// The farm modes and --farm-status live in src/sim/farm*; this file is
+// flag parsing, spec building, and the in-process run.
+//
 //   run_campaign                                  # all 10 schemes x 8 apps
 //   run_campaign --schemes=BaseP,BaseECC --apps=vortex,mcf --trials=5
 //   run_campaign --threads=1 --json=a.json       # a.json and b.json agree
 //   run_campaign --threads=8 --json=b.json       # on every per-cell metric
 //   run_campaign --farm=spool --workers=8 --trials=16 --json=farm.json
 //   run_campaign --farm=spool --resume --workers=8 --json=farm.json
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/obs/farm_progress.h"
 #include "src/obs/prof.h"
 #include "src/obs/prof_io.h"
 #include "src/sim/campaign.h"
@@ -42,7 +39,6 @@
 #include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
 #include "src/sim/serve.h"
-#include "src/util/fs.h"
 #include "src/util/table.h"
 
 using namespace icr;
@@ -75,23 +71,15 @@ struct Options {
   bool no_timing = false;
   bool quiet = false;
   bool progress = false;
-  // Farm modes (docs/CAMPAIGN.md).
-  std::string farm_dir;   // coordinator: spool directory
-  unsigned workers = 0;   // coordinator: processes to spawn (0 = none)
+  // Farm modes (docs/CAMPAIGN.md); main copies the shared flags in.
+  std::string farm_dir;  // coordinator: spool directory
   bool workers_given = false;
-  std::uint64_t unit_cells = 4;  // coordinator: cells per work unit
-  bool resume = false;
-  bool worker = false;    // worker mode
-  std::string spool;      // worker: spool directory
-  std::uint32_t max_units = 0;  // worker: stop after N units (0 = all)
-  // Fleet telemetry (docs/CAMPAIGN.md "Fleet telemetry").
-  std::string worker_id;          // worker: heartbeat/event identity
-  double heartbeat_seconds = 5.0; // between-cell heartbeat cadence; 0 = off
-  std::string farm_trace_out;     // coordinator: merged fleet Chrome trace
-  std::string farm_status_dir;    // status mode: spool to inspect
-  double watch_seconds = 0.0;     // status mode: refresh period; 0 = once
-  std::string status_json;        // status mode: NDJSON out ("-" = stdout)
-  sim::farm::StalenessPolicy staleness;  // --stale-after / --dead-after
+  sim::farm::CoordinatorOptions farm;
+  bool worker = false;  // worker mode
+  std::string spool;    // worker: spool directory
+  sim::farm::WorkerOptions worker_options;
+  std::string farm_status_dir;  // status mode: spool to inspect
+  sim::farm::StatusWatchOptions status;
   // Per-cell reliability exports (in-process mode only).
   std::string rel_csv;
   std::string rel_json;
@@ -145,9 +133,11 @@ void usage() {
       "\n"
       "Campaign farm (multi-process; see docs/CAMPAIGN.md):\n"
       "  --farm=DIR            coordinate a farm over spool directory DIR:\n"
-      "                        shard the grid, spawn workers, aggregate\n"
-      "  --workers=N           worker processes to spawn (default: the\n"
-      "                        --threads resolution; 0 = only init/aggregate)\n"
+      "                        shard the grid, fork workers, aggregate\n"
+      "  --workers=N           worker processes to fork, each running the\n"
+      "                        --worker loop (default: the --threads\n"
+      "                        resolution; capped at the unit count; 0 =\n"
+      "                        only init/aggregate)\n"
       "  --unit-cells=N        cells per work unit (default 4)\n"
       "  --resume              reuse an existing spool: clear stale claims,\n"
       "                        run only what is missing (exports are byte-\n"
@@ -218,305 +208,6 @@ std::vector<std::uint32_t> parse_u32_list(const char* flag,
   return out;
 }
 
-double unix_now_microseconds() {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-// Farm worker mode: claim and run units from an existing spool until no
-// unit is claimable (or --max-units is reached). With heartbeats enabled
-// (the default) the worker publishes spool-native telemetry; with --prof it
-// leaves its capture under spool/prof/ on the shared fleet clock.
-int run_worker_mode(const Options& opt) {
-  if (opt.spool.empty()) {
-    std::fprintf(stderr, "--worker requires --spool=DIR\n");
-    return 2;
-  }
-  try {
-    const sim::farm::Manifest manifest = sim::farm::load_manifest(opt.spool);
-    const sim::CampaignSpec spec = sim::farm::spec_from_manifest(manifest);
-    const std::string worker_id =
-        opt.worker_id.empty() ? "pid" + std::to_string(::getpid())
-                              : opt.worker_id;
-    std::unique_ptr<sim::farm::WorkerTelemetry> telemetry;
-    if (opt.heartbeat_seconds > 0.0) {
-      sim::farm::WorkerTelemetryOptions topt;
-      topt.worker_id = worker_id;
-      topt.heartbeat_interval_seconds = opt.heartbeat_seconds;
-      telemetry =
-          std::make_unique<sim::farm::WorkerTelemetry>(opt.spool, topt);
-    }
-    double epoch_unix_us = 0.0;
-    if (opt.run.prof) {
-      obs::prof::begin_capture();
-      epoch_unix_us = unix_now_microseconds();
-    }
-    const auto on_unit_done = [&](const sim::farm::WorkUnit& unit) {
-      if (!opt.quiet) {
-        std::fprintf(stderr, "worker %d: unit %u done (%llu cell(s))\n",
-                     ::getpid(), unit.index,
-                     static_cast<unsigned long long>(unit.cells()));
-      }
-    };
-    const sim::farm::WorkerReport report = sim::farm::run_worker_loop(
-        opt.spool, spec, opt.max_units, on_unit_done, telemetry.get());
-    if (opt.run.prof) {
-      const obs::prof::Profile profile = obs::prof::end_capture();
-      util::fs::make_directories(sim::farm::worker_trace_dir(opt.spool));
-      util::fs::atomic_write_text_file(
-          sim::farm::worker_trace_path(opt.spool, worker_id),
-          obs::prof::to_chrome_trace(profile, "worker " + worker_id,
-                                     ::getpid(), epoch_unix_us));
-    }
-    if (!opt.quiet) {
-      std::printf("worker %d: ran %u unit(s), %llu cell(s)\n", ::getpid(),
-                  report.units_run,
-                  static_cast<unsigned long long>(report.cells_run));
-    }
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "worker: %s\n", error.what());
-    return 1;
-  }
-  return 0;
-}
-
-// Spawns one worker child pointed at the spool; returns -1 on failure.
-pid_t spawn_worker(const char* self, const std::string& spool,
-                   unsigned index, const Options& opt) {
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  // Child: re-exec this binary in worker mode. Workers stay quiet; the
-  // coordinator owns progress reporting.
-  const std::string spool_flag = "--spool=" + spool;
-  const std::string id_flag = "--worker-id=w" + std::to_string(index);
-  char hb_flag[48];
-  std::snprintf(hb_flag, sizeof hb_flag, "--heartbeat=%.3f",
-                opt.heartbeat_seconds);
-  std::vector<const char*> argv = {self,      "--worker", spool_flag.c_str(),
-                                   "--quiet", id_flag.c_str(), hb_flag};
-  if (!opt.farm_trace_out.empty()) argv.push_back("--prof");
-  argv.push_back(nullptr);
-  ::execv(self, const_cast<char**>(argv.data()));
-  std::fprintf(stderr, "execv %s: %s\n", self, std::strerror(errno));
-  ::_exit(127);
-}
-
-// farm-status mode: reconstruct fleet state purely from spool files. With
-// --watch, refresh until the fleet is drained (grid complete and every
-// worker dead or exited).
-int run_farm_status_mode(const Options& opt) {
-  try {
-    const sim::farm::Manifest manifest =
-        sim::farm::load_manifest(opt.farm_status_dir);
-    // With --serve the process stays up (re-rendering only under --watch)
-    // until the fleet drains, so remote readers can poll a stable URL.
-    std::unique_ptr<sim::farm::SpoolStatusSource> serve_source;
-    std::unique_ptr<obs::http::Server> serve_server;
-    if (!opt.run.serve_spec.empty()) {
-      sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.run.serve_spec, &serve_options);
-      serve_source = std::make_unique<sim::farm::SpoolStatusSource>(
-          opt.farm_status_dir, manifest, opt.staleness);
-      serve_server =
-          sim::farm::start_status_server(*serve_source, serve_options);
-      std::printf("serving farm status on %s (spool %s)\n",
-                  serve_server->url().c_str(), opt.farm_status_dir.c_str());
-      std::fflush(stdout);
-    }
-    bool first = true;
-    for (;;) {
-      sim::farm::FarmStatusOptions status_options;
-      status_options.staleness = opt.staleness;
-      const sim::farm::FarmStatus status = sim::farm::collect_farm_status(
-          opt.farm_status_dir, manifest, status_options);
-      const bool refresh = first || opt.watch_seconds > 0.0;
-      if (!opt.quiet && refresh) {
-        if (!first) std::printf("\n");
-        std::printf("farm status — spool %s\n", opt.farm_status_dir.c_str());
-        std::fputs(sim::farm::render_farm_status(status).c_str(), stdout);
-        std::fflush(stdout);
-      }
-      if (!opt.status_json.empty() && refresh) {
-        const std::string ndjson = sim::farm::farm_status_to_ndjson(status);
-        if (opt.status_json == "-") {
-          std::fputs(ndjson.c_str(), stdout);
-          std::fflush(stdout);
-        } else {
-          util::fs::atomic_write_text_file(opt.status_json, ndjson);
-        }
-      }
-      first = false;
-      if (status.drained()) break;
-      if (opt.watch_seconds <= 0.0 && serve_server == nullptr) break;
-      const double sleep_seconds =
-          opt.watch_seconds > 0.0 ? opt.watch_seconds : 0.5;
-      ::usleep(static_cast<useconds_t>(sleep_seconds * 1e6));
-    }
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "farm status: %s\n", error.what());
-    return 1;
-  }
-  return 0;
-}
-
-// Farm coordinator: init or resume the spool, spawn workers, report
-// farm-level progress, and stream-aggregate the completed units.
-int run_coordinator_mode(const Options& opt, const sim::CampaignSpec& spec,
-                         const char* self) {
-  const std::string& spool = opt.farm_dir;
-  const sim::farm::Manifest planned =
-      sim::farm::manifest_for(spec, opt.unit_cells);
-  sim::farm::OpenedSpool opened;
-  try {
-    opened = sim::farm::open_spool(spool, planned, opt.resume,
-                                   /*log_events=*/opt.heartbeat_seconds > 0.0);
-  } catch (const std::invalid_argument& error) {
-    std::fprintf(stderr, "%s\n", error.what());
-    return 2;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "farm: %s\n", error.what());
-    return 1;
-  }
-  const sim::farm::Manifest& manifest = opened.manifest;
-  if (opened.cleared != 0 && !opt.quiet) {
-    std::printf("resume: cleared %zu stale claim(s)\n", opened.cleared);
-  }
-
-  std::printf("farm: %u scheme(s) x %u app(s) x %u trial(s) = %llu cells in "
-              "%u unit(s) of %llu, spool %s, %u worker(s)\n",
-              manifest.variant_count, manifest.app_count, manifest.trials,
-              static_cast<unsigned long long>(manifest.total_cells),
-              manifest.unit_count,
-              static_cast<unsigned long long>(manifest.unit_cells),
-              spool.c_str(), opt.workers);
-
-  // HTTP status server over the spool: read-only by construction, so the
-  // exports stay byte-identical with --serve on (tier-1 guarded). Stops on
-  // scope exit, after aggregation.
-  std::unique_ptr<sim::farm::SpoolStatusSource> serve_source;
-  std::unique_ptr<obs::http::Server> serve_server;
-  if (!opt.run.serve_spec.empty()) {
-    try {
-      sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(opt.run.serve_spec, &serve_options);
-      serve_source = std::make_unique<sim::farm::SpoolStatusSource>(
-          spool, manifest, opt.staleness);
-      serve_server =
-          sim::farm::start_status_server(*serve_source, serve_options);
-      std::printf("serving farm status on %s\n", serve_server->url().c_str());
-      std::fflush(stdout);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "farm: %s\n", error.what());
-      return 2;
-    }
-  }
-
-  obs::FarmProgressOptions progress_options;
-  progress_options.enabled = opt.progress;
-  obs::FarmProgressReporter reporter(progress_options, manifest.unit_count,
-                                     manifest.total_cells);
-
-  if (opt.workers == 0 && !opt.quiet) {
-    // No workers to spawn: this invocation initializes or inspects a spool
-    // for externally started workers — print the census instead of exiting
-    // silently (the same scan --farm-status renders).
-    try {
-      const sim::farm::FarmStatus status =
-          sim::farm::collect_farm_status(spool, manifest);
-      std::fputs(sim::farm::render_farm_status(status).c_str(), stdout);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "farm: %s\n", error.what());
-    }
-  }
-
-  std::vector<pid_t> children;
-  unsigned failed_workers = 0;
-  for (unsigned w = 0; w < opt.workers; ++w) {
-    const pid_t pid = spawn_worker(self, spool, w, opt);
-    if (pid < 0) {
-      std::fprintf(stderr, "fork: %s\n", std::strerror(errno));
-      ++failed_workers;
-    } else {
-      children.push_back(pid);
-    }
-  }
-
-  std::size_t alive = children.size();
-  while (alive > 0) {
-    int status = 0;
-    const pid_t reaped = ::waitpid(-1, &status, WNOHANG);
-    if (reaped > 0) {
-      --alive;
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) ++failed_workers;
-      continue;  // reap the rest before sleeping again
-    }
-    const sim::farm::SpoolStatus status_now =
-        sim::farm::scan_spool(spool, manifest);
-    reporter.poll(status_now.units_done, status_now.cells_done,
-                  static_cast<unsigned>(alive));
-    ::usleep(200 * 1000);
-  }
-
-  sim::farm::SpoolStatus final_status;
-  try {
-    final_status = sim::farm::scan_spool(spool, manifest);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "farm: %s\n", error.what());
-    return 1;
-  }
-  reporter.finish(final_status.units_done, final_status.cells_done);
-  if (failed_workers != 0) {
-    std::fprintf(stderr, "farm: %u worker(s) exited abnormally\n",
-                 failed_workers);
-  }
-
-  if (!opt.farm_trace_out.empty()) {
-    // Merge the per-worker --prof captures with the coordinator-synthesized
-    // unit spans into one fleet timeline. Useful even for an incomplete
-    // grid, so write it before the completeness gate.
-    try {
-      util::fs::atomic_write_text_file(
-          opt.farm_trace_out, sim::farm::merge_fleet_trace(spool));
-      std::printf("wrote fleet trace to %s (open in Perfetto)\n",
-                  opt.farm_trace_out.c_str());
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "farm trace: %s\n", error.what());
-      return 1;
-    }
-  }
-
-  if (!final_status.complete()) {
-    std::printf("farm: %u/%u unit(s) complete (%llu/%llu cells); resume "
-                "with: run_campaign --farm=%s --resume [--workers=N]\n",
-                final_status.units_done, final_status.unit_count,
-                static_cast<unsigned long long>(final_status.cells_done),
-                static_cast<unsigned long long>(manifest.total_cells),
-                spool.c_str());
-    // --workers=0 initializes or inspects a spool for externally started
-    // workers; an incomplete grid is its expected outcome, not a failure.
-    return opt.workers == 0 ? 0 : 1;
-  }
-
-  try {
-    sim::farm::aggregate_spool(spool, manifest, opt.csv_path, opt.json_path);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "farm aggregate: %s\n", error.what());
-    return 1;
-  }
-  const double wall = reporter.elapsed_seconds();
-  std::printf("farm: %llu cells in %.2fs wall (%.2f cells/sec), config hash "
-              "%016llx, base seed %016llx\n",
-              static_cast<unsigned long long>(manifest.total_cells), wall,
-              wall > 0.0 ? static_cast<double>(manifest.total_cells) / wall
-                         : 0.0,
-              static_cast<unsigned long long>(manifest.config_hash),
-              static_cast<unsigned long long>(manifest.base_seed));
-  if (!opt.csv_path.empty()) std::printf("wrote %s\n", opt.csv_path.c_str());
-  if (!opt.json_path.empty()) std::printf("wrote %s\n", opt.json_path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -530,18 +221,20 @@ int main(int argc, char** argv) {
                     opt.shard_instructions) ||
         number_flag(kProgram, arg, "--trials", opt.trials) ||
         number_flag(kProgram, arg, "--threads", opt.threads) ||
-        number_flag(kProgram, arg, "--unit-cells", opt.unit_cells) ||
-        number_flag(kProgram, arg, "--max-units", opt.max_units) ||
-        number_flag(kProgram, arg, "--heartbeat", opt.heartbeat_seconds) ||
+        number_flag(kProgram, arg, "--unit-cells", opt.farm.unit_cells) ||
+        number_flag(kProgram, arg, "--max-units",
+                    opt.worker_options.max_units) ||
+        number_flag(kProgram, arg, "--heartbeat",
+                    opt.farm.heartbeat_seconds) ||
         number_flag(kProgram, arg, "--stale-after",
-                    opt.staleness.straggler_after_seconds) ||
+                    opt.farm.staleness.straggler_after_seconds) ||
         number_flag(kProgram, arg, "--dead-after",
-                    opt.staleness.dead_after_seconds)) {
+                    opt.farm.staleness.dead_after_seconds)) {
       continue;
     }
     if (number_flag(kProgram, arg, "--seed", opt.seed, 0)) {
       seed_given = true;
-    } else if (number_flag(kProgram, arg, "--workers", opt.workers)) {
+    } else if (number_flag(kProgram, arg, "--workers", opt.farm.workers)) {
       opt.workers_given = true;
     } else if (parse_flag(arg, "--schemes", value)) {
       opt.schemes = value;
@@ -568,23 +261,24 @@ int main(int argc, char** argv) {
     } else if (parse_flag(arg, "--farm", value)) {
       opt.farm_dir = value;
     } else if (std::strcmp(arg, "--resume") == 0) {
-      opt.resume = true;
+      opt.farm.resume = true;
     } else if (std::strcmp(arg, "--worker") == 0) {
       opt.worker = true;
     } else if (parse_flag(arg, "--spool", value)) {
       opt.spool = value;
     } else if (parse_flag(arg, "--worker-id", value)) {
-      opt.worker_id = value;
+      opt.worker_options.worker_id = value;
     } else if (parse_flag(arg, "--farm-trace-out", value)) {
-      opt.farm_trace_out = value;
+      opt.farm.farm_trace_out = value;
     } else if (parse_flag(arg, "--farm-status", value)) {
       opt.farm_status_dir = value;
     } else if (std::strcmp(arg, "--watch") == 0) {
-      opt.watch_seconds = 2.0;
-    } else if (number_flag(kProgram, arg, "--watch", opt.watch_seconds)) {
+      opt.status.watch_seconds = 2.0;
+    } else if (number_flag(kProgram, arg, "--watch",
+                           opt.status.watch_seconds)) {
       // --watch=S
     } else if (parse_flag(arg, "--status-json", value)) {
-      opt.status_json = value;
+      opt.status.status_json = value;
     } else if (parse_flag(arg, "--rel-csv", value)) {
       opt.rel_csv = value;
     } else if (parse_flag(arg, "--rel-json", value)) {
@@ -606,7 +300,10 @@ int main(int argc, char** argv) {
                    "--farm-status is a standalone mode (no --farm/--worker)\n");
       return 2;
     }
-    return run_farm_status_mode(opt);
+    opt.status.staleness = opt.farm.staleness;
+    opt.status.serve_spec = run.serve_spec;
+    opt.status.quiet = opt.quiet;
+    return sim::farm::watch_farm_status(opt.farm_status_dir, opt.status);
   }
   if (opt.worker) {
     if (!opt.farm_dir.empty()) {
@@ -619,9 +316,16 @@ int main(int argc, char** argv) {
                    "--farm-status invocation, not to workers\n");
       return 2;
     }
-    return run_worker_mode(opt);
+    if (opt.spool.empty()) {
+      std::fprintf(stderr, "--worker requires --spool=DIR\n");
+      return 2;
+    }
+    opt.worker_options.heartbeat_seconds = opt.farm.heartbeat_seconds;
+    opt.worker_options.prof = run.prof;
+    opt.worker_options.quiet = opt.quiet;
+    return sim::farm::run_worker(opt.spool, opt.worker_options);
   }
-  if (opt.resume && opt.farm_dir.empty()) {
+  if (opt.farm.resume && opt.farm_dir.empty()) {
     std::fprintf(stderr, "--resume only applies to --farm mode\n");
     return 2;
   }
@@ -709,11 +413,13 @@ int main(int argc, char** argv) {
                    "run those in-process\n");
       return 2;
     }
-    const unsigned workers =
-        opt.workers_given ? opt.workers : sim::resolve_thread_count(0);
-    Options farm_opt = opt;
-    farm_opt.workers = workers;
-    return run_coordinator_mode(farm_opt, spec, argv[0]);
+    if (!opt.workers_given) opt.farm.workers = sim::resolve_thread_count(0);
+    opt.farm.serve_spec = run.serve_spec;
+    opt.farm.csv_path = opt.csv_path;
+    opt.farm.json_path = opt.json_path;
+    opt.farm.quiet = opt.quiet;
+    opt.farm.progress = opt.progress;
+    return sim::farm::run_coordinator(opt.farm_dir, spec, opt.farm);
   }
 
   // Observability: interval sampling and/or event tracing per cell. The
@@ -737,12 +443,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::http::Server> serve_server;
   if (!run.serve_spec.empty()) {
     try {
-      sim::farm::ServeOptions serve_options;
-      sim::farm::parse_serve_spec(run.serve_spec, &serve_options);
       serve_source = std::make_unique<sim::farm::CampaignStatusSource>(
           spec.cell_count(), spec.instructions);
-      serve_server =
-          sim::farm::start_status_server(*serve_source, serve_options);
+      serve_server = sim::farm::start_status_server(*serve_source,
+                                                    run.serve_spec);
       std::printf("serving campaign status on %s\n",
                   serve_server->url().c_str());
       std::fflush(stdout);
