@@ -1,6 +1,7 @@
 // Engineering micro-benchmarks (google-benchmark) for the hot primitives:
-// parity, SEC-DED encode/decode, dL1 access paths, dead-block evaluation,
-// and trace generation throughput. Not a paper figure and not a gate: a
+// parity, SEC-DED encode/decode, dL1 access paths, the backing store's
+// line reads and the dL1 miss/writeback path, dead-block evaluation, and
+// trace generation throughput. Not a paper figure and not a gate: a
 // plain google-benchmark binary for ad-hoc ns/op numbers. The benchmark
 // that can fail is perfbench (perfbench/README.md).
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "src/core/icr_cache.h"
 #include "src/core/scheme.h"
 #include "src/cpu/pipeline.h"
+#include "src/mem/backing_store.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/trace/trace_v2.h"
 #include "src/trace/workloads.h"
@@ -82,6 +84,54 @@ void BM_DL1StoreWithReplicaUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DL1StoreWithReplicaUpdate);
+
+// The memory substrate, one 64-byte line at a time. Arg 1 reads lines a
+// prior pass wrote; arg 0 reads never-written lines of a store that holds
+// as many written ones (their probes walk occupied clusters and find
+// nothing).
+void BM_BackingStoreReadBlock(benchmark::State& state) {
+  constexpr std::uint64_t kLines = 1 << 14;  // 1 MiB of written lines
+  constexpr std::uint64_t kUnwritten = std::uint64_t{1} << 40;
+  mem::BackingStore store;
+  std::uint8_t line[64] = {};
+  for (std::uint64_t i = 0; i < kLines; ++i) {
+    line[0] = static_cast<std::uint8_t>(i);
+    store.write_block(i * 64, line);
+  }
+  const std::uint64_t base = state.range(0) != 0 ? 0 : kUnwritten;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    store.read_block(base + i * 64, line);
+    benchmark::DoNotOptimize(line);
+    benchmark::ClobberMemory();
+    i = (i + 4099) % kLines;  // a stride coprime to the line count
+  }
+  state.SetLabel(state.range(0) != 0 ? "written" : "never written");
+}
+BENCHMARK(BM_BackingStoreReadBlock)->Arg(0)->Arg(1);
+
+// A dL1 store miss that fills its line from the backing store and evicts a
+// dirty line, which is written back: after the first lap every iteration
+// does one of each. Arg 0 is BaseP (parity only), arg 1 BaseECC.
+void BM_DL1MissFillWriteback(benchmark::State& state) {
+  mem::MemoryHierarchy hierarchy;
+  const mem::CacheGeometry geometry = mem::l1d_geometry_default();
+  core::IcrCache dl1(geometry,
+                     state.range(0) != 0 ? core::Scheme::BaseECC()
+                                         : core::Scheme::BaseP(),
+                     hierarchy);
+  // Four times the cache: every store of a lap misses.
+  const std::uint64_t lines = 4 * geometry.size_bytes / geometry.line_bytes;
+  std::uint64_t cycle = 0;
+  for (auto _ : state) {
+    const std::uint64_t line = cycle % lines;
+    benchmark::DoNotOptimize(
+        dl1.store(line * geometry.line_bytes, cycle, cycle));
+    ++cycle;
+  }
+  state.SetLabel(state.range(0) != 0 ? "BaseECC" : "BaseP");
+}
+BENCHMARK(BM_DL1MissFillWriteback)->Arg(0)->Arg(1);
 
 // Replication-site search over a warmed set. The masked variant disables
 // ways per set (docs/GEOMETRY.md); its scan skips them through the

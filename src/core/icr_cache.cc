@@ -101,13 +101,17 @@ void IcrCache::write_word(IcrLine& line, std::uint32_t word_index,
 void IcrCache::refresh_protection(IcrLine& line, std::uint32_t word_index) {
   const std::uint64_t word = read_word(line, word_index);
   line.parity[word_index] = byte_parity(word);
-  line.ecc[word_index] = secded_encode(word);
+  // Only an ECC scheme ever decodes the check bits (DESIGN.md, "Check
+  // bits"). ICR-ECC encodes eagerly even while a line is replicated: the
+  // line is back under ECC the moment its last replica goes.
+  if (scheme_.protection == Protection::kEcc) {
+    line.ecc[word_index] = secded_encode(word);
+  }
 }
 
 void IcrCache::fill_from_backing(IcrLine& line, std::uint64_t block) {
+  next_.backing().read_block(block, {line.data.data(), geometry_.line_bytes});
   for (std::uint32_t w = 0; w < geometry_.words_per_line(); ++w) {
-    const std::uint64_t value = next_.backing().read_word(block + w * 8ULL);
-    std::memcpy(line.data.data() + w * 8, &value, 8);
     refresh_protection(line, w);
   }
 }
@@ -158,10 +162,8 @@ void IcrCache::evict_line(IcrLine& line, std::uint64_t cycle) {
   if (line.dirty) {
     ++stats_.writebacks;
     // Deposit the line's current bits (corrupted or not) into the next level.
-    for (std::uint32_t w = 0; w < geometry_.words_per_line(); ++w) {
-      next_.backing().write_word(line.block_addr + w * 8ULL,
-                                 read_word(line, w));
-    }
+    next_.backing().write_block(line.block_addr,
+                                {line.data.data(), geometry_.line_bytes});
     next_.write_back_block(line.block_addr, cycle);
   }
   if (line.replica_count > 0 && !scheme_.leave_replicas_on_eviction) {
@@ -332,7 +334,7 @@ void IcrCache::attempt_replication(IcrLine& primary, std::uint64_t cycle) {
     victim->last_access_cycle = cycle;
     // Replicas are parity protected (§3.1); copy the primary's current
     // parity so a corrupted primary word is never laundered into a "clean"
-    // replica, and recompute ECC for completeness.
+    // replica, and its check bits with it.
     victim->parity.copy_from(primary.parity, geometry_.words_per_line());
     for (std::uint32_t w = 0; w < geometry_.words_per_line(); ++w) {
       victim->ecc[w] = primary.ecc[w];
@@ -545,8 +547,10 @@ IcrCache::AccessOutcome IcrCache::load(std::uint64_t addr,
       std::memcpy(slot.data.data(), data.data(), data.size());
       // Keep the stale parity: corruption must stay visible.
       std::memcpy(slot.parity.data(), parity.data(), parity.size());
-      for (std::uint32_t w = 0; w < geometry_.words_per_line(); ++w) {
-        slot.ecc[w] = secded_encode(read_word(slot, w));
+      if (scheme_.protection == Protection::kEcc) {
+        for (std::uint32_t w = 0; w < geometry_.words_per_line(); ++w) {
+          slot.ecc[w] = secded_encode(read_word(slot, w));
+        }
       }
       slot.replica_count =
           static_cast<std::uint8_t>(find_replicas(block).size());

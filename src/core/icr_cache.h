@@ -85,7 +85,7 @@ struct IcrLine {
   std::uint64_t last_access_cycle = 0;
   LineBytes data;    // line_bytes
   LineBytes parity;  // one byte-parity vector per 64-bit word
-  LineBytes ecc;     // one SEC-DED check byte per 64-bit word
+  LineBytes ecc;     // one SEC-DED check byte per 64-bit word (ECC schemes)
 };
 
 struct IcrStats {

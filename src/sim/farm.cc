@@ -12,7 +12,6 @@
 #include <fstream>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "src/obs/farm_progress.h"
 #include "src/obs/prof.h"
@@ -53,6 +52,9 @@ std::string unit_file_name(std::uint32_t unit) {
   std::snprintf(buffer, sizeof buffer, "unit_%06u", unit);
   return buffer;
 }
+
+// The coordinator's progress line cadence while no worker exits.
+constexpr double kProgressPollSeconds = 0.2;
 
 }  // namespace
 
@@ -686,6 +688,39 @@ void aggregate_spool(const std::string& spool, const Manifest& manifest,
   close(json, json_out);
 }
 
+std::optional<ChildExit> wait_for_child(std::span<const pid_t> children,
+                                        double timeout_seconds) {
+  sigset_t sigchld;
+  sigemptyset(&sigchld);
+  sigaddset(&sigchld, SIGCHLD);
+  sigset_t previous;
+  ::pthread_sigmask(SIG_BLOCK, &sigchld, &previous);
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(timeout_seconds);
+  std::optional<ChildExit> reaped;
+  while (!reaped) {
+    for (const pid_t pid : children) {
+      int status = 0;
+      const pid_t result = ::waitpid(pid, &status, WNOHANG);
+      if (result == 0) continue;
+      reaped = ChildExit{pid, result == pid && WIFEXITED(status)
+                                  ? WEXITSTATUS(status)
+                                  : -1};
+      break;
+    }
+    if (reaped) break;
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) break;
+    const auto nanos =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(left).count();
+    const timespec wait{static_cast<time_t>(nanos / 1000000000),
+                        static_cast<long>(nanos % 1000000000)};
+    ::sigtimedwait(&sigchld, nullptr, &wait);  // a signal, EAGAIN or EINTR
+  }
+  ::pthread_sigmask(SIG_SETMASK, &previous, nullptr);
+  return reaped;
+}
+
 int run_coordinator(const std::string& spool, const CampaignSpec& spec,
                     const CoordinatorOptions& options) {
   // A malformed --serve is a usage error: refuse it before the spool
@@ -792,21 +827,14 @@ int run_coordinator(const std::string& spool, const CampaignSpec& spec,
     std::fflush(stdout);
   }
 
-  for (;;) {
-    std::erase_if(children, [&failed_workers](pid_t pid) {
-      int status = 0;
-      const pid_t reaped = ::waitpid(pid, &status, WNOHANG);
-      if (reaped == 0) return false;
-      if (reaped < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        ++failed_workers;
-      }
-      return true;
-    });
-    if (children.empty()) break;
+  while (!children.empty()) {
     const SpoolStatus now = scan_spool(spool, manifest);
     reporter.poll(now.units_done, now.cells_done,
                   static_cast<unsigned>(children.size()));
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    if (const auto exit = wait_for_child(children, kProgressPollSeconds)) {
+      std::erase(children, exit->pid);
+      if (exit->exit_code != 0) ++failed_workers;
+    }
   }
 
   SpoolStatus final_status;

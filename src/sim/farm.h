@@ -37,9 +37,13 @@
 //     one unit, never the grid.
 #pragma once
 
+#include <sys/types.h>
+
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -311,6 +315,22 @@ struct StalenessPolicy {
   // after a resume sweep).
   double dead_after_seconds = 60.0;
 };
+
+// A child process that wait_for_child reaped.
+struct ChildExit {
+  pid_t pid = 0;
+  int exit_code = -1;  // its exit status; -1 if a signal ended it
+};
+
+// Reaps the first of `children` found to have exited, or returns nullopt
+// once `timeout_seconds` pass with none exiting. Wakes as soon as a child
+// exits: it blocks SIGCHLD in the calling thread for the call, polls the
+// children, and waits for the signal with sigtimedwait, so an exit between
+// the poll and the wait stays pending instead of being lost. (A thread
+// that leaves SIGCHLD unblocked can take the signal first; the wait then
+// ends at the timeout.)
+std::optional<ChildExit> wait_for_child(std::span<const pid_t> children,
+                                        double timeout_seconds);
 
 // The `run_campaign --farm=DIR` flags.
 struct CoordinatorOptions {

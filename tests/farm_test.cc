@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -343,6 +344,51 @@ TEST(FarmCoordinator, ForkedWorkersExportTheInProcessBytes) {
   EXPECT_EQ(util::fs::read_text_file(options.csv_path), to_csv(campaign));
   EXPECT_EQ(util::fs::read_text_file(options.json_path),
             to_json(campaign, /*include_timing=*/false));
+}
+
+// A child that leaves with `code` at once, or with code < 0 waits until a
+// signal ends it.
+pid_t fork_child(int code) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    if (code < 0) {
+      for (;;) ::pause();
+    }
+    ::_exit(code);
+  }
+  EXPECT_GT(pid, 0);
+  return pid;
+}
+
+// The coordinator's reap wait. The timeouts are far above this test's
+// ctest TIMEOUT, so a wait that slept instead of waking on the exit fails
+// by timeout; no wall-clock bound is asserted.
+TEST(FarmCoordinator, WaitForChildReapsAnExitingChildWithItsStatus) {
+  const pid_t pid = fork_child(7);
+  const std::vector<pid_t> children = {pid};
+  const auto exit = wait_for_child(children, 3600.0);
+  ASSERT_TRUE(exit.has_value());
+  EXPECT_EQ(exit->pid, pid);
+  EXPECT_EQ(exit->exit_code, 7);
+}
+
+TEST(FarmCoordinator, WaitForChildPicksTheChildThatExits) {
+  const pid_t sleeper = fork_child(-1);
+  const pid_t quitter = fork_child(0);
+  const std::vector<pid_t> children = {sleeper, quitter};
+  const auto first = wait_for_child(children, 3600.0);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->pid, quitter);
+  EXPECT_EQ(first->exit_code, 0);
+
+  // The sleeper is still running: a zero timeout returns without it.
+  const std::vector<pid_t> left = {sleeper};
+  EXPECT_FALSE(wait_for_child(left, 0.0).has_value());
+  ASSERT_EQ(::kill(sleeper, SIGKILL), 0);
+  const auto killed = wait_for_child(left, 3600.0);
+  ASSERT_TRUE(killed.has_value());
+  EXPECT_EQ(killed->pid, sleeper);
+  EXPECT_EQ(killed->exit_code, -1);
 }
 
 TEST(FarmAggregation, StateIndependentOfGridSize) {

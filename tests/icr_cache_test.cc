@@ -276,5 +276,53 @@ TEST(IcrCache, RandomWorkloadMaintainsInvariants) {
   }
 }
 
+TEST(IcrCache, LineRoundTripThroughBackingAtEveryLineSize) {
+  // 32-byte lines fill and write back half a 64-byte backing block,
+  // 128-byte lines two blocks: one block path serves them all.
+  for (const std::uint32_t line_bytes : {32u, 64u, 128u}) {
+    for (const Scheme& scheme : {Scheme::BaseP(), Scheme::IcrEccPS_S()}) {
+      mem::CacheGeometry g = mem::l1d_geometry_default();
+      g.line_bytes = line_bytes;
+      CacheFixture f(scheme, g);
+      // Neighbouring lines, so a 32-byte line shares its backing block.
+      const std::uint64_t lines[] = {addr_for(g, 0, 0), addr_for(g, 1, 0)};
+      const auto stored = [](std::uint64_t addr) { return addr * 3 + 1; };
+      std::uint64_t cycle = 0;
+      for (const std::uint64_t line : lines) {
+        f.dl1->load(line, cycle++);  // fill
+        for (std::uint32_t w = 1; w < g.words_per_line(); w += 2) {
+          f.dl1->store(line + 8 * w, stored(line + 8 * w), cycle++);
+        }
+      }
+      // Evict both lines: every way of their sets takes another block.
+      for (std::uint32_t t = 1; t <= g.associativity; ++t) {
+        f.dl1->load(addr_for(g, 0, t), cycle++);
+        f.dl1->load(addr_for(g, 1, t), cycle++);
+      }
+      EXPECT_EQ(f.dl1->stats().writebacks, 2u);
+      for (const std::uint64_t line : lines) {
+        for (std::uint32_t w = 0; w < g.words_per_line(); ++w) {
+          const std::uint64_t addr = line + 8 * w;
+          const std::uint64_t want = w % 2 == 1
+                                         ? stored(addr)
+                                         : mem::BackingStore::initial_word(addr);
+          const auto r = f.dl1->load(addr, cycle++);  // refill, then hits
+          EXPECT_FALSE(r.error_detected);
+          EXPECT_EQ(r.value, want)
+              << scheme.name << ", " << line_bytes << "-byte lines, "
+              << std::hex << addr;
+        }
+      }
+      // The lines after them were never written.
+      const std::uint64_t next = addr_for(g, 2, 0);
+      for (std::uint32_t w = 0; w < 2 * g.words_per_line(); ++w) {
+        EXPECT_EQ(f.hierarchy->backing().read_word(next + 8 * w),
+                  mem::BackingStore::initial_word(next + 8 * w));
+      }
+      f.dl1->check_invariants();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace icr::core

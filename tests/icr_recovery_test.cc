@@ -2,7 +2,11 @@
 // end-to-end on real stored bits.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <type_traits>
+
 #include "src/core/icr_cache.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace icr::core {
@@ -197,6 +201,102 @@ TEST(Recovery, CheckBitFlipDetectedByParityRegime) {
   const auto r = f.dl1->load(0x4000, 1);
   EXPECT_TRUE(r.error_detected);
   EXPECT_TRUE(r.error_recovered);  // clean block: refetched
+}
+
+// Flips all eight SEC-DED check bits of every word of every line.
+void flip_every_ecc_bit(IcrCache& c) {
+  for (std::uint32_t set = 0; set < c.num_sets(); ++set) {
+    for (std::uint32_t way = 0; way < c.ways(); ++way) {
+      for (std::uint32_t w = 0; w < c.geometry().words_per_line(); ++w) {
+        for (std::uint32_t bit = 0; bit < 8; ++bit) {
+          c.flip_check_bit(set, way, w, bit, /*ecc_array=*/true);
+        }
+      }
+    }
+  }
+}
+
+TEST(Recovery, ParityOnlySchemesNeverReadTheEccBits) {
+  // DESIGN.md, "Check bits": a parity-only scheme neither encodes nor
+  // decodes SEC-DED, so corrupting every ECC bit changes nothing. The
+  // data strikes, the same in both caches, run the recovery ladder.
+  static_assert(std::has_unique_object_representations_v<IcrStats>);
+  for (const Scheme& scheme :
+       {Scheme::BaseP(), Scheme::IcrPPS_S(), Scheme::IcrPPP_LS(),
+        Scheme::IcrPPS_LS().with_leave_replicas(true)}) {
+    CacheFixture clean(scheme);
+    CacheFixture struck(scheme);
+    const auto& g = clean.dl1->geometry();
+    Rng rng(2003);
+    for (std::uint64_t cycle = 0; cycle < 6000; ++cycle) {
+      if (cycle % 64 == 0) flip_every_ecc_bit(*struck.dl1);
+      if (cycle % 16 == 0) {
+        const auto set = static_cast<std::uint32_t>(rng.next_below(g.num_sets()));
+        const auto way =
+            static_cast<std::uint32_t>(rng.next_below(g.associativity));
+        const auto byte =
+            static_cast<std::uint32_t>(rng.next_below(g.line_bytes));
+        const auto bit = static_cast<std::uint32_t>(rng.next_below(8));
+        clean.dl1->flip_data_bit(set, way, byte, bit);
+        struck.dl1->flip_data_bit(set, way, byte, bit);
+      }
+      const std::uint64_t addr = rng.next_below(4096) * 8;
+      IcrCache::AccessOutcome a;
+      IcrCache::AccessOutcome b;
+      if (rng.bernoulli(0.3)) {
+        const std::uint64_t value = rng.next_u64();
+        a = clean.dl1->store(addr, value, cycle);
+        b = struck.dl1->store(addr, value, cycle);
+      } else {
+        a = clean.dl1->load(addr, cycle);
+        b = struck.dl1->load(addr, cycle);
+      }
+      ASSERT_EQ(a.latency, b.latency) << scheme.name << " cycle " << cycle;
+      ASSERT_EQ(a.hit, b.hit);
+      ASSERT_EQ(a.replica_fill, b.replica_fill);
+      ASSERT_EQ(a.error_detected, b.error_detected);
+      ASSERT_EQ(a.error_recovered, b.error_recovered);
+      ASSERT_EQ(a.unrecoverable, b.unrecoverable);
+      ASSERT_EQ(a.recovery, b.recovery);
+      ASSERT_EQ(a.value, b.value);
+    }
+    EXPECT_GT(clean.dl1->stats().errors_detected, 0u) << scheme.name;
+    EXPECT_EQ(std::memcmp(&clean.dl1->stats(), &struck.dl1->stats(),
+                          sizeof(IcrStats)),
+              0)
+        << scheme.name;
+  }
+}
+
+TEST(Recovery, IcrEccCorrectsASingleBitFlipOnceTheLastReplicaIsGone) {
+  // A store to a replicated line runs under parity, yet its SEC-DED bits
+  // must be current: when the replica goes, the line is back under ECC.
+  CacheFixture f(Scheme::IcrEccPS_S());
+  const auto& g = f.dl1->geometry();
+  const std::uint64_t addr = addr_for(g, 1, 0);
+  f.dl1->store(addr, 41, 0);  // dirty and replicated
+  f.dl1->store(addr, 42, 1);  // written while replicated
+  ASSERT_EQ(f.dl1->resident_replicas(), 1u);
+  // Evict the replica: fill its set (distance num_sets/2) with primaries.
+  const std::uint32_t replica_set = (1 + g.num_sets() / 2) % g.num_sets();
+  for (std::uint32_t t = 1; t <= g.associativity; ++t) {
+    f.dl1->load(addr_for(g, replica_set, t), 1 + t);
+  }
+  ASSERT_EQ(f.dl1->resident_replicas(), 0u);
+  std::uint32_t set = 0, way = 0;
+  ASSERT_TRUE(find_primary(*f.dl1, addr, set, way));
+  ASSERT_EQ(f.dl1->line(set, way).replica_count, 0u);
+
+  f.dl1->flip_data_bit(set, way, 3, 5);
+  const auto r = f.dl1->load(addr, 100);
+  EXPECT_EQ(r.latency, 2u);  // the ECC check again
+  EXPECT_TRUE(r.error_detected);
+  EXPECT_TRUE(r.error_recovered);
+  EXPECT_FALSE(r.unrecoverable);
+  EXPECT_EQ(r.recovery, IcrCache::AccessOutcome::Recovery::kEcc);
+  EXPECT_EQ(r.value, 42u);
+  EXPECT_EQ(f.dl1->stats().errors_corrected_by_ecc, 1u);
+  EXPECT_FALSE(f.dl1->load(addr, 101).error_detected);  // repaired
 }
 
 }  // namespace
