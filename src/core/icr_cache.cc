@@ -344,7 +344,6 @@ void IcrCache::attempt_replication(IcrLine& primary, std::uint64_t cycle) {
     if (rel_ != nullptr) rel_->on_replica_create(primary.block_addr, cycle);
     ++stats_.replicas_created;
     ++stats_.l1_write_accesses;  // the duplicate write
-    if (site_distance_hist_ != nullptr) site_distance_hist_->record(d);
     if (trace_ != nullptr && trace_->wants(obs::EventCategory::kReplication)) {
       trace_->emit(obs::EventKind::kReplicaCreate, cycle, primary.block_addr,
                    set, d);
@@ -566,9 +565,6 @@ IcrCache::AccessOutcome IcrCache::load(std::uint64_t addr,
                       cycle);
       }
       verify_and_recover(slot, word_index, cycle, outcome);
-      if (miss_latency_hist_ != nullptr) {
-        miss_latency_hist_->record(outcome.latency);
-      }
       return outcome;
     }
   }
@@ -600,9 +596,6 @@ IcrCache::AccessOutcome IcrCache::load(std::uint64_t addr,
     rel_->on_read(block, word_index, slot.dirty, parity_regime(slot), cycle);
   }
   verify_and_recover(slot, word_index, cycle, outcome);
-  if (miss_latency_hist_ != nullptr) {
-    miss_latency_hist_->record(outcome.latency);
-  }
   return outcome;
 }
 
@@ -811,8 +804,6 @@ void IcrCache::attach_observability(obs::StatRegistry* registry,
   for (const auto& c : counters) registry->register_counter(c.name, c.source);
   registry->register_gauge("dl1.resident_replicas",
                            [this] { return resident_replicas(); });
-  site_distance_hist_ = registry->histogram("dl1.site_distance");
-  miss_latency_hist_ = registry->histogram("dl1.miss_latency");
 }
 
 void IcrCache::flip_data_bit(std::uint32_t set, std::uint32_t way,

@@ -279,7 +279,7 @@ class IcrCache {
   // Per-set resident replica counts (heatmap row; O(cache) scan).
   [[nodiscard]] std::vector<std::uint32_t> replica_occupancy() const;
 
-  // Registers this cache's counters/gauges/histograms under "dl1." (and the
+  // Registers this cache's counters and gauges under "dl1." (and the
   // dead-block predictor under "dbp.") and starts emitting replication /
   // eviction / decay events into `trace`. Either pointer may be null; both
   // must outlive the cache. The hot paths are untouched when detached —
@@ -423,8 +423,6 @@ class IcrCache {
   // Observability hooks (all optional; see attach_observability).
   rel::RelTracker* rel_ = nullptr;
   obs::EventTrace* trace_ = nullptr;
-  obs::Log2Histogram* site_distance_hist_ = nullptr;  // per created replica
-  obs::Log2Histogram* miss_latency_hist_ = nullptr;   // per load miss
 };
 
 }  // namespace icr::core

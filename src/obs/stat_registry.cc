@@ -34,15 +34,6 @@ void StatRegistry::register_gauge(std::string name, GaugeFn fn) {
   gauge_fns_.push_back(std::move(fn));
 }
 
-Log2Histogram* StatRegistry::histogram(const std::string& name) {
-  for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
-    if (histogram_names_[i] == name) return histograms_[i].get();
-  }
-  histogram_names_.push_back(name);
-  histograms_.push_back(std::make_unique<Log2Histogram>());
-  return histograms_.back().get();
-}
-
 std::vector<std::uint64_t> StatRegistry::snapshot_counters() const {
   std::vector<std::uint64_t> values;
   values.reserve(counter_sources_.size());
@@ -64,14 +55,6 @@ std::uint64_t StatRegistry::counter_value(std::string_view name) const {
     if (counter_names_[i] == name) return *counter_sources_[i];
   }
   return 0;
-}
-
-const Log2Histogram* StatRegistry::find_histogram(
-    std::string_view name) const {
-  for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
-    if (histogram_names_[i] == name) return histograms_[i].get();
-  }
-  return nullptr;
 }
 
 }  // namespace icr::obs

@@ -1,7 +1,7 @@
 // Hierarchically named telemetry registry (observability layer, leaf
 // dependency — nothing in src/obs depends on the simulator).
 //
-// Components register three kinds of instruments once, at wiring time:
+// Components register two kinds of instruments once, at wiring time:
 //
 //   * Counters — named *views* over component-owned `std::uint64_t` fields.
 //     The hot path keeps its plain unguarded increments; the registry only
@@ -9,8 +9,6 @@
 //     registry adds zero work per simulated event.
 //   * Gauges — point-in-time values evaluated lazily at snapshot time
 //     (e.g. resident replicas), allowed to be O(structure) scans.
-//   * Log2 histograms — owned by the registry, recorded into via a stable
-//     pointer; a plain array increment per record, no locks.
 //
 // Each campaign cell owns its registry (cells share no mutable state), so
 // no synchronization is needed anywhere; thread-safety for campaigns comes
@@ -20,7 +18,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,19 +72,11 @@ class StatRegistry {
   // Registers a gauge evaluated at each snapshot.
   void register_gauge(std::string name, GaugeFn fn);
 
-  // Returns a stable pointer to a registry-owned histogram, creating it on
-  // first use (idempotent by name).
-  [[nodiscard]] Log2Histogram* histogram(const std::string& name);
-
   [[nodiscard]] const std::vector<std::string>& counter_names() const noexcept {
     return counter_names_;
   }
   [[nodiscard]] const std::vector<std::string>& gauge_names() const noexcept {
     return gauge_names_;
-  }
-  [[nodiscard]] const std::vector<std::string>& histogram_names()
-      const noexcept {
-    return histogram_names_;
   }
 
   // Current counter values in registration order.
@@ -97,17 +86,12 @@ class StatRegistry {
 
   // Value of one counter by name; 0 when the name is unknown.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
-  // Histogram by name; nullptr when the name is unknown.
-  [[nodiscard]] const Log2Histogram* find_histogram(
-      std::string_view name) const;
 
  private:
   std::vector<std::string> counter_names_;
   std::vector<const std::uint64_t*> counter_sources_;
   std::vector<std::string> gauge_names_;
   std::vector<GaugeFn> gauge_fns_;
-  std::vector<std::string> histogram_names_;
-  std::vector<std::unique_ptr<Log2Histogram>> histograms_;
 };
 
 }  // namespace icr::obs

@@ -74,9 +74,6 @@ class ProgressReporter {
 
   std::size_t note() {
     const std::size_t done = completed_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options_.live_cells_done != nullptr) {
-      options_.live_cells_done->store(done, std::memory_order_relaxed);
-    }
     if (!options_.enabled) return done;
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mutex_);

@@ -17,7 +17,6 @@
 // ICR_SIM_THREADS environment variable > hardware concurrency.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -275,11 +274,6 @@ struct CampaignResult {
 struct ProgressOptions {
   bool enabled = false;
   double min_interval_seconds = 1.0;
-  // Optional live export: when set, the runner stores the completed-cell
-  // count here after every cell, independent of `enabled` (printing stays
-  // gated). The HTTP status server (src/sim/serve.h) reads it; the pointer
-  // must stay valid for the duration of run().
-  std::atomic<std::uint64_t>* live_cells_done = nullptr;
 };
 
 class CampaignRunner {

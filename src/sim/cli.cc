@@ -165,8 +165,7 @@ bool RunFlags::parse(const char* arg) {
       parse_flag(arg, "--intervals-out", intervals_out) ||
       parse_flag(arg, "--heatmap-out", heatmap_out) ||
       parse_flag(arg, "--trace-out", trace_out) ||
-      parse_flag(arg, "--trace-filter", trace_filter) ||
-      parse_flag(arg, "--serve", serve_spec)) {
+      parse_flag(arg, "--trace-filter", trace_filter)) {
     return true;
   }
   if (std::strcmp(arg, "--rel") == 0) {

@@ -128,7 +128,6 @@ struct RunFlags {
   bool rel = false;
   bool prof = false;  // --prof-out implies it
   std::string prof_out;
-  std::string serve_spec;  // HTTP status server: PORT or ADDR:PORT
 
   // Consumes `arg` when it is one of the shared flags; false otherwise.
   // Exits 2 on a malformed number.

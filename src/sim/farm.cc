@@ -19,7 +19,6 @@
 #include "src/sim/cli.h"
 #include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
-#include "src/sim/serve.h"
 #include "src/util/fs.h"
 #include "src/util/json.h"
 
@@ -723,17 +722,6 @@ std::optional<ChildExit> wait_for_child(std::span<const pid_t> children,
 
 int run_coordinator(const std::string& spool, const CampaignSpec& spec,
                     const CoordinatorOptions& options) {
-  // A malformed --serve is a usage error: refuse it before the spool
-  // exists or any worker runs.
-  if (!options.serve_spec.empty()) {
-    try {
-      ServeOptions checked;
-      parse_serve_spec(options.serve_spec, &checked);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "farm: %s\n", error.what());
-      return 2;
-    }
-  }
   OpenedSpool opened;
   try {
     opened = open_spool(spool, manifest_for(spec, options.unit_cells),
@@ -768,17 +756,20 @@ int run_coordinator(const std::string& spool, const CampaignSpec& spec,
   if (workers == 0 && !options.quiet) {
     // No workers to fork: this invocation initializes or inspects a spool
     // for externally started workers — print the census instead of exiting
-    // silently (the same scan --farm-status renders).
+    // silently (the same scan and staleness policy --farm-status uses).
     try {
-      print_farm_status(spool, collect_farm_status(spool, manifest));
+      FarmStatusOptions status_options;
+      status_options.staleness = options.staleness;
+      print_farm_status(spool,
+                        collect_farm_status(spool, manifest, status_options));
     } catch (const std::exception& error) {
       std::fprintf(stderr, "farm: %s\n", error.what());
     }
   }
 
   // Each child runs the --worker loop and leaves with _exit, so it never
-  // returns into the caller. Forking happens while this process has one
-  // thread: the status server below starts its threads afterwards.
+  // returns into the caller. The coordinator never starts a thread, so
+  // each fork copies a single-threaded process.
   WorkerOptions worker_options;
   worker_options.heartbeat_seconds = options.heartbeat_seconds;
   worker_options.prof = !options.farm_trace_out.empty();
@@ -804,27 +795,6 @@ int run_coordinator(const std::string& spool, const CampaignSpec& spec,
     } else {
       children.push_back(pid);
     }
-  }
-
-  // HTTP status server over the spool: read-only by construction, so the
-  // exports stay byte-identical with --serve on (tier-1 guarded). Stops on
-  // scope exit, after aggregation. A failed bind stops the workers; their
-  // claims stay behind for --resume.
-  std::unique_ptr<SpoolStatusSource> serve_source;
-  std::unique_ptr<obs::http::Server> serve_server;
-  if (!options.serve_spec.empty()) {
-    try {
-      serve_source = std::make_unique<SpoolStatusSource>(spool, manifest,
-                                                         options.staleness);
-      serve_server = start_status_server(*serve_source, options.serve_spec);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "farm: %s\n", error.what());
-      for (const pid_t pid : children) ::kill(pid, SIGTERM);
-      for (const pid_t pid : children) ::waitpid(pid, nullptr, 0);
-      return 2;
-    }
-    std::printf("serving farm status on %s\n", serve_server->url().c_str());
-    std::fflush(stdout);
   }
 
   while (!children.empty()) {

@@ -339,8 +339,7 @@ struct CoordinatorOptions {
   bool resume = false;
   double heartbeat_seconds = 5.0;  // handed to every worker exactly
   std::string farm_trace_out;      // merged fleet Chrome trace; workers prof
-  std::string serve_spec;          // --serve=[ADDR:]PORT; "" = no server
-  StalenessPolicy staleness;       // for the served status
+  StalenessPolicy staleness;       // for the --workers=0 census
   std::string csv_path;
   std::string json_path;
   bool quiet = false;
@@ -348,12 +347,12 @@ struct CoordinatorOptions {
 };
 
 // The farm coordinator: opens (or resumes) the spool, forks the workers —
-// each child runs run_worker and leaves with _exit — then serves status,
-// reports progress, reaps, and aggregates a complete spool into the
-// exports. Workers are forked before the status server starts its
-// thread. Returns the process exit status: 0 exported (or a --workers=0
-// init), 1 on I/O failure or an incomplete grid, 2 on a refused spool, a
-// malformed serve spec or a failed bind.
+// each child runs run_worker and leaves with _exit — then reports
+// progress, reaps, and aggregates a complete spool into the exports. The
+// coordinator stays single-threaded, so no other thread can take the
+// SIGCHLD that wait_for_child waits for. Returns the process exit status:
+// 0 exported (or a --workers=0 init), 1 on I/O failure or an incomplete
+// grid, 2 on a refused spool.
 int run_coordinator(const std::string& spool, const CampaignSpec& spec,
                     const CoordinatorOptions& options);
 

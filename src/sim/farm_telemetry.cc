@@ -8,12 +8,10 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 
 #include "src/obs/prof_io.h"
-#include "src/sim/serve.h"
 #include "src/util/fs.h"
 #include "src/util/json.h"
 #include "src/util/table.h"
@@ -412,14 +410,6 @@ const char* to_string(WorkerState state) noexcept {
   return "unknown";
 }
 
-WorkerState worker_state_by_name(const std::string& name) {
-  if (name == "running") return WorkerState::kRunning;
-  if (name == "straggler") return WorkerState::kStraggler;
-  if (name == "dead") return WorkerState::kDead;
-  if (name == "exited") return WorkerState::kExited;
-  throw std::runtime_error("unknown worker state '" + name + "'");
-}
-
 WorkerState classify_worker(const WorkerHeartbeat& heartbeat,
                             double now_unix_seconds,
                             const StalenessPolicy& policy) {
@@ -668,40 +658,25 @@ int watch_farm_status(const std::string& spool,
                       const StatusWatchOptions& options) {
   try {
     const Manifest manifest = load_manifest(spool);
-    // With --serve the process stays up (re-rendering only under --watch)
-    // until the fleet drains, so remote readers can poll a stable URL.
-    std::unique_ptr<SpoolStatusSource> serve_source;
-    std::unique_ptr<obs::http::Server> serve_server;
-    if (!options.serve_spec.empty()) {
-      serve_source = std::make_unique<SpoolStatusSource>(spool, manifest,
-                                                         options.staleness);
-      serve_server = start_status_server(*serve_source, options.serve_spec);
-      std::printf("serving farm status on %s (spool %s)\n",
-                  serve_server->url().c_str(), spool.c_str());
-      std::fflush(stdout);
-    }
     FarmStatusOptions status_options;
     status_options.staleness = options.staleness;
     for (bool first = true;; first = false) {
       const FarmStatus status =
           collect_farm_status(spool, manifest, status_options);
-      if (first || options.watch_seconds > 0.0) {
-        if (!options.quiet) {
-          if (!first) std::printf("\n");
-          print_farm_status(spool, status);
-        }
-        if (options.status_json == "-") {
-          std::fputs(farm_status_to_ndjson(status).c_str(), stdout);
-          std::fflush(stdout);
-        } else if (!options.status_json.empty()) {
-          util::fs::atomic_write_text_file(options.status_json,
-                                           farm_status_to_ndjson(status));
-        }
+      if (!options.quiet) {
+        if (!first) std::printf("\n");
+        print_farm_status(spool, status);
       }
-      if (status.drained()) break;
-      if (options.watch_seconds <= 0.0 && serve_server == nullptr) break;
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options.watch_seconds > 0.0 ? options.watch_seconds : 0.5));
+      if (options.status_json == "-") {
+        std::fputs(farm_status_to_ndjson(status).c_str(), stdout);
+        std::fflush(stdout);
+      } else if (!options.status_json.empty()) {
+        util::fs::atomic_write_text_file(options.status_json,
+                                         farm_status_to_ndjson(status));
+      }
+      if (status.drained() || options.watch_seconds <= 0.0) break;
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(options.watch_seconds));
     }
   } catch (const std::exception& error) {
     std::fprintf(stderr, "farm status: %s\n", error.what());
@@ -753,78 +728,6 @@ std::string farm_status_to_ndjson(const FarmStatus& status) {
     json.field("exited", hb.exited).end();
   }
   return out;
-}
-
-FarmStatus farm_status_from_ndjson(const std::string& text) {
-  FarmStatus status;
-  bool saw_farm = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t end = text.find('\n', pos);
-    if (end == std::string::npos) end = text.size();
-    std::string line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.empty()) continue;
-    util::JsonValue record = util::JsonValue::parse(line);
-    const int schema = record.get("schema").as_int<int>(1);
-    if (schema > kStatusSchemaVersion) {
-      throw std::runtime_error(
-          "status schema " + std::to_string(schema) +
-          " is newer than this build understands (" +
-          std::to_string(kStatusSchemaVersion) + ")");
-    }
-    const std::string& type = record.get("type").as_string();
-    if (type == "farm") {
-      saw_farm = true;
-      status.schema = schema;
-      status.census.unit_count =
-          record.get("unit_count").as_int<std::uint32_t>();
-      status.census.units_done =
-          record.get("units_done").as_int<std::uint32_t>();
-      status.census.cells_done =
-          record.get("cells_done").as_int<std::uint64_t>();
-      status.census.claims_outstanding =
-          record.get("claims_outstanding").as_int<std::uint32_t>();
-      status.total_cells = record.get("total_cells").as_int<std::uint64_t>();
-      status.claims_live = record.get("claims_live").as_int<std::uint32_t>();
-      status.claims_stale = record.get("claims_stale").as_int<std::uint32_t>();
-      status.event_count = record.get("events").as_int<std::size_t>();
-      status.dropped_event_lines =
-          record.get("dropped_event_lines").as_int<std::size_t>();
-      status.unreadable_heartbeats =
-          record.get("unreadable_heartbeats").as_int<std::size_t>();
-      status.elapsed_seconds = record.get("elapsed_seconds").as_double();
-      status.throughput.percent = record.get("percent").as_double(100.0);
-      status.throughput.rate = record.get("cells_per_second").as_double();
-      status.throughput.eta_seconds =
-          record.get("eta_seconds").as_double(-1.0);
-    } else if (type == "worker") {
-      WorkerStatus worker;
-      worker.state =
-          worker_state_by_name(record.get("state").as_string("running"));
-      // Defensive double-clamp: a skewed remote producer (schema 1) could
-      // have written a negative age.
-      worker.age_seconds = std::max(0.0, record.get("age_seconds").as_double());
-      worker.cells_per_second = record.get("cells_per_second").as_double();
-      WorkerHeartbeat& hb = worker.heartbeat;
-      hb.worker_id = record.get("worker").as_string();
-      hb.pid = record.get("pid").as_int<std::int64_t>();
-      hb.seq = record.get("seq").as_int<std::uint64_t>();
-      hb.units_done = record.get("units_done").as_int<std::uint32_t>();
-      hb.cells_done = record.get("cells_done").as_int<std::uint64_t>();
-      hb.current_unit = record.get("current_unit").as_int<std::int64_t>(-1);
-      hb.current_cell = record.get("current_cell").as_int<std::int64_t>(-1);
-      hb.mips = record.get("mips").as_double();
-      hb.rusage.maxrss_kb = record.get("maxrss_kb").as_int<std::uint64_t>();
-      hb.exited = record.get("exited").as_bool();
-      status.workers.push_back(std::move(worker));
-    }
-  }
-  if (!saw_farm) {
-    throw std::runtime_error(
-        "status NDJSON carries no {\"type\":\"farm\"} record");
-  }
-  return status;
 }
 
 std::string fleet_unit_spans_trace(const std::vector<FarmEvent>& events) {

@@ -35,6 +35,7 @@
 //     Perfetto-loadable fleet timeline (merge_fleet_trace).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -49,10 +50,10 @@ namespace icr::sim::farm {
 // Bumped when the heartbeat/event schema changes incompatibly.
 inline constexpr int kTelemetryFormatVersion = 1;
 
-// Monotonic version of the --status-json / GET /status NDJSON records
-// (docs/CAMPAIGN.md "Status schema"). Every record carries it as "schema"
-// so downstream parsers can detect format changes; records without the
-// field are implicitly version 1 (the pre-schema producer).
+// Monotonic version of the --status-json NDJSON records (docs/CAMPAIGN.md
+// "Status schema"). Every record carries it as "schema" so downstream
+// parsers can detect format changes; records without the field are
+// implicitly version 1 (the pre-schema producer).
 //   1 — PR 7: farm + worker records, no schema field.
 //   2 — PR 9: explicit "schema" field on every record.
 inline constexpr int kStatusSchemaVersion = 2;
@@ -213,8 +214,6 @@ class WorkerTelemetry {
 
 enum class WorkerState { kRunning, kStraggler, kDead, kExited };
 [[nodiscard]] const char* to_string(WorkerState state) noexcept;
-// Inverse of to_string; throws std::runtime_error on an unknown name.
-[[nodiscard]] WorkerState worker_state_by_name(const std::string& name);
 
 // Pure classification (tested at the exact boundaries): exited beats age;
 // age >= dead_after is dead, age >= straggler_after is a straggler,
@@ -238,10 +237,6 @@ struct FarmStatusOptions {
 };
 
 struct FarmStatus {
-  // Status-NDJSON schema of the producer. Locally collected status always
-  // carries kStatusSchemaVersion; farm_status_from_ndjson() preserves the
-  // (possibly older) version the remote server reported.
-  int schema = kStatusSchemaVersion;
   SpoolStatus census;
   std::uint64_t total_cells = 0;
   // Outstanding claims split by whether a non-dead worker says it is
@@ -282,19 +277,23 @@ struct FarmStatus {
 // `run_campaign --farm-status`.
 void print_farm_status(const std::string& spool, const FarmStatus& status);
 
+// The longest --watch period: std::this_thread::sleep_for waits on the
+// steady clock, and a longer period overflows its conversion.
+inline constexpr double kMaxWatchSeconds =
+    std::chrono::duration<double>(std::chrono::steady_clock::duration::max())
+        .count();
+
 // The `run_campaign --farm-status=DIR` flags.
 struct StatusWatchOptions {
   StalenessPolicy staleness;
   double watch_seconds = 0.0;  // refresh period; 0 = render once
   std::string status_json;     // NDJSON out ("-" = stdout)
-  std::string serve_spec;      // --serve: keep serving until drained
   bool quiet = false;
 };
 
 // Renders the fleet state of `spool` from its files alone: once, or every
-// watch_seconds until the fleet is drained. With a serve spec the status
-// server stays up, polling, until the fleet drains. Returns the process
-// exit status: 0, or 1 after printing the error.
+// watch_seconds until the fleet is drained. Returns the process exit
+// status: 0, or 1 after printing the error.
 int watch_farm_status(const std::string& spool,
                       const StatusWatchOptions& options);
 
@@ -302,15 +301,6 @@ int watch_farm_status(const std::string& spool,
 // {"type":"worker",...} line per worker. Every record carries
 // "schema": kStatusSchemaVersion.
 [[nodiscard]] std::string farm_status_to_ndjson(const FarmStatus& status);
-
-// Inverse of farm_status_to_ndjson for remote readers (icr_report --farm
-// over a /status URL): rebuilds a FarmStatus from the NDJSON text. Records
-// without a "schema" field parse as version 1; a schema *newer* than this
-// build throws std::runtime_error (the reader cannot know what changed).
-// Fields the wire format does not carry (unit latency histogram,
-// now_unix_seconds) are left default; callers can refill the histogram
-// from /events publish durations.
-[[nodiscard]] FarmStatus farm_status_from_ndjson(const std::string& text);
 
 // ---- Fleet-wide Chrome trace merge --------------------------------------
 

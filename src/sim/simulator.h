@@ -62,11 +62,6 @@ class Simulator {
   // bit-identical to one uninterrupted run (guarded by tier-1 test).
   void enable_observability(const obs::ObsOptions& options);
 
-  // Live observability state; null until enable_observability.
-  [[nodiscard]] obs::Observability* observability() noexcept {
-    return obs_.get();
-  }
-
   // Plain-data copy of the recorded telemetry (series + retained events),
   // safe to keep after this simulator is destroyed.
   [[nodiscard]] obs::CellObservability collect_observability() const;

@@ -97,11 +97,12 @@ TEST(CliRunFlags, ParsesTheSharedFlagsOnly) {
         "--sample-width=64", "--sample-mode=random", "--sample-seed=0x10",
         "--way-pattern=random", "--way-seed=7", "--heatmap-out=hm.csv",
         "--trace-out=t.ndjson", "--trace-filter=fault", "--rel",
-        "--prof-out=p.json", "--serve=0"}) {
+        "--prof-out=p.json"}) {
     EXPECT_TRUE(flags.parse(arg)) << arg;
   }
   for (const char* arg : {"--app=gcc", "--trials=2", "--csv", "--relx",
-                          "--instructions", "--rel-out=r.json"}) {
+                          "--instructions", "--rel-out=r.json",
+                          "--serve=0"}) {
     EXPECT_FALSE(flags.parse(arg)) << arg;
   }
   EXPECT_EQ(flags.instructions, 5000u);
@@ -113,7 +114,6 @@ TEST(CliRunFlags, ParsesTheSharedFlagsOnly) {
   EXPECT_TRUE(flags.rel);
   EXPECT_TRUE(flags.prof);  // --prof-out implies --prof
   EXPECT_EQ(flags.prof_out, "p.json");
-  EXPECT_EQ(flags.serve_spec, "0");
 
   const SamplingOptions sampling = flags.sampling();
   EXPECT_EQ(sampling.warmup_instructions, 200u);

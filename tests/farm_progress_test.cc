@@ -51,9 +51,8 @@ TEST(Throughput, GuardsDegenerateInputs) {
 }
 
 TEST(Throughput, SurvivesExtremeCounts) {
-  // The HTTP status server feeds this arithmetic straight into /metrics
-  // and the dashboard, so the extremes must stay finite (satellite of the
-  // serving PR).
+  // The fleet table and the --status-json NDJSON print this arithmetic
+  // as is, so the extremes must stay finite.
 
   // Empty grid with work somehow done (a resume sweep recount): still
   // "complete", never a negative remaining count.

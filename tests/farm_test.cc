@@ -346,6 +346,36 @@ TEST(FarmCoordinator, ForkedWorkersExportTheInProcessBytes) {
             to_json(campaign, /*include_timing=*/false));
 }
 
+TEST(FarmCoordinator, WorkersZeroCensusUsesTheStalenessPolicy) {
+  // --farm --workers=0 prints the census --farm-status prints, under the
+  // same --stale-after/--dead-after policy: a worker silent for 6 s is dead
+  // when the policy says 2 s, not running under the 15/60 s default.
+  const CampaignSpec spec = small_spec();
+  const std::string spool = make_temp_spool();
+  CoordinatorOptions options;
+  options.workers = 0;
+  options.quiet = true;
+  ASSERT_EQ(run_coordinator(spool, spec, options), 0);
+
+  WorkerHeartbeat hb;
+  hb.worker_id = "w0";
+  hb.time_unix_seconds = unix_now_seconds() - 6.0;
+  util::fs::make_directories(heartbeat_dir(spool));
+  util::fs::atomic_write_text_file(heartbeat_path(spool, "w0"), hb.to_json());
+
+  options.resume = true;
+  options.quiet = false;
+  options.staleness.straggler_after_seconds = 1.0;
+  options.staleness.dead_after_seconds = 2.0;
+  testing::internal::CaptureStdout();
+  const int status = run_coordinator(spool, spec, options);
+  const std::string out = testing::internal::GetCapturedStdout();
+  ASSERT_EQ(status, 0);
+  EXPECT_NE(out.find("workers 1 (0 running, 0 straggler, 1 dead, 0 exited)"),
+            std::string::npos)
+      << out;
+}
+
 // A child that leaves with `code` at once, or with code < 0 waits until a
 // signal ends it.
 pid_t fork_child(int code) {

@@ -25,7 +25,6 @@
 #include "src/sim/farm.h"
 #include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
-#include "src/sim/serve.h"
 #include "src/util/fs.h"
 #include "src/util/json.h"
 
@@ -423,43 +422,6 @@ TEST(JsonGolden, MergedChromeTraces) {
       obs::prof::merge_chrome_traces(
           {sim::farm::fleet_unit_spans_trace(fleet_events()), "[\n]\n",
            obs::prof::to_chrome_trace(fixed_profile(), "worker", 3, 0.0)}));
-}
-
-// ---- live status (clock-dependent: parse and key order only) ----
-
-std::vector<std::string> keys_of(const std::string& line) {
-  const util::JsonValue doc = util::JsonValue::parse(line);
-  std::vector<std::string> keys;
-  for (const auto& [key, value] : doc.members()) {
-    keys.push_back(key);
-  }
-  return keys;
-}
-
-TEST(JsonGolden, CampaignStatusKeyOrder) {
-  sim::farm::CampaignStatusSource source(12, 20000);
-  source.cells_done() = 5;
-  const std::vector<std::string> lines = lines_of(source.status_ndjson());
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(keys_of(lines[0]),
-            (std::vector<std::string>{"type", "schema", "total_cells",
-                                      "cells_done", "percent",
-                                      "cells_per_second", "eta_seconds",
-                                      "elapsed_seconds", "mips", "finished"}));
-}
-
-TEST(JsonGolden, SimStatusKeyOrder) {
-  sim::farm::SimStatusSource source("ICR-P-PS(S)", "trace \"a\".icrt", 50000);
-  source.update(1000, {});
-  const std::vector<std::string> lines = lines_of(source.status_ndjson());
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(keys_of(lines[0]),
-            (std::vector<std::string>{
-                "type", "schema", "scheme", "app", "instructions_total",
-                "instructions_done", "percent", "mips", "eta_seconds",
-                "elapsed_seconds", "finished"}));
-  EXPECT_EQ(util::JsonValue::parse(lines[0]).get("app").as_string(),
-            "trace \"a\".icrt");
 }
 
 }  // namespace

@@ -24,8 +24,8 @@ TEST(JsonTest, ParsesScalars) {
 }
 
 TEST(JsonTest, IntegerAccessorClampsOutOfRangeNumbers) {
-  // Heartbeats, events, manifests and remote status records are read with
-  // as_int: a hostile number must clamp, never convert out of range.
+  // Heartbeats, events, manifests and unit records are read with as_int:
+  // a hostile number must clamp, never convert out of range.
   const auto at = [](const char* text) { return JsonValue::parse(text); };
   EXPECT_EQ(at("42.9").as_int<std::uint32_t>(), 42u);
   EXPECT_EQ(at("-7.9").as_int<std::int64_t>(), -7);

@@ -92,17 +92,5 @@ TEST(StatRegistry, GaugesEvaluateLazily) {
   EXPECT_EQ(reg.snapshot_gauges(), (std::vector<std::uint64_t>{42}));
 }
 
-TEST(StatRegistry, HistogramIsIdempotentByName) {
-  StatRegistry reg;
-  Log2Histogram* h1 = reg.histogram("dl1.site_distance");
-  Log2Histogram* h2 = reg.histogram("dl1.site_distance");
-  EXPECT_EQ(h1, h2);
-  h1->record(32);
-  EXPECT_EQ(reg.find_histogram("dl1.site_distance")->total(), 1u);
-  EXPECT_EQ(reg.find_histogram("unknown"), nullptr);
-  EXPECT_EQ(reg.histogram_names(),
-            (std::vector<std::string>{"dl1.site_distance"}));
-}
-
 }  // namespace
 }  // namespace icr::obs

@@ -9,18 +9,15 @@
 // docs/OBSERVABILITY.md; this tool only relies on named header columns, so
 // it keeps working when new counters are added to the registry.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/obs/http_server.h"
 #include "src/obs/obs_io.h"
 #include "src/obs/prof_io.h"
 #include "src/sim/farm.h"
@@ -415,75 +412,7 @@ int report_prof(const std::string& path) {
   }
 }
 
-// `--farm http://host:port` — render the same fleet view from a live
-// status server (run_campaign --serve, docs/SERVING.md) instead of a local
-// spool. /status carries the census; the unit-latency histogram is rebuilt
-// from the publish events replayed by /events?once=1.
-int report_farm_url(const std::string& url) {
-  if (url.rfind("https://", 0) == 0) {
-    std::fprintf(stderr,
-                 "icr_report: %s: the embedded status server speaks plain "
-                 "HTTP only — use http://\n",
-                 url.c_str());
-    return 2;
-  }
-  std::string base = url;
-  while (!base.empty() && base.back() == '/') base.pop_back();
-  obs::http::FetchResult status_reply;
-  obs::http::FetchResult events_reply;
-  try {
-    status_reply = obs::http::http_get(base + "/status");
-    events_reply = obs::http::http_get(base + "/events?once=1");
-  } catch (const std::exception& error) {
-    std::fprintf(stderr,
-                 "icr_report: cannot reach %s: %s — is run_campaign "
-                 "running with --serve?\n",
-                 base.c_str(), error.what());
-    return 2;
-  }
-  if (status_reply.status != 200) {
-    std::fprintf(stderr, "icr_report: %s/status returned HTTP %d\n",
-                 base.c_str(), status_reply.status);
-    return 2;
-  }
-  try {
-    sim::farm::FarmStatus status =
-        sim::farm::farm_status_from_ndjson(status_reply.body);
-    // SSE frames are "id: N\ndata: <ndjson>\n\n"; non-publish lines and
-    // the final `event: drained` frame fall through the data filter.
-    if (events_reply.status == 200) {
-      std::istringstream lines(events_reply.body);
-      std::string line;
-      while (std::getline(lines, line)) {
-        if (line.rfind("data: ", 0) != 0) continue;
-        try {
-          const sim::farm::FarmEvent event =
-              sim::farm::FarmEvent::parse(line.substr(6));
-          if (event.type == sim::farm::FarmEventType::kPublish) {
-            status.unit_latency_ms.record(static_cast<std::uint64_t>(
-                std::llround(std::max(0.0, event.duration_seconds) *
-                             1000.0)));
-          }
-        } catch (const std::exception&) {
-          // Tolerate frames this build doesn't understand (e.g. a newer
-          // event type): the census above still renders.
-        }
-      }
-    }
-    std::printf("farm status — %s (schema %d)\n", base.c_str(),
-                status.schema);
-    std::fputs(sim::farm::render_farm_status(status).c_str(), stdout);
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "icr_report: %s: %s\n", base.c_str(), error.what());
-    return 2;
-  }
-}
-
 int report_farm(const std::string& spool) {
-  if (spool.rfind("http://", 0) == 0 || spool.rfind("https://", 0) == 0) {
-    return report_farm_url(spool);
-  }
   try {
     sim::farm::print_farm_status(
         spool, sim::farm::collect_farm_status(
@@ -511,10 +440,7 @@ void usage() {
       "                                  a --prof-out Chrome trace JSON\n"
       "  icr_report --farm SPOOL         fleet status from a campaign-farm\n"
       "                                  spool: census, worker heartbeats,\n"
-      "                                  unit latency histogram, ETA\n"
-      "  icr_report --farm http://H:P    same view from a live status\n"
-      "                                  server (run_campaign --serve,\n"
-      "                                  docs/SERVING.md)\n");
+      "                                  unit latency histogram, ETA\n");
 }
 
 }  // namespace

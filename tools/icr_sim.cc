@@ -8,14 +8,12 @@
 //   icr_sim --app=vpr --scheme=BaseECC --fault-prob=1e-4 --fault-model=column
 //   icr_sim --trace=run.icrt --window=1000 --victim=dead-first --csv
 //   icr_sim --record=run.icrt --app=gcc --instructions=200000
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/obs/obs_io.h"
 #include "src/obs/prof.h"
@@ -25,7 +23,6 @@
 #include "src/sim/cli.h"
 #include "src/sim/results_io.h"
 #include "src/sim/sampling.h"
-#include "src/sim/serve.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace_v2.h"
 #include "src/util/json.h"
@@ -101,10 +98,7 @@ void usage() {
       "  --prof                profile the simulator itself: self-time\n"
       "                        table of host-side zones on stderr\n"
       "  --prof-out=FILE       write the capture as Chrome trace-event JSON\n"
-      "                        (open in Perfetto; implies --prof)\n"
-      "  --serve=[ADDR:]PORT   embedded HTTP status server for long runs\n"
-      "                        (docs/SERVING.md): GET / /healthz /status\n"
-      "                        /metrics /events; binds 127.0.0.1 by default\n");
+      "                        (open in Perfetto; implies --prof)\n");
 }
 
 void print_csv(const sim::RunResult& r) {
@@ -262,27 +256,6 @@ int main(int argc, char** argv) {
 
   if (run.prof) obs::prof::begin_capture();
 
-  // HTTP status server for long runs. The simulation thread pushes
-  // snapshots between run chunks; chunked execution commits the identical
-  // instruction stream (simulator contract, tier-1 guarded), so serving
-  // never changes results.
-  std::unique_ptr<sim::farm::SimStatusSource> serve_source;
-  std::unique_ptr<obs::http::Server> serve_server;
-  if (!run.serve_spec.empty()) {
-    try {
-      serve_source = std::make_unique<sim::farm::SimStatusSource>(
-          opt.scheme, opt.trace_path.empty() ? opt.app : opt.trace_path,
-          instructions);
-      serve_server =
-          sim::farm::start_status_server(*serve_source, run.serve_spec);
-      std::fprintf(stderr, "serving run status on %s\n",
-                   serve_server->url().c_str());
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "icr_sim: %s\n", error.what());
-      return 2;
-    }
-  }
-
   // Replay a recorded trace or generate the app's stream: either drives
   // the exact same Simulator wiring, so a replayed trace reproduces its
   // generator-driven run bit for bit (guarded by tier-1 test).
@@ -311,42 +284,9 @@ int main(int argc, char** argv) {
   simulator.enable_observability(obsopt);
   simulator.enable_rel(relopt);
 
-  const auto serve_update = [&](std::uint64_t done) {
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    if (obs::Observability* o = simulator.observability()) {
-      const auto values = o->registry.snapshot_counters();
-      const auto& names = o->registry.counter_names();
-      counters.reserve(names.size());
-      for (std::size_t c = 0; c < names.size(); ++c) {
-        counters.emplace_back(names[c], values[c]);
-      }
-    }
-    serve_source->update(done, std::move(counters),
-                         run.prof ? obs::prof::snapshot_zones()
-                                  : std::vector<obs::prof::ZoneNode>{});
-  };
-
-  sim::SampledRunResult sampled;
-  if (serve_source != nullptr && !sampling.enabled()) {
-    // Chunk against the *committed* count, like Simulator::run does for
-    // sampling intervals: the commit stage overshoots each call by up to
-    // commit_width-1, and absolute targets keep that from accumulating —
-    // the chunked run commits the exact stream a single run() would.
-    const std::uint64_t chunk =
-        std::max<std::uint64_t>(instructions / 200, 10000);
-    sim::RunResult& done = sampled.estimate;
-    while (done.instructions < instructions) {
-      const std::uint64_t next =
-          std::min(done.instructions + chunk, instructions);
-      done = simulator.run(next - done.instructions);
-      serve_update(std::min(done.instructions, instructions));
-    }
-  } else {
-    // A bit-identical passthrough when sampling is off.
-    sampled = sim::SamplingController(simulator, sampling).run(instructions);
-    if (serve_source != nullptr) serve_update(instructions);
-  }
-  if (serve_source != nullptr) serve_source->finish();
+  // A bit-identical passthrough when sampling is off.
+  const sim::SampledRunResult sampled =
+      sim::SamplingController(simulator, sampling).run(instructions);
   const sim::RunResult& result = sampled.estimate;
   const sim::SampleProvenance& provenance = sampled.provenance;
   const obs::CellObservability telemetry = simulator.collect_observability();

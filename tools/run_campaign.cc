@@ -26,7 +26,6 @@
 //   run_campaign --farm=spool --resume --workers=8 --json=farm.json
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,7 +37,6 @@
 #include "src/sim/farm.h"
 #include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
-#include "src/sim/serve.h"
 #include "src/util/table.h"
 
 using namespace icr;
@@ -163,12 +161,6 @@ void usage() {
       "(default 15)\n"
       "  --dead-after=S        heartbeat age that flags a dead worker\n"
       "                        (default 60)\n"
-      "  --serve=[ADDR:]PORT   embedded HTTP status server (docs/SERVING.md):\n"
-      "                        GET / /healthz /status /metrics /events. Works\n"
-      "                        in --farm, in-process, and --farm-status modes\n"
-      "                        (the latter keeps serving until drained).\n"
-      "                        Binds 127.0.0.1 unless ADDR is given; port 0\n"
-      "                        picks an ephemeral port (printed at start)\n"
       "\n"
       "Per-cell telemetry (in-process mode only):\n"
       "  --stats-interval=N    per-cell telemetry every N instructions\n"
@@ -274,9 +266,12 @@ int main(int argc, char** argv) {
       opt.farm_status_dir = value;
     } else if (std::strcmp(arg, "--watch") == 0) {
       opt.status.watch_seconds = 2.0;
-    } else if (number_flag(kProgram, arg, "--watch",
-                           opt.status.watch_seconds)) {
-      // --watch=S
+    } else if (parse_flag(arg, "--watch", value)) {
+      const std::optional<double> seconds = sim::cli::parse_double(value);
+      if (!seconds || *seconds > sim::farm::kMaxWatchSeconds) {
+        sim::cli::bad_value(kProgram, "--watch", value);
+      }
+      opt.status.watch_seconds = *seconds;
     } else if (parse_flag(arg, "--status-json", value)) {
       opt.status.status_json = value;
     } else if (parse_flag(arg, "--rel-csv", value)) {
@@ -301,19 +296,12 @@ int main(int argc, char** argv) {
       return 2;
     }
     opt.status.staleness = opt.farm.staleness;
-    opt.status.serve_spec = run.serve_spec;
     opt.status.quiet = opt.quiet;
     return sim::farm::watch_farm_status(opt.farm_status_dir, opt.status);
   }
   if (opt.worker) {
     if (!opt.farm_dir.empty()) {
       std::fprintf(stderr, "--worker and --farm are mutually exclusive\n");
-      return 2;
-    }
-    if (!run.serve_spec.empty()) {
-      std::fprintf(stderr,
-                   "--serve belongs to the coordinator, in-process, or "
-                   "--farm-status invocation, not to workers\n");
       return 2;
     }
     if (opt.spool.empty()) {
@@ -414,7 +402,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!opt.workers_given) opt.farm.workers = sim::resolve_thread_count(0);
-    opt.farm.serve_spec = run.serve_spec;
     opt.farm.csv_path = opt.csv_path;
     opt.farm.json_path = opt.json_path;
     opt.farm.quiet = opt.quiet;
@@ -439,28 +426,9 @@ int main(int argc, char** argv) {
   spec.obs = run.obs();
 
   sim::CampaignRunner runner(opt.threads);
-  std::unique_ptr<sim::farm::CampaignStatusSource> serve_source;
-  std::unique_ptr<obs::http::Server> serve_server;
-  if (!run.serve_spec.empty()) {
-    try {
-      serve_source = std::make_unique<sim::farm::CampaignStatusSource>(
-          spec.cell_count(), spec.instructions);
-      serve_server = sim::farm::start_status_server(*serve_source,
-                                                    run.serve_spec);
-      std::printf("serving campaign status on %s\n",
-                  serve_server->url().c_str());
-      std::fflush(stdout);
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "run_campaign: %s\n", error.what());
-      return 2;
-    }
-  }
-  if (opt.progress || serve_source != nullptr) {
+  if (opt.progress) {
     sim::ProgressOptions progress = runner.progress();
-    progress.enabled = progress.enabled || opt.progress;
-    if (serve_source != nullptr) {
-      progress.live_cells_done = &serve_source->cells_done();
-    }
+    progress.enabled = true;
     runner.with_progress(progress);
   }
   const std::size_t app_axis = spec.app_axis();
@@ -472,7 +440,6 @@ int main(int argc, char** argv) {
 
   if (run.prof) obs::prof::begin_capture();
   const sim::CampaignResult campaign = runner.run(spec);
-  if (serve_source != nullptr) serve_source->finish();
 
   if (!opt.quiet) {
     // Summary: cycles per (scheme, app), averaged over trials.
