@@ -1,12 +1,14 @@
 // Engineering micro-benchmarks (google-benchmark) for the hot primitives:
 // parity, SEC-DED encode/decode, dL1 access paths, the backing store's
-// line reads and the dL1 miss/writeback path, dead-block evaluation, and
-// trace generation throughput. Not a paper figure and not a gate: a
-// plain google-benchmark binary for ad-hoc ns/op numbers. The benchmark
-// that can fail is perfbench (perfbench/README.md).
+// line reads and the dL1 miss/writeback path, dead-block evaluation, trace
+// generation throughput, and the trace codec (record, open, fingerprint).
+// Not a paper figure and not a gate: a plain google-benchmark binary for
+// ad-hoc ns/op numbers. The benchmark that can fail is perfbench
+// (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "src/coding/parity.h"
 #include "src/coding/secded.h"
@@ -215,6 +217,58 @@ void BM_TraceSeek(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceSeek);
+
+// Records per second through TraceV2Writer: fingerprint fold, chunk
+// buffering, delta encoding and the file write.
+void BM_TraceRecord(benchmark::State& state) {
+  const std::string path = "/tmp/icr_bench_record.icrt";
+  std::vector<trace::Instruction> records;
+  trace::SyntheticWorkload w(trace::profile_for(trace::App::kMcf));
+  for (int i = 0; i < 62500; ++i) records.push_back(w.next());
+  for (auto _ : state) {
+    trace::TraceV2Writer writer(path);
+    for (const trace::Instruction& r : records) writer.write(r);
+    writer.close();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_TraceRecord)->Unit(benchmark::kMillisecond);
+
+// Three readers of one single-chunk trace opened together, as perfbench
+// mcf-chase opens one per cell: the first decodes the chunk, the others
+// verify its checksum and share the decoded records.
+void BM_TraceOpenThreeReaders(benchmark::State& state) {
+  static const std::string path = [] {
+    std::string p = "/tmp/icr_bench_open.icrt";
+    trace::SyntheticWorkload w(trace::profile_for(trace::App::kMcf));
+    trace::record_trace_v2(w, 62500, p);
+    return p;
+  }();
+  for (auto _ : state) {
+    trace::StreamingTraceSource a(path);
+    trace::StreamingTraceSource b(path);
+    trace::StreamingTraceSource c(path);
+    benchmark::DoNotOptimize(c.position());
+  }
+}
+BENCHMARK(BM_TraceOpenThreeReaders)->Unit(benchmark::kMillisecond);
+
+void BM_TraceFingerprint(benchmark::State& state) {
+  std::vector<trace::Instruction> records;
+  trace::SyntheticWorkload w(trace::profile_for(trace::App::kMcf));
+  for (int i = 0; i < 4096; ++i) records.push_back(w.next());
+  for (auto _ : state) {
+    std::uint64_t fp = trace::kFnvOffsetBasis;
+    for (const trace::Instruction& r : records) {
+      fp = trace::fingerprint_fold(fp, r);
+    }
+    benchmark::DoNotOptimize(fp);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_TraceFingerprint);
 
 void BM_EndToEndSimulatedInstruction(benchmark::State& state) {
   // Amortized cost of one simulated instruction through the full stack.

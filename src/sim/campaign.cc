@@ -305,8 +305,10 @@ CellResult run_campaign_cell(const CampaignSpec& spec, std::size_t variant_idx,
 
   Simulator simulator = [&]() -> Simulator {
     if (traced) {
-      auto source =
-          std::make_unique<trace::StreamingTraceSource>(spec.trace.path);
+      const TraceShard shard = trace_shard(spec, app_idx);
+      budget = shard.instructions;
+      auto source = std::make_unique<trace::StreamingTraceSource>(
+          spec.trace.path, shard.begin);
       if (spec.trace.fingerprint != 0 &&
           source->info().fingerprint != spec.trace.fingerprint) {
         throw std::runtime_error(
@@ -314,9 +316,6 @@ CellResult run_campaign_cell(const CampaignSpec& spec, std::size_t variant_idx,
             " does not match the campaign's trace fingerprint (the file "
             "changed since the campaign was planned)");
       }
-      const TraceShard shard = trace_shard(spec, app_idx);
-      budget = shard.instructions;
-      source->seek_to(shard.begin);
       return Simulator(config, variant.scheme, std::move(source), cell_label);
     }
     trace::WorkloadProfile profile = trace::profile_for(spec.apps[app_idx]);

@@ -6,7 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <compare>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 namespace icr::trace {
@@ -63,6 +68,29 @@ void pack_record(const Instruction& i, std::uint8_t out[kRecordBytes]) {
   return i;
 }
 
+// kFnvPrime^k for k = 0..8.
+constexpr std::array<std::uint64_t, 9> kFnvPrimePowers = [] {
+  std::array<std::uint64_t, 9> powers{};
+  powers[0] = 1;
+  for (std::size_t k = 1; k < powers.size(); ++k) {
+    powers[k] = powers[k - 1] * kFnvPrime;
+  }
+  return powers;
+}();
+
+// fnv1a64 over `value`'s 8 little-endian bytes. FNV-1a of a zero byte is
+// one multiply by the prime, so the high zero bytes fold as one multiply by
+// the prime's power.
+[[nodiscard]] std::uint64_t fnv1a_u64(std::uint64_t state,
+                                      std::uint64_t value) noexcept {
+  const int bytes = (std::bit_width(value) + 7) / 8;
+  for (int b = 0; b < bytes; ++b) {
+    state = (state ^ (value & 0xFF)) * kFnvPrime;
+    value >>= 8;
+  }
+  return state * kFnvPrimePowers[static_cast<std::size_t>(8 - bytes)];
+}
+
 [[noreturn]] void corrupt(const std::string& path, const std::string& what) {
   throw std::runtime_error("ICRT-v2: " + path + ": " + what);
 }
@@ -96,12 +124,15 @@ template <typename T>
   return static_cast<std::int64_t>((value >> 1) ^ (~(value & 1) + 1));
 }
 
-void put_varint(std::vector<std::uint8_t>& out, std::uint64_t value) {
+// Writes `value` at `out`; returns the byte past it.
+[[nodiscard]] std::uint8_t* put_varint(std::uint8_t* out,
+                                       std::uint64_t value) noexcept {
   while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80);
+    *out++ = static_cast<std::uint8_t>(value) | 0x80;
     value >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(value));
+  *out++ = static_cast<std::uint8_t>(value);
+  return out;
 }
 
 [[nodiscard]] std::uint64_t get_varint(const std::uint8_t* data,
@@ -144,33 +175,45 @@ std::vector<std::uint8_t> encode_raw(const std::vector<Instruction>& records) {
   return true;
 }
 
+// The longest delta record: op and flags bytes, three 10-byte varints (pc,
+// next_pc, mem_addr), the 8-byte store value and three register varints.
+constexpr std::size_t kMaxDeltaRecordBytes = 2 + 3 * 10 + 8 + 3 * 10;
+
+// Delta-encodes `records` into `out`. Returns false, leaving `out`
+// unspecified, when a record cannot round-trip or the encoding would not be
+// smaller than raw (the writer keeps raw then).
 [[nodiscard]] bool encode_delta(const std::vector<Instruction>& records,
                                 std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(records.size() * 8);
+  const std::size_t raw_bytes = records.size() * kRecordBytes;
+  // Room for one more record once the output reaches raw size: encoding
+  // stops there, so no record is written past the buffer.
+  out.resize(raw_bytes + kMaxDeltaRecordBytes);
+  std::uint8_t* const begin = out.data();
+  std::uint8_t* const give_up = begin + raw_bytes;
+  std::uint8_t* p = begin;
   std::uint64_t prev_pc = 0;
   std::uint64_t prev_mem = 0;
-  std::uint8_t value_bytes[8];
   for (const Instruction& i : records) {
-    if (!delta_encodable(i)) return false;
-    out.push_back(static_cast<std::uint8_t>(i.op));
-    out.push_back(i.branch_taken ? 1 : 0);
-    put_varint(out, zigzag(delta64(i.pc, prev_pc)));
-    put_varint(out, zigzag(delta64(i.next_pc, i.pc)));
+    if (!delta_encodable(i) || p >= give_up) return false;
+    *p++ = static_cast<std::uint8_t>(i.op);
+    *p++ = i.branch_taken ? 1 : 0;
+    p = put_varint(p, zigzag(delta64(i.pc, prev_pc)));
+    p = put_varint(p, zigzag(delta64(i.next_pc, i.pc)));
     prev_pc = i.pc;
     if (i.is_mem()) {
-      put_varint(out, zigzag(delta64(i.mem_addr, prev_mem)));
+      p = put_varint(p, zigzag(delta64(i.mem_addr, prev_mem)));
       prev_mem = i.mem_addr;
     }
     if (i.is_store()) {
-      put_le(value_bytes, i.store_value);
-      out.insert(out.end(), value_bytes, value_bytes + 8);
+      put_le(p, i.store_value);
+      p += 8;
     }
-    put_varint(out, zigzag(i.dest));
-    put_varint(out, zigzag(i.src1));
-    put_varint(out, zigzag(i.src2));
+    p = put_varint(p, zigzag(i.dest));
+    p = put_varint(p, zigzag(i.src1));
+    p = put_varint(p, zigzag(i.src2));
   }
-  return true;
+  out.resize(static_cast<std::size_t>(p - begin));
+  return p < give_up;
 }
 
 // check_record's slow path, kept out of the decode loops.
@@ -370,9 +413,21 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size,
 
 std::uint64_t fingerprint_fold(std::uint64_t state,
                                const Instruction& instruction) {
-  std::uint8_t record[kRecordBytes];
-  pack_record(instruction, record);
-  return fnv1a64(record, kRecordBytes, state);
+  // The canonical image field by field: four u64s, then op, branch_taken
+  // and the three i16 registers as one little-endian u64.
+  state = fnv1a_u64(state, instruction.pc);
+  state = fnv1a_u64(state, instruction.mem_addr);
+  state = fnv1a_u64(state, instruction.store_value);
+  state = fnv1a_u64(state, instruction.next_pc);
+  const auto reg = [](std::int16_t r) {
+    return static_cast<std::uint64_t>(static_cast<std::uint16_t>(r));
+  };
+  const std::uint64_t tail =
+      static_cast<std::uint64_t>(instruction.op) |
+      (std::uint64_t{instruction.branch_taken ? 1u : 0u} << 8) |
+      (reg(instruction.dest) << 16) | (reg(instruction.src1) << 32) |
+      (reg(instruction.src2) << 48);
+  return fnv1a_u64(state, tail);
 }
 
 // --- TraceV2Writer ---
@@ -429,8 +484,7 @@ void TraceV2Writer::flush_chunk() {
   if (pending_.empty()) return;
   std::vector<std::uint8_t> encoded;
   ChunkEncoding encoding = ChunkEncoding::kRaw;
-  if (options_.delta && encode_delta(pending_, encoded) &&
-      encoded.size() < pending_.size() * kRecordBytes) {
+  if (options_.delta && encode_delta(pending_, encoded)) {
     encoding = ChunkEncoding::kDelta;
   } else {
     encoded = encode_raw(pending_);
@@ -484,7 +538,60 @@ void TraceV2Writer::close() {
 
 // --- StreamingTraceSource ---
 
-StreamingTraceSource::StreamingTraceSource(const std::string& path)
+namespace {
+
+using SharedChunk = std::shared_ptr<const std::vector<Instruction>>;
+
+// The version of the file a chunk came from, and the index entry its
+// decoded records are a pure function of.
+struct ChunkKey {
+  std::array<std::int64_t, 7> file{};
+  std::uint64_t offset = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t checksum = 0;
+  std::uint32_t records = 0;
+  std::uint32_t encoding = 0;
+
+  auto operator<=>(const ChunkKey&) const = default;
+};
+
+// The decoded chunks some live reader holds. Entries are weak, so a chunk
+// is freed with its last reader; expired entries are pruned on insert.
+class ChunkRegistry {
+ public:
+  [[nodiscard]] SharedChunk find(const ChunkKey& key) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = chunks_.find(key);
+    return it == chunks_.end() ? nullptr : it->second.lock();
+  }
+
+  // Publishes `chunk` under `key`, or returns the live chunk a concurrent
+  // reader published first, so every reader shares one copy.
+  [[nodiscard]] SharedChunk insert(const ChunkKey& key, SharedChunk chunk) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::erase_if(chunks_, [](const auto& entry) {
+      return entry.second.expired();
+    });
+    std::weak_ptr<const std::vector<Instruction>>& entry = chunks_[key];
+    if (SharedChunk live = entry.lock()) return live;
+    entry = chunk;
+    return chunk;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::map<ChunkKey, std::weak_ptr<const std::vector<Instruction>>> chunks_;
+};
+
+ChunkRegistry& chunk_registry() {
+  static ChunkRegistry registry;
+  return registry;
+}
+
+}  // namespace
+
+StreamingTraceSource::StreamingTraceSource(const std::string& path,
+                                           std::uint64_t first_record)
     : path_(path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) {
@@ -496,6 +603,13 @@ StreamingTraceSource::StreamingTraceSource(const std::string& path)
       corrupt(path, "truncated header (not a trace file?)");
     }
     map_bytes_ = static_cast<std::size_t>(st.st_size);
+    file_identity_ = {static_cast<std::int64_t>(st.st_dev),
+                      static_cast<std::int64_t>(st.st_ino),
+                      static_cast<std::int64_t>(st.st_size),
+                      static_cast<std::int64_t>(st.st_mtim.tv_sec),
+                      static_cast<std::int64_t>(st.st_mtim.tv_nsec),
+                      static_cast<std::int64_t>(st.st_ctim.tv_sec),
+                      static_cast<std::int64_t>(st.st_ctim.tv_nsec)};
     void* map = ::mmap(nullptr, map_bytes_, PROT_READ, MAP_PRIVATE, fd_, 0);
     if (map == MAP_FAILED) {
       throw std::runtime_error("StreamingTraceSource: mmap failed for " +
@@ -518,7 +632,7 @@ StreamingTraceSource::StreamingTraceSource(const std::string& path)
         ++info_.raw_chunks;
       }
     }
-    load_chunk(0);
+    seek_to(first_record);
   } catch (...) {
     unmap();
     throw;
@@ -564,39 +678,49 @@ void StreamingTraceSource::load_chunk(std::uint32_t chunk) {
   if (fnv1a64(data, static_cast<std::size_t>(meta.bytes)) != meta.checksum) {
     corrupt(path_, where + " checksum mismatch (corrupt or torn write)");
   }
-  try {
-    if (meta.encoding == static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
-      decode_delta(data, static_cast<std::size_t>(meta.bytes), meta.records,
-                   chunk_);
-    } else if (meta.encoding ==
-               static_cast<std::uint32_t>(ChunkEncoding::kRaw)) {
-      decode_raw(data, static_cast<std::size_t>(meta.bytes), meta.records,
-                 chunk_);
-    } else {
-      corrupt(path_, where + " has unknown encoding " +
-                         std::to_string(meta.encoding));
+  const ChunkKey key{file_identity_, meta.offset,  meta.bytes,
+                     meta.checksum,  meta.records, meta.encoding};
+  SharedChunk shared = chunk_registry().find(key);
+  if (shared == nullptr) {
+    chunk_.reset();  // one decoded chunk per reader, during the decode too
+    auto decoded = std::make_shared<std::vector<Instruction>>();
+    try {
+      if (meta.encoding ==
+          static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
+        decode_delta(data, static_cast<std::size_t>(meta.bytes),
+                     meta.records, *decoded);
+      } else if (meta.encoding ==
+                 static_cast<std::uint32_t>(ChunkEncoding::kRaw)) {
+        decode_raw(data, static_cast<std::size_t>(meta.bytes), meta.records,
+                   *decoded);
+      } else {
+        corrupt(path_, where + " has unknown encoding " +
+                           std::to_string(meta.encoding));
+      }
+    } catch (const std::runtime_error& error) {
+      corrupt(path_, where + ": " + error.what());
     }
-  } catch (const std::runtime_error& error) {
-    corrupt(path_, where + ": " + error.what());
+    shared = chunk_registry().insert(key, std::move(decoded));
   }
+  chunk_ = std::move(shared);
   current_chunk_ = chunk;
   pos_in_chunk_ = 0;
 }
 
 Instruction StreamingTraceSource::next() {
-  if (pos_in_chunk_ == chunk_.size()) {
+  if (pos_in_chunk_ == chunk_->size()) {
     const std::uint32_t next_chunk =
         current_chunk_ + 1 == info_.chunk_count ? 0 : current_chunk_ + 1;
     load_chunk(next_chunk);
   }
-  return chunk_[pos_in_chunk_++];
+  return (*chunk_)[pos_in_chunk_++];
 }
 
 void StreamingTraceSource::seek_to(std::uint64_t n) {
   const std::uint64_t record = n % info_.records;
   const std::uint32_t chunk =
       static_cast<std::uint32_t>(record / info_.chunk_records);
-  if (chunk != current_chunk_) load_chunk(chunk);
+  if (chunk_ == nullptr || chunk != current_chunk_) load_chunk(chunk);
   pos_in_chunk_ = static_cast<std::size_t>(record % info_.chunk_records);
 }
 
@@ -608,8 +732,11 @@ std::uint64_t StreamingTraceSource::position() const noexcept {
 }
 
 std::size_t StreamingTraceSource::resident_bytes() const noexcept {
-  return sizeof(*this) + chunk_.capacity() * sizeof(Instruction) +
-         path_.capacity();
+  const std::size_t chunk =
+      chunk_ == nullptr
+          ? 0
+          : sizeof(*chunk_) + chunk_->capacity() * sizeof(Instruction);
+  return sizeof(*this) + chunk + path_.capacity();
 }
 
 // --- probe / validate ---

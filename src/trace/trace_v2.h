@@ -2,8 +2,8 @@
 // container recorded, imported and replayed traces use.
 //
 // Records are grouped into independently decodable chunks behind a
-// per-chunk index, so a reader can mmap the file, hold exactly one decoded
-// chunk, and seek to any instruction boundary in O(1):
+// per-chunk index, so a reader can mmap the file, hold one decoded chunk,
+// and seek to any instruction boundary in O(1):
 //
 //   offset  bytes
 //        0      4  magic "ICRT"
@@ -47,9 +47,11 @@
 // reader entry point rejects it with one error naming the version.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,17 +147,30 @@ class TraceV2Writer {
   bool closed_ = false;
 };
 
-// Streaming v2 replay: mmaps the container and keeps exactly one decoded
-// chunk resident, so memory is O(chunk_records) no matter how large the
-// trace is (asserted by tests/trace_v2_test.cc). Loops at the end of the
-// trace like every TraceSource; seek_to(n) repositions through the chunk
-// index without touching any other chunk — what makes recorded traces
-// shardable by instruction interval in campaigns.
+// Streaming v2 replay: mmaps the container and holds one decoded chunk, so
+// memory is O(chunk_records) per reader no matter how large the trace is
+// (asserted by tests/trace_v2_test.cc). Loops at the end of the trace like
+// every TraceSource; seek_to(n) repositions through the chunk index without
+// touching any other chunk — what makes recorded traces shardable by
+// instruction interval in campaigns.
+//
+// Live readers of one file share decoded chunks: a process-wide registry
+// maps (the file's fstat identity: device, inode, size, mtime, ctime; the
+// chunk's offset, bytes, checksum, record count, encoding) to the decoded
+// records while some reader holds them. Every reader still checks the
+// chunk's bounds and record count against its own header and index and
+// verifies the chunk checksum over its own mapping before the lookup; only
+// the decode (which checks every record) is done once. A file rewritten in
+// place changes its mtime/ctime or its chunk checksums, so a new reader of
+// it decodes afresh.
 class StreamingTraceSource final : public TraceSource {
  public:
-  // Throws std::runtime_error on a missing/corrupt/empty file or a version-1
-  // trace.
-  explicit StreamingTraceSource(const std::string& path);
+  // Opens `path` positioned at record first_record % size(), as
+  // seek_to(first_record) would, decoding only that record's chunk. Throws
+  // std::runtime_error on a missing/corrupt/empty file, a version-1 trace,
+  // or a corrupt chunk holding the first record.
+  explicit StreamingTraceSource(const std::string& path,
+                                std::uint64_t first_record = 0);
   ~StreamingTraceSource() override;
 
   StreamingTraceSource(const StreamingTraceSource&) = delete;
@@ -172,7 +187,8 @@ class StreamingTraceSource final : public TraceSource {
   [[nodiscard]] const TraceInfo& info() const noexcept { return info_; }
 
   // Heap + object bytes held by this reader: the bounded-allocation number
-  // the O(chunk) guarantee is tested against. Excludes the mmap, which is
+  // the O(chunk) guarantee is tested against. Counts the decoded chunk in
+  // full even while other readers share it. Excludes the mmap, which is
   // file-backed, read-only, and paged by the OS — never a per-record heap
   // allocation.
   [[nodiscard]] std::size_t resident_bytes() const noexcept;
@@ -194,11 +210,16 @@ class StreamingTraceSource final : public TraceSource {
   int fd_ = -1;
   const std::uint8_t* map_ = nullptr;
   std::size_t map_bytes_ = 0;
+  // The mapped version of the file, from fstat: st_dev, st_ino, st_size,
+  // st_mtim (s, ns), st_ctim (s, ns).
+  std::array<std::int64_t, 7> file_identity_{};
   TraceInfo info_;
   std::uint64_t index_offset_ = 0;
   std::uint32_t current_chunk_ = 0;
   std::size_t pos_in_chunk_ = 0;
-  std::vector<Instruction> chunk_;  // the single decoded chunk
+  // The decoded chunk, shared with every other live reader of it; null
+  // until the constructor's load.
+  std::shared_ptr<const std::vector<Instruction>> chunk_;
 };
 
 // Header-level provenance: version, record count, fingerprint, chunking.

@@ -2,14 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <iterator>
+#include <latch>
 #include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/trace/workloads.h"
+#include "src/util/thread_pool.h"
 
 namespace icr::trace {
 namespace {
@@ -39,6 +46,18 @@ std::string error_of(Read&& read) {
     return error.what();
   }
   return "";
+}
+
+// XORs `mask` into the byte at `offset` of `path`.
+void flip_byte(const std::string& path, std::streamoff offset,
+               std::uint8_t mask) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekg(offset);
+  char b = 0;
+  f.read(&b, 1);
+  b = static_cast<char>(b ^ mask);
+  f.seekp(offset);
+  f.write(&b, 1);
 }
 
 // A finite TraceSource over an in-memory vector (loops like every source).
@@ -294,15 +313,7 @@ TEST(TraceV2, ChunkChecksumMismatchThrows) {
   record_trace_v2(source, 500, path);
   ASSERT_NO_THROW(validate_trace(path));
   // Flip one byte inside the first chunk's payload.
-  {
-    std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(static_cast<std::streamoff>(kV2HeaderBytes) + 10);
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x40);
-    f.seekp(static_cast<std::streamoff>(kV2HeaderBytes) + 10);
-    f.write(&b, 1);
-  }
+  flip_byte(path, static_cast<std::streamoff>(kV2HeaderBytes) + 10, 0x40);
   try {
     (void)validate_trace(path);
     FAIL() << "corrupt chunk validated";
@@ -313,6 +324,178 @@ TEST(TraceV2, ChunkChecksumMismatchThrows) {
   // The reader hits the same check when it loads the chunk.
   EXPECT_THROW(StreamingTraceSource{path}, std::runtime_error);
   std::remove(path.c_str());
+}
+
+TEST(TraceV2, OpenAtFirstRecordDecodesOnlyItsChunk) {
+  // A reader opened at a record of chunk 1 must not load chunk 0, so a
+  // corrupt chunk 0 only fails readers that start in it.
+  const std::string path = temp_path("v2_first_record.icrt");
+  std::vector<Instruction> records;
+  {
+    SyntheticWorkload source(profile_for(App::kMcf));
+    for (int i = 0; i < 300; ++i) records.push_back(source.next());
+    VectorSource replay(records);
+    TraceV2Writer::Options options;
+    options.chunk_records = 128;
+    record_trace_v2(replay, records.size(), path, options);
+  }
+  flip_byte(path, static_cast<std::streamoff>(kV2HeaderBytes) + 10, 0x40);
+
+  StreamingTraceSource shard(path, 150);
+  EXPECT_EQ(shard.position(), 150u);
+  for (std::size_t n = 150; n < 256; ++n) expect_equal(shard.next(), records[n]);
+  // A first record past the end wraps like seek_to.
+  StreamingTraceSource wrapped(path, 300 + 200);
+  EXPECT_EQ(wrapped.position(), 200u);
+  expect_equal(wrapped.next(), records[200]);
+
+  const std::string what = error_of([&] { StreamingTraceSource from(path, 0); });
+  EXPECT_NE(what.find("chunk 0 checksum mismatch"), std::string::npos) << what;
+  std::remove(path.c_str());
+}
+
+TEST(TraceV2Registry, InPlaceRewriteIsSeenByANewReader) {
+  // A live reader holds its decoded chunk in the shared registry. Rewriting
+  // the file in place with other records of the same size and mtime must
+  // not hand the cached records to a new reader.
+  const std::string path = temp_path("v2_rewrite.icrt");
+  TraceV2Writer::Options options;
+  options.delta = false;  // equal record counts give equal file sizes
+  SyntheticWorkload gzip(profile_for(App::kGzip));
+  record_trace_v2(gzip, 400, path, options);
+  struct stat before{};
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  StreamingTraceSource old_reader(path);
+  SyntheticWorkload gzip_again(profile_for(App::kGzip));
+  expect_equal(old_reader.next(), gzip_again.next());
+
+  SyntheticWorkload vortex(profile_for(App::kVortex));
+  record_trace_v2(vortex, 400, path, options);
+  const timespec times[2] = {before.st_atim, before.st_mtim};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), times, 0), 0);
+  struct stat after{};
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  ASSERT_EQ(after.st_size, before.st_size);
+  ASSERT_EQ(after.st_ino, before.st_ino);
+
+  StreamingTraceSource new_reader(path);
+  SyntheticWorkload reference(profile_for(App::kVortex));
+  for (int i = 0; i < 400; ++i) expect_equal(new_reader.next(), reference.next());
+  std::remove(path.c_str());
+}
+
+TEST(TraceV2Registry, ReloadReverifiesTheChunkChecksum) {
+  // A reader that wraps back into the chunk it still holds finds that chunk
+  // in the registry, but must verify the checksum over its own mapping
+  // first: a chunk damaged in place since the open is refused, not replayed
+  // from the cache.
+  const std::string path = temp_path("v2_reverify.icrt");
+  SyntheticWorkload source(profile_for(App::kGzip));
+  record_trace_v2(source, 300, path);  // one chunk
+  StreamingTraceSource reader(path);
+  for (int i = 0; i < 300; ++i) reader.next();
+  flip_byte(path, static_cast<std::streamoff>(kV2HeaderBytes) + 10, 0x40);
+  const std::string what = error_of([&] { reader.next(); });
+  EXPECT_NE(what.find("chunk 0 checksum mismatch"), std::string::npos) << what;
+  std::remove(path.c_str());
+}
+
+TEST(TraceV2Registry, ConcurrentOpensReplayOneStream) {
+  // Eight pool threads open one file at once and race to decode and
+  // publish the same chunks; every one must replay the recorded stream,
+  // holding no more than one decoded chunk.
+  const std::string path = temp_path("v2_concurrent.icrt");
+  std::vector<Instruction> records;
+  {
+    SyntheticWorkload source(profile_for(App::kParser));
+    for (int i = 0; i < 5000; ++i) records.push_back(source.next());
+    VectorSource replay(records);
+    TraceV2Writer::Options options;
+    options.chunk_records = 1024;
+    record_trace_v2(replay, records.size(), path, options);
+  }
+  const std::size_t bound = 1024 * sizeof(Instruction) + 4096;
+  constexpr int kThreads = 8;
+  util::ThreadPool pool(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::future<std::string>> replays;
+  for (int t = 0; t < kThreads; ++t) {
+    replays.push_back(pool.submit([&]() -> std::string {
+      start.arrive_and_wait();
+      StreamingTraceSource reader(path);
+      for (std::size_t n = 0; n < records.size(); ++n) {
+        const Instruction got = reader.next();
+        const Instruction& want = records[n];
+        if (got.pc != want.pc || got.mem_addr != want.mem_addr ||
+            got.store_value != want.store_value || got.op != want.op ||
+            got.dest != want.dest || got.src1 != want.src1 ||
+            got.src2 != want.src2) {
+          return "record " + std::to_string(n) + " differs";
+        }
+        if (reader.resident_bytes() > bound) {
+          return "resident " + std::to_string(reader.resident_bytes()) +
+                 " bytes at record " + std::to_string(n);
+        }
+      }
+      return "";
+    }));
+  }
+  for (std::future<std::string>& replay : replays) {
+    EXPECT_EQ(replay.get(), "");
+  }
+  std::remove(path.c_str());
+}
+
+// fingerprint_fold's reference: FNV-1a over the canonical 40-byte image,
+// built here byte by byte.
+std::uint64_t bytewise_fingerprint(std::uint64_t state, const Instruction& i) {
+  std::uint8_t image[40] = {};
+  const auto put = [&](std::size_t at, std::uint64_t value, std::size_t n) {
+    for (std::size_t b = 0; b < n; ++b) {
+      image[at + b] = static_cast<std::uint8_t>(value >> (8 * b));
+    }
+  };
+  put(0, i.pc, 8);
+  put(8, i.mem_addr, 8);
+  put(16, i.store_value, 8);
+  put(24, i.next_pc, 8);
+  put(32, static_cast<std::uint64_t>(i.op), 1);
+  put(33, i.branch_taken ? 1 : 0, 1);
+  put(34, static_cast<std::uint16_t>(i.dest), 2);
+  put(36, static_cast<std::uint16_t>(i.src1), 2);
+  put(38, static_cast<std::uint16_t>(i.src2), 2);
+  return fnv1a64(image, sizeof image, state);
+}
+
+TEST(TraceV2, FingerprintFoldMatchesBytewiseFnv) {
+  std::vector<std::uint64_t> edges = {0, 1, 0x80, 0xFF, ~0ULL, 1ULL << 63};
+  for (int k = 1; k < 8; ++k) {  // every significant-byte count
+    edges.push_back(1ULL << (8 * k));
+    edges.push_back((1ULL << (8 * k)) - 1);
+  }
+  const std::int16_t registers[] = {-1, 0, 1, 63};
+  std::mt19937_64 rng(0xF01DULL);
+  const auto pick = [&](const auto& values) {
+    return values[rng() % std::size(values)];
+  };
+  std::uint64_t state = kFnvOffsetBasis;
+  for (int n = 0; n < 20000; ++n) {
+    Instruction i;
+    const bool edge = n % 2 == 0;
+    i.pc = edge ? pick(edges) : rng();
+    i.mem_addr = edge ? pick(edges) : rng();
+    i.store_value = edge ? pick(edges) : rng();
+    i.next_pc = edge ? pick(edges) : rng() >> (rng() % 64);
+    i.op = static_cast<OpClass>(rng() % 9);
+    i.branch_taken = rng() % 2 != 0;
+    i.dest = pick(registers);
+    i.src1 = pick(registers);
+    i.src2 = edge ? pick(registers) : static_cast<std::int16_t>(rng());
+    const std::uint64_t want = bytewise_fingerprint(state, i);
+    ASSERT_EQ(fingerprint_fold(state, i), want) << "record " << n;
+    state = n % 3 == 0 ? rng() : want;
+  }
 }
 
 TEST(TraceV2, ZeroRecordFileThrows) {
