@@ -5,6 +5,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "src/baselines/rcache.h"
 #include "src/core/icr_cache.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
@@ -140,6 +141,30 @@ TEST(Recovery, EccDoubleBitOnDirtyBlockIsUnrecoverable) {
   EXPECT_TRUE(r.unrecoverable);
 }
 
+TEST(Recovery, EccDoubleBitOnDirtyBlockFallsBackToTheRcache) {
+  CacheFixture f(Scheme::BaseECC());
+  baselines::RCache rcache(64);
+  f.dl1->attach_rcache(&rcache);
+  const std::uint64_t addr = 0x4000;
+  f.dl1->store(addr, 42, 0);  // dirty, and duplicated into the R-Cache
+  std::uint32_t set = 0, way = 0;
+  ASSERT_TRUE(find_primary(*f.dl1, addr, set, way));
+  f.dl1->flip_data_bit(set, way, 0, 0);
+  f.dl1->flip_data_bit(set, way, 1, 1);  // two bits in the accessed word
+  const auto r = f.dl1->load(addr, 1);
+  EXPECT_TRUE(r.error_detected);
+  EXPECT_TRUE(r.error_recovered);
+  EXPECT_FALSE(r.unrecoverable);
+  EXPECT_EQ(r.recovery, IcrCache::AccessOutcome::Recovery::kRcache);
+  EXPECT_EQ(r.value, 42u);
+  EXPECT_EQ(r.latency, 3u);  // 2-cycle ECC hit + 1-cycle R-Cache probe
+  EXPECT_EQ(f.dl1->stats().errors_corrected_by_rcache, 1u);
+  EXPECT_EQ(f.dl1->stats().unrecoverable_loads, 0u);
+  const auto r2 = f.dl1->load(addr, 2);  // the word was repaired
+  EXPECT_FALSE(r2.error_detected);
+  EXPECT_EQ(r2.value, 42u);
+}
+
 TEST(Recovery, EccDoubleBitOnCleanBlockRefetches) {
   CacheFixture f(Scheme::BaseECC());
   const std::uint64_t addr = 0x4000;
@@ -151,6 +176,42 @@ TEST(Recovery, EccDoubleBitOnCleanBlockRefetches) {
   const auto r = f.dl1->load(addr, 1);
   EXPECT_TRUE(r.error_recovered);
   EXPECT_EQ(r.value, mem::BackingStore::initial_word(addr));
+}
+
+TEST(Recovery, CorruptOrphanStaysDetectableAfterAReplicaFill) {
+  // A leave-mode miss served by an orphan carries the orphan's parity, not
+  // parity recomputed over its data, so a strike on the orphan is still
+  // caught by the load that reads the word.
+  CacheFixture f(Scheme::IcrPPS_S().with_leave_replicas(true));
+  const auto& g = f.dl1->geometry();
+  const std::uint64_t addr = addr_for(g, 0, 0);
+  f.dl1->store(addr, 77, 0);  // primary in set 0, replica at num_sets/2
+  for (std::uint32_t t = 1; t <= g.associativity; ++t) {
+    f.dl1->load(addr_for(g, 0, t), t);  // evicts (writes back) the primary
+  }
+  ASSERT_EQ(f.dl1->resident_replicas(), 1u);  // the orphan
+  const std::uint32_t rset = g.num_sets() / 2;
+  bool struck = false;
+  for (std::uint32_t w = 0; w < g.associativity; ++w) {
+    const IcrLine& l = f.dl1->line(rset, w);
+    if (l.valid && l.replica && l.block_addr == g.block_address(addr)) {
+      f.dl1->flip_data_bit(rset, w, 0, 0);  // word 0 of the orphan
+      struck = true;
+    }
+  }
+  ASSERT_TRUE(struck);
+
+  const auto fill = f.dl1->load(addr + 8, 100);  // word 1: clean
+  EXPECT_TRUE(fill.replica_fill);
+  EXPECT_FALSE(fill.error_detected);
+  const auto r = f.dl1->load(addr, 101);
+  EXPECT_TRUE(r.hit);
+  EXPECT_TRUE(r.error_detected);
+  // The re-attached replica holds the same strike; the refilled block is
+  // clean, so it is refetched with the written-back value.
+  EXPECT_EQ(r.recovery, IcrCache::AccessOutcome::Recovery::kRefetch);
+  EXPECT_EQ(r.value, 77u);
+  f.dl1->check_invariants();
 }
 
 TEST(Recovery, IcrEccUsesParityOnReplicatedLines) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/core/scheme.h"
+#include "src/fault/fault_injector.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace_v2.h"
 #include "src/trace/workloads.h"
@@ -108,6 +109,7 @@ void expect_golden(const Golden& want, const RunResult& got) {
 
 core::Scheme scheme_named(const std::string& name) {
   if (name == "BaseP") return core::Scheme::BaseP();
+  if (name == "BaseECC") return core::Scheme::BaseECC();
   if (name == "ICR-P-PS(S)") return core::Scheme::IcrPPS_S();
   if (name == "ICR-ECC-PP(LS)") return core::Scheme::IcrEccPP_LS();
   if (name == "ICR-P-PS(LS)") return core::Scheme::IcrPPS_LS();
@@ -121,6 +123,13 @@ core::Scheme scheme_named(const std::string& name) {
   // cycles and sets often.
   if (name == "ICR-P-PS(LS)+scrub1") {
     return core::Scheme::IcrPPS_LS().with_scrubbing(1);
+  }
+  // §5.6 performance mode: replicas outlive their primary's eviction.
+  if (name == "ICR-P-PS(S)+leave") {
+    return core::Scheme::IcrPPS_S().with_leave_replicas(true);
+  }
+  if (name == "ICR-ECC-PS(LS)+scrub") {
+    return core::Scheme::IcrEccPS_LS().with_scrubbing(40);
   }
   ADD_FAILURE() << "unknown scheme " << name;
   return core::Scheme::BaseP();
@@ -271,6 +280,54 @@ TEST(PipelineGolden, FaultInjectedCell) {
   const RunResult r = sim->run(kInstructions);
   EXPECT_GT(r.faults.injections, 0u);
   expect_golden(kWant, r);
+}
+
+// The rungs of the recovery ladder the other cells do not reach: a miss
+// served by an orphan replica, the R-Cache behind a parity error and behind
+// a SEC-DED double-bit error, and the scrubber under an ECC scheme.
+struct LadderCell {
+  Golden want;
+  const char* scheme;
+  const char* app;
+  fault::FaultModel model;
+  double probability;
+  std::uint32_t rcache_entries;
+  // The counter of the rung the cell exists for; must end up nonzero.
+  std::uint64_t core::IcrStats::*rung;
+};
+
+TEST(PipelineGolden, RecoveryLadderCells) {
+  const LadderCell cells[] = {
+      {{"faults ICR-P-PS(S)+leave/mcf",
+        {302064, 20001, 7308, 1553, 2402, 383, 13, 117524, 34, 5},
+        0x76beb0313870e6f9ull},
+       "ICR-P-PS(S)+leave", "mcf", fault::FaultModel::kRandom, 1e-3, 0,
+       &core::IcrStats::replica_fills},
+      {{"faults BaseP+RC64/parser",
+        {65442, 20000, 6612, 2401, 3184, 451, 29, 31046, 17, 12},
+        0xd877df1740882d6full},
+       "BaseP", "parser", fault::FaultModel::kRandom, 1e-3, 64,
+       &core::IcrStats::errors_corrected_by_rcache},
+      {{"adjacent faults BaseECC+RC64/vortex",
+        {63859, 20000, 6634, 3035, 2796, 368, 30, 27114, 24, 21},
+        0x52554728e68b963aull},
+       "BaseECC", "vortex", fault::FaultModel::kAdjacent, 2e-3, 64,
+       &core::IcrStats::errors_corrected_by_rcache},
+      {{"adjacent faults ICR-ECC-PS(LS)+scrub/gcc",
+        {84761, 20002, 6313, 2626, 3582, 508, 27, 41490, 49, 1},
+        0xe12b69a2227b2dffull},
+       "ICR-ECC-PS(LS)+scrub", "gcc", fault::FaultModel::kAdjacent, 2e-3, 0,
+       &core::IcrStats::scrub_corrections},
+  };
+  for (const LadderCell& c : cells) {
+    SimConfig config = SimConfig::table1();
+    config.fault_model = c.model;
+    config.fault_probability = c.probability;
+    config.rcache_entries = c.rcache_entries;
+    const RunResult r = make_sim(c.scheme, c.app, config)->run(kInstructions);
+    EXPECT_GT(r.dl1.*c.rung, 0u) << c.want.cell;
+    expect_golden(c.want, r);
+  }
 }
 
 }  // namespace

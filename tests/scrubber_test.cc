@@ -1,6 +1,7 @@
 // Background scrubbing extension: errors are repaired between accesses.
 #include <gtest/gtest.h>
 
+#include "src/baselines/rcache.h"
 #include "src/core/icr_cache.h"
 #include "tests/test_util.h"
 
@@ -85,6 +86,26 @@ TEST(Scrubber, DirtyParityOnlyWordStaysDetectable) {
   const auto r = f.dl1->load(0x1000, 100000);
   EXPECT_TRUE(r.error_detected);
   EXPECT_TRUE(r.unrecoverable);
+}
+
+TEST(Scrubber, NeverConsultsTheRcache) {
+  // The R-Cache is a load-path rung only: a scrubbed dirty parity-only word
+  // stays uncorrectable with a duplicate at hand, and the consuming load
+  // then recovers it from the R-Cache.
+  CacheFixture f(Scheme::BaseP().with_scrubbing(10));
+  baselines::RCache rcache(64);
+  f.dl1->attach_rcache(&rcache);
+  f.dl1->store(0x1000, 42, 0);
+  corrupt(*f.dl1, 0x1000);
+  full_sweep(*f.dl1, 10);
+  EXPECT_GE(f.dl1->stats().scrub_uncorrectable, 1u);
+  EXPECT_EQ(f.dl1->stats().scrub_corrections, 0u);
+  EXPECT_EQ(f.dl1->stats().errors_corrected_by_rcache, 0u);
+  EXPECT_EQ(rcache.stats().lookups, 0u);
+  const auto r = f.dl1->load(0x1000, 100000);
+  EXPECT_TRUE(r.error_detected);
+  EXPECT_EQ(r.recovery, IcrCache::AccessOutcome::Recovery::kRcache);
+  EXPECT_EQ(r.value, 42u);
 }
 
 TEST(Scrubber, PreventsEccDoubleBitAccumulation) {
