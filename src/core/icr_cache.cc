@@ -33,13 +33,15 @@ IcrCache::IcrCache(mem::CacheGeometry geometry, Scheme scheme,
                                 geometry_.associativity);
   const std::uint32_t words = geometry_.words_per_line();
   const std::size_t stride = geometry_.line_bytes + 2 * words;
-  payload_.assign(lines_.size() * stride, 0);
-  for (std::size_t i = 0; i < lines_.size(); ++i) {
+  payload_.assign((lines_.size() + 1) * stride, 0);
+  const auto place = [&](IcrLine& line, std::size_t i) {
     std::uint8_t* bytes = payload_.data() + i * stride;
-    lines_[i].data.bytes_ = bytes;
-    lines_[i].parity.bytes_ = bytes + geometry_.line_bytes;
-    lines_[i].ecc.bytes_ = bytes + geometry_.line_bytes + words;
-  }
+    line.data.bytes_ = bytes;
+    line.parity.bytes_ = bytes + geometry_.line_bytes;
+    line.ecc.bytes_ = bytes + geometry_.line_bytes + words;
+  };
+  for (std::size_t i = 0; i < lines_.size(); ++i) place(lines_[i], i);
+  place(orphan_stage_, lines_.size());
   if (scheme_.write_policy == WritePolicy::kWriteThrough) {
     write_buffer_ = std::make_unique<mem::WriteBuffer>(
         scheme_.write_buffer_entries, next_.config().l2_latency);
@@ -139,22 +141,26 @@ std::uint32_t IcrCache::load_hit_latency(const IcrLine& line) const noexcept {
   return scheme_.protection == Protection::kEcc ? 2 : 1;
 }
 
+void IcrCache::drop_replica(IcrLine& replica, std::uint64_t cycle) {
+  ++stats_.replica_evictions;
+  if (rel_ != nullptr) rel_->on_replica_evict(replica.block_addr, cycle);
+  if (trace_ != nullptr && trace_->wants(obs::EventCategory::kEviction)) {
+    trace_->emit(obs::EventKind::kReplicaEvict, cycle, replica.block_addr,
+                 set_of(replica));
+  }
+  replica.valid = false;
+  replica.replica = false;
+}
+
 void IcrCache::evict_line(IcrLine& line, std::uint64_t cycle) {
   if (!line.valid) return;
   if (line.replica) {
-    ++stats_.replica_evictions;
-    if (rel_ != nullptr) rel_->on_replica_evict(line.block_addr, cycle);
-    if (trace_ != nullptr && trace_->wants(obs::EventCategory::kEviction)) {
-      trace_->emit(obs::EventKind::kReplicaEvict, cycle, line.block_addr,
-                   set_of(line));
-    }
+    drop_replica(line, cycle);
     // Detach from the primary (if it is still resident).
     if (IcrLine* primary = find_primary(line.block_addr)) {
       ICR_CHECK(primary->replica_count > 0);
       --primary->replica_count;
     }
-    line.valid = false;
-    line.replica = false;
     return;
   }
   ++stats_.evictions;
@@ -166,21 +172,13 @@ void IcrCache::evict_line(IcrLine& line, std::uint64_t cycle) {
                                 {line.data.data(), geometry_.line_bytes});
     next_.write_back_block(line.block_addr, cycle);
   }
+  // In leave-replica mode the replicas stay as orphans; a later fill of this
+  // block re-attaches them (see install_primary()).
   if (line.replica_count > 0 && !scheme_.leave_replicas_on_eviction) {
     for (IcrLine* replica : find_replicas(line.block_addr)) {
-      replica->valid = false;
-      replica->replica = false;
-      ++stats_.replica_evictions;
-      if (rel_ != nullptr) rel_->on_replica_evict(line.block_addr, cycle);
-      if (trace_ != nullptr && trace_->wants(obs::EventCategory::kEviction)) {
-        trace_->emit(obs::EventKind::kReplicaEvict, cycle, line.block_addr,
-                     set_of(*replica));
-      }
+      drop_replica(*replica, cycle);
     }
-    line.replica_count = 0;
   }
-  // In leave-replica mode the replicas stay as orphans; a later fill of this
-  // block re-attaches them (see load()).
   line.valid = false;
   line.dirty = false;
   line.replica_count = 0;
@@ -232,6 +230,35 @@ IcrLine& IcrCache::allocate_primary_slot(std::uint64_t block,
   ICR_CHECK(victim != nullptr);  // validate() keeps >= 1 way enabled per set
   evict_line(*victim, cycle);
   return *victim;
+}
+
+IcrLine& IcrCache::install_primary(std::uint64_t block, std::uint64_t cycle,
+                                   const IcrLine* orphan) {
+  const std::uint32_t words = geometry_.words_per_line();
+  if (orphan != nullptr) {
+    // Stage the orphan's bits before allocation (LRU may pick it).
+    orphan_stage_.data.copy_from(orphan->data, geometry_.line_bytes);
+    orphan_stage_.parity.copy_from(orphan->parity, words);
+  }
+  IcrLine& slot = allocate_primary_slot(block, cycle);
+  slot.valid = true;
+  slot.replica = false;
+  slot.dirty = false;
+  slot.block_addr = block;
+  if (orphan == nullptr) {
+    fill_from_backing(slot, block);
+  } else {
+    slot.data.copy_from(orphan_stage_.data, geometry_.line_bytes);
+    for (std::uint32_t w = 0; w < words; ++w) refresh_protection(slot, w);
+    // Keep the stale parity: corruption must stay visible.
+    slot.parity.copy_from(orphan_stage_.parity, words);
+  }
+  slot.replica_count =
+      scheme_.leave_replicas_on_eviction
+          ? static_cast<std::uint8_t>(find_replicas(block).size())
+          : 0;
+  if (rel_ != nullptr) rel_->on_fill(block, slot.replica_count, cycle);
+  return slot;
 }
 
 IcrLine* IcrCache::select_replica_victim(std::uint32_t set,
@@ -364,91 +391,45 @@ void IcrCache::attempt_replication(IcrLine& primary, std::uint64_t cycle) {
   }
 }
 
+IcrCache::AccessOutcome::Recovery IcrCache::repair_word(
+    IcrLine& line, std::uint32_t word_index, std::uint64_t cycle,
+    std::uint32_t& latency) {
+  if (scheme_.replication_enabled && line.replica_count > 0) {
+    for (IcrLine* replica : find_replicas(line.block_addr)) {
+      const std::uint64_t word = read_word(*replica, word_index);
+      ++stats_.parity_computations;
+      if (parity_ok(word, replica->parity[word_index])) {
+        write_word(line, word_index, word);
+        return AccessOutcome::Recovery::kReplica;
+      }
+    }
+  }
+  if (line.dirty) return AccessOutcome::Recovery::kNone;
+  // Clean block: refetch from deeper in the hierarchy (§3.1 [12]).
+  latency += next_.fetch_block(line.block_addr, cycle);
+  fill_from_backing(line, line.block_addr);
+  return AccessOutcome::Recovery::kRefetch;
+}
+
 void IcrCache::verify_and_recover(IcrLine& line, std::uint32_t word_index,
                                   std::uint64_t cycle,
                                   AccessOutcome& outcome) {
-  std::uint64_t word = read_word(line, word_index);
-
+  const std::uint64_t word = read_word(line, word_index);
   if (parity_regime(line)) {
     ++stats_.parity_computations;
     if (parity_ok(word, line.parity[word_index])) {
       outcome.value = word;
       return;
     }
-    ++stats_.errors_detected;
-    outcome.error_detected = true;
-
-    if (scheme_.replication_enabled && line.replica_count > 0) {
-      if (scheme_.lookup == LookupMode::kSerial) {
-        outcome.latency += 1;  // the serial replica probe (§3.2)
-      }
-      ++stats_.l1_read_accesses;  // replica array read
-      for (IcrLine* replica : find_replicas(line.block_addr)) {
-        const std::uint64_t rep_word = read_word(*replica, word_index);
-        ++stats_.parity_computations;
-        if (parity_ok(rep_word, replica->parity[word_index])) {
-          ++stats_.errors_corrected_by_replica;
-          outcome.error_recovered = true;
-          outcome.recovery = AccessOutcome::Recovery::kReplica;
-          outcome.value = rep_word;
-          write_word(line, word_index, rep_word);  // repair the primary
-          if (rel_ != nullptr) {
-            rel_->on_repair_word(line.block_addr, word_index, cycle);
-          }
-          return;
-        }
-      }
-      // Replica(s) corrupt as well; fall through to the unreplicated path.
-    }
-
-    if (!line.dirty) {
-      // Clean block: refetch from deeper in the hierarchy (§3.1 [12]).
-      outcome.latency +=
-          next_.fetch_block(line.block_addr, cycle);
-      fill_from_backing(line, line.block_addr);
-      ++stats_.errors_refetched_from_l2;
-      if (rel_ != nullptr) rel_->on_refetch(line.block_addr, cycle);
-      outcome.error_recovered = true;
-      outcome.recovery = AccessOutcome::Recovery::kRefetch;
-      outcome.value = read_word(line, word_index);
-      return;
-    }
-    // Dirty: a Kim&Somani duplication buffer, if attached, is the last
-    // line of defence before the data is declared lost.
-    if (rcache_ != nullptr) {
-      const std::uint64_t word_addr = line.block_addr + word_index * 8ULL;
-      if (const auto dup = rcache_->lookup(word_addr, /*for_recovery=*/true)) {
-        ++stats_.errors_corrected_by_rcache;
-        outcome.latency += 1;  // the R-Cache probe
-        outcome.error_recovered = true;
-        outcome.recovery = AccessOutcome::Recovery::kRcache;
-        outcome.value = *dup;
-        write_word(line, word_index, *dup);
-        if (rel_ != nullptr) {
-          rel_->on_repair_word(line.block_addr, word_index, cycle);
-        }
-        return;
-      }
-    }
-    // Dirty, unreplicated, parity-only: the data is lost.
-    ++stats_.unrecoverable_loads;
-    outcome.unrecoverable = true;
-    outcome.value = word;
-    // The corrupted value is now the architectural value; commit protection
-    // over it so every later load does not re-count the same strike.
-    refresh_protection(line, word_index);
-    return;
-  }
-
-  // ECC regime (unreplicated line under an ECC scheme, or Base ECC).
-  ++stats_.ecc_computations;
-  const SecDedResult result = secded_decode(word, line.ecc[word_index]);
-  switch (result.status) {
-    case SecDedStatus::kClean:
+  } else {
+    // ECC regime (unreplicated line under an ECC scheme, or Base ECC).
+    ++stats_.ecc_computations;
+    const SecDedResult result = secded_decode(word, line.ecc[word_index]);
+    if (result.status == SecDedStatus::kClean) {
       outcome.value = word;
       return;
-    case SecDedStatus::kCorrectedData:
-    case SecDedStatus::kCorrectedCheck:
+    }
+    if (result.status != SecDedStatus::kDetectedDouble) {
       ++stats_.errors_detected;
       ++stats_.errors_corrected_by_ecc;
       outcome.error_detected = true;
@@ -460,40 +441,49 @@ void IcrCache::verify_and_recover(IcrLine& line, std::uint32_t word_index,
         rel_->on_repair_word(line.block_addr, word_index, cycle);
       }
       return;
-    case SecDedStatus::kDetectedDouble:
-      ++stats_.errors_detected;
-      outcome.error_detected = true;
-      if (line.dirty && rcache_ != nullptr) {
-        const std::uint64_t word_addr = line.block_addr + word_index * 8ULL;
-        if (const auto dup =
-                rcache_->lookup(word_addr, /*for_recovery=*/true)) {
-          ++stats_.errors_corrected_by_rcache;
-          outcome.latency += 1;
-          outcome.error_recovered = true;
-          outcome.recovery = AccessOutcome::Recovery::kRcache;
-          outcome.value = *dup;
-          write_word(line, word_index, *dup);
-          if (rel_ != nullptr) {
-            rel_->on_repair_word(line.block_addr, word_index, cycle);
-          }
-          return;
-        }
-      }
-      if (!line.dirty) {
-        outcome.latency += next_.fetch_block(line.block_addr, cycle);
-        fill_from_backing(line, line.block_addr);
-        ++stats_.errors_refetched_from_l2;
-        if (rel_ != nullptr) rel_->on_refetch(line.block_addr, cycle);
-        outcome.error_recovered = true;
-        outcome.recovery = AccessOutcome::Recovery::kRefetch;
-        outcome.value = read_word(line, word_index);
-        return;
-      }
-      ++stats_.unrecoverable_loads;
-      outcome.unrecoverable = true;
-      outcome.value = word;
-      refresh_protection(line, word_index);
-      return;
+    }
+  }
+  // A parity error, or a double-bit error SEC-DED cannot correct.
+  ++stats_.errors_detected;
+  outcome.error_detected = true;
+  if (scheme_.replication_enabled && line.replica_count > 0) {
+    if (scheme_.lookup == LookupMode::kSerial) {
+      outcome.latency += 1;  // the serial replica probe (§3.2)
+    }
+    ++stats_.l1_read_accesses;  // replica array read
+  }
+  outcome.recovery = repair_word(line, word_index, cycle, outcome.latency);
+  if (outcome.recovery == AccessOutcome::Recovery::kReplica) {
+    ++stats_.errors_corrected_by_replica;
+  } else if (outcome.recovery == AccessOutcome::Recovery::kRefetch) {
+    ++stats_.errors_refetched_from_l2;
+  } else if (rcache_ != nullptr) {
+    // Dirty with no clean replica: a Kim&Somani duplication buffer, if
+    // attached, is the last line of defence before the data is lost.
+    const std::uint64_t word_addr = line.block_addr + word_index * 8ULL;
+    if (const auto dup = rcache_->lookup(word_addr, /*for_recovery=*/true)) {
+      ++stats_.errors_corrected_by_rcache;
+      outcome.latency += 1;  // the R-Cache probe
+      outcome.recovery = AccessOutcome::Recovery::kRcache;
+      write_word(line, word_index, *dup);
+    }
+  }
+  if (outcome.recovery == AccessOutcome::Recovery::kNone) {
+    ++stats_.unrecoverable_loads;
+    outcome.unrecoverable = true;
+    outcome.value = word;
+    // The corrupted value is now the architectural value; commit protection
+    // over it so every later load does not re-count the same strike.
+    refresh_protection(line, word_index);
+    return;
+  }
+  outcome.error_recovered = true;
+  outcome.value = read_word(line, word_index);
+  if (rel_ == nullptr) return;
+  if (outcome.recovery == AccessOutcome::Recovery::kRefetch) {
+    rel_->on_refetch(line.block_addr, cycle);
+  } else {
+    rel_->on_repair_word(line.block_addr, word_index, cycle);
   }
 }
 
@@ -505,97 +495,48 @@ IcrCache::AccessOutcome IcrCache::load(std::uint64_t addr,
   const std::uint64_t block = geometry_.block_address(addr);
   const std::uint32_t word_index = geometry_.line_offset(addr) / 8;
 
-  if (IcrLine* primary = find_primary(block)) {
+  IcrLine* line = find_primary(block);
+  if (line != nullptr) {
     ++stats_.load_hits;
-    if (scheme_.replication_enabled && primary->replica_count > 0) {
+    if (scheme_.replication_enabled && line->replica_count > 0) {
       ++stats_.loads_with_replica;
     }
     outcome.hit = true;
-    outcome.latency = load_hit_latency(*primary);
-    touch(*primary, cycle);
-    if (rel_ != nullptr) {
-      rel_->on_read(block, word_index, primary->dirty,
-                    parity_regime(*primary), cycle);
+    outcome.latency = load_hit_latency(*line);
+    touch(*line, cycle);
+  } else {
+    ++stats_.load_misses;
+    // §5.6 performance mode: a surviving (orphan) replica can service the
+    // primary miss at +1 cycle instead of the L2 round trip.
+    const IcrLine* orphan = nullptr;
+    if (scheme_.replication_enabled && scheme_.leave_replicas_on_eviction) {
+      const ReplicaList orphans = find_replicas(block);
+      if (!orphans.empty()) orphan = orphans.front();
     }
-    verify_and_recover(*primary, word_index, cycle, outcome);
-    return outcome;
-  }
-
-  ++stats_.load_misses;
-
-  // §5.6 performance mode: a surviving (orphan) replica can service the
-  // primary miss at +1 cycle instead of the L2 round trip.
-  if (scheme_.replication_enabled && scheme_.leave_replicas_on_eviction) {
-    const ReplicaList orphans = find_replicas(block);
-    if (!orphans.empty()) {
+    if (orphan != nullptr) {
       ++stats_.replica_fills;
       outcome.replica_fill = true;
-      // Stage the replica's bits before allocation (LRU may pick it).
-      const std::uint32_t words = geometry_.words_per_line();
-      const LineBytes& orphan_data = orphans.front()->data;
-      const LineBytes& orphan_parity = orphans.front()->parity;
-      const std::vector<std::uint8_t> data(
-          orphan_data.data(), orphan_data.data() + geometry_.line_bytes);
-      const std::vector<std::uint8_t> parity(
-          orphan_parity.data(), orphan_parity.data() + words);
-      IcrLine& slot = allocate_primary_slot(block, cycle);
-      slot.valid = true;
-      slot.replica = false;
-      slot.dirty = false;
-      slot.block_addr = block;
-      std::memcpy(slot.data.data(), data.data(), data.size());
-      // Keep the stale parity: corruption must stay visible.
-      std::memcpy(slot.parity.data(), parity.data(), parity.size());
-      if (scheme_.protection == Protection::kEcc) {
-        for (std::uint32_t w = 0; w < geometry_.words_per_line(); ++w) {
-          slot.ecc[w] = secded_encode(read_word(slot, w));
-        }
+    } else {
+      // In write-through mode the miss queues behind any buffered drains
+      // for the L2 port (§5.8's write-through slowdown).
+      if (write_buffer_ != nullptr) {
+        outcome.latency += write_buffer_->pending_drain_delay(cycle);
       }
-      slot.replica_count =
-          static_cast<std::uint8_t>(find_replicas(block).size());
-      touch(slot, cycle);
-      ++stats_.l1_write_accesses;
-      if (rel_ != nullptr) rel_->on_fill(block, slot.replica_count, cycle);
-      outcome.latency = load_hit_latency(slot) + 1;
-      if (scheme_.trigger == ReplicateOn::kLoadsAndStores) {
-        attempt_replication(slot, cycle);
-      }
-      if (rel_ != nullptr) {
-        rel_->on_read(block, word_index, slot.dirty, parity_regime(slot),
-                      cycle);
-      }
-      verify_and_recover(slot, word_index, cycle, outcome);
-      return outcome;
+      outcome.latency += 1 + next_.fetch_block(block, cycle);
+    }
+    line = &install_primary(block, cycle, orphan);
+    if (orphan != nullptr) outcome.latency = load_hit_latency(*line) + 1;
+    touch(*line, cycle);
+    ++stats_.l1_write_accesses;
+    if (scheme_.replication_enabled &&
+        scheme_.trigger == ReplicateOn::kLoadsAndStores) {
+      attempt_replication(*line, cycle);
     }
   }
-
-  // In write-through mode the miss queues behind any buffered drains for
-  // the L2 port (§5.8's write-through slowdown).
-  if (write_buffer_ != nullptr) {
-    outcome.latency += write_buffer_->pending_drain_delay(cycle);
-  }
-  outcome.latency += 1 + next_.fetch_block(block, cycle);
-  IcrLine& slot = allocate_primary_slot(block, cycle);
-  slot.valid = true;
-  slot.replica = false;
-  slot.dirty = false;
-  slot.block_addr = block;
-  fill_from_backing(slot, block);
-  slot.replica_count =
-      scheme_.leave_replicas_on_eviction
-          ? static_cast<std::uint8_t>(find_replicas(block).size())
-          : 0;
-  touch(slot, cycle);
-  ++stats_.l1_write_accesses;
-  if (rel_ != nullptr) rel_->on_fill(block, slot.replica_count, cycle);
-  if (scheme_.replication_enabled &&
-      scheme_.trigger == ReplicateOn::kLoadsAndStores) {
-    attempt_replication(slot, cycle);
-  }
   if (rel_ != nullptr) {
-    rel_->on_read(block, word_index, slot.dirty, parity_regime(slot), cycle);
+    rel_->on_read(block, word_index, line->dirty, parity_regime(*line), cycle);
   }
-  verify_and_recover(slot, word_index, cycle, outcome);
+  verify_and_recover(*line, word_index, cycle, outcome);
   return outcome;
 }
 
@@ -614,22 +555,10 @@ IcrCache::AccessOutcome IcrCache::store(std::uint64_t addr,
     ++stats_.store_misses;
     // Write-allocate; the fill happens in the background (stores are
     // buffered, §3.2), so it does not lengthen the store's 1-cycle latency.
+    // The fill is not a separate replication opportunity: the store itself
+    // attempts below ("upon a load miss or a store", §4.1).
     next_.fetch_block(block, cycle);
-    IcrLine& slot = allocate_primary_slot(block, cycle);
-    slot.valid = true;
-    slot.replica = false;
-    slot.dirty = false;
-    slot.block_addr = block;
-    fill_from_backing(slot, block);
-    slot.replica_count =
-        scheme_.leave_replicas_on_eviction
-            ? static_cast<std::uint8_t>(find_replicas(block).size())
-            : 0;
-    // The fill triggered by a store miss is not a separate replication
-    // opportunity: the store itself attempts below ("upon a load miss or a
-    // store", §4.1).
-    if (rel_ != nullptr) rel_->on_fill(block, slot.replica_count, cycle);
-    primary = &slot;
+    primary = &install_primary(block, cycle, nullptr);
   } else {
     ++stats_.store_hits;
   }
@@ -701,39 +630,23 @@ void IcrCache::advance_scrubber(std::uint64_t cycle) {
         ++stats_.ecc_computations;
         const SecDedResult r = secded_decode(value, line.ecc[word]);
         if (r.status == SecDedStatus::kClean) continue;
-        if (r.status == SecDedStatus::kCorrectedData ||
-            r.status == SecDedStatus::kCorrectedCheck) {
+        if (r.status != SecDedStatus::kDetectedDouble) {
           write_word(line, word, r.data);
           ++stats_.scrub_corrections;
           continue;
         }
-        // Double-bit: fall through to the replica/refetch ladder.
       }
-      // Try a clean replica first.
-      bool repaired = false;
-      if (scheme_.replication_enabled && line.replica_count > 0) {
-        for (IcrLine* replica : find_replicas(line.block_addr)) {
-          const std::uint64_t rep = read_word(*replica, word);
-          ++stats_.parity_computations;
-          if (parity_ok(rep, replica->parity[word])) {
-            write_word(line, word, rep);
-            ++stats_.scrub_corrections;
-            repaired = true;
-            break;
-          }
-        }
-      }
-      if (repaired) continue;
-      if (!line.dirty) {
-        next_.fetch_block(line.block_addr, cycle);  // off the critical path
-        fill_from_backing(line, line.block_addr);
+      std::uint32_t latency = 0;  // off the critical path
+      if (repair_word(line, word, cycle, latency) !=
+          AccessOutcome::Recovery::kNone) {
         ++stats_.scrub_corrections;
-        continue;
+      } else {
+        // Dirty with no good copy: the scrubber cannot invent the lost bits.
+        // The stale check bits are left in place so a consuming load still
+        // detects the error (counted once per scrub visit in this
+        // statistic).
+        ++stats_.scrub_uncorrectable;
       }
-      // Dirty with no good copy: the scrubber cannot invent the lost bits.
-      // The stale parity is left in place so a consuming load still detects
-      // the error (counted once per scrub visit in this statistic).
-      ++stats_.scrub_uncorrectable;
     }
   }
 }

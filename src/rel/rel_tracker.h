@@ -20,9 +20,9 @@
 //           differs from golden memory while its protection is consistent,
 //           so every consuming load yields one silent verdict.
 //
-// A read classifies the word's accumulated mass exactly like the recovery
-// ladder in IcrCache::verify_and_recover: parity regime sends e_cov to
-// replica recovery and e_unc to refetch (clean) or detected-uncorrectable
+// A read classifies the word's accumulated mass exactly like a load's pass
+// down the recovery ladder, IcrCache::repair_word: parity regime sends e_cov
+// to replica recovery and e_unc to refetch (clean) or detected-uncorrectable
 // (dirty, where it converts to standing silent mass); the SEC-DED regime
 // corrects everything at first order. Dirty evictions deposit c + e into a
 // per-word pending map — the write-back path stores whatever bits the line
