@@ -678,6 +678,13 @@ void StreamingTraceSource::load_chunk(std::uint32_t chunk) {
   if (fnv1a64(data, static_cast<std::size_t>(meta.bytes)) != meta.checksum) {
     corrupt(path_, where + " checksum mismatch (corrupt or torn write)");
   }
+  const bool delta =
+      meta.encoding == static_cast<std::uint32_t>(ChunkEncoding::kDelta);
+  if (!delta &&
+      meta.encoding != static_cast<std::uint32_t>(ChunkEncoding::kRaw)) {
+    corrupt(path_,
+            where + " has unknown encoding " + std::to_string(meta.encoding));
+  }
   const ChunkKey key{file_identity_, meta.offset,  meta.bytes,
                      meta.checksum,  meta.records, meta.encoding};
   SharedChunk shared = chunk_registry().find(key);
@@ -685,17 +692,12 @@ void StreamingTraceSource::load_chunk(std::uint32_t chunk) {
     chunk_.reset();  // one decoded chunk per reader, during the decode too
     auto decoded = std::make_shared<std::vector<Instruction>>();
     try {
-      if (meta.encoding ==
-          static_cast<std::uint32_t>(ChunkEncoding::kDelta)) {
+      if (delta) {
         decode_delta(data, static_cast<std::size_t>(meta.bytes),
                      meta.records, *decoded);
-      } else if (meta.encoding ==
-                 static_cast<std::uint32_t>(ChunkEncoding::kRaw)) {
+      } else {
         decode_raw(data, static_cast<std::size_t>(meta.bytes), meta.records,
                    *decoded);
-      } else {
-        corrupt(path_, where + " has unknown encoding " +
-                           std::to_string(meta.encoding));
       }
     } catch (const std::runtime_error& error) {
       corrupt(path_, where + ": " + error.what());
