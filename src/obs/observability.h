@@ -22,8 +22,6 @@ struct ObsOptions {
   std::uint64_t stats_interval = 0;
   // Bitmask of EventCategory bits to trace; 0 disables event tracing.
   std::uint32_t trace_categories = 0;
-  // Ring-buffer capacity of the event trace (most recent events retained).
-  std::size_t trace_capacity = std::size_t{1} << 18;
 
   [[nodiscard]] bool any() const noexcept {
     return stats_interval != 0 || trace_categories != 0;

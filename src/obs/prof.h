@@ -4,33 +4,33 @@
 // the *simulating* process: RAII scoped zones record where the wall time of
 // a run goes (campaign cells, run chunks, fast-forward, export), so "make
 // it faster" PRs know which stage to attack first. Zones sit only on
-// coarse paths: a zone costs a few tens of nanoseconds while a capture is
-// live, more than a cache access or a SEC-DED check, so per-cycle and
-// per-access costs come from the perfbench layer ladder (`--trace 1`) and
-// from a `-pg` build with gprof instead (docs/PROFILING.md).
+// coarse paths — an 80-cell campaign grid records a few hundred zones — so
+// per-cycle and per-access costs come from the perfbench layer ladder
+// (`--trace 1`) and from a `-pg` build with gprof instead
+// (docs/PROFILING.md).
 //
-// Design constraints, in order:
+// Design, sized to that traffic:
 //   * Always compiled, runtime-toggleable. When no capture is active every
 //     zone costs one relaxed atomic load and a predictable branch.
-//   * Per-thread, lock-free recording. Each thread owns its buffer; the
-//     global registry mutex is taken only on first use of a thread per
-//     capture. Campaign workers therefore never contend.
-//   * Deterministic merge. end_capture() folds all per-thread aggregation
-//     trees into one tree keyed by zone *path* (strings, not pointers) with
-//     children sorted by name, so the merged zone table is independent of
-//     thread scheduling. Timings vary run to run; structure does not.
+//   * One process-wide recorder behind one mutex: a zone takes the lock
+//     when it opens and when it closes. Each thread keeps only its tid and
+//     its stack of open zones.
+//   * Deterministic table. Zones aggregate into one tree keyed by zone
+//     *path* (strings, not pointers) with children sorted by name, so the
+//     zone table is independent of thread scheduling. Timings vary run to
+//     run; structure does not.
 //
 // Every zone both aggregates (call count, total and self time) and records
-// a span into a bounded per-thread ring, which becomes a slice in the
-// Chrome trace.
+// a span into one bounded ring, which becomes a slice in the Chrome trace.
 //
 // Threading contract: begin_capture()/end_capture() must be called while no
-// zone is live and no worker thread is still recording (CampaignRunner joins
-// its pool before returning, so tool code is naturally safe).
+// zone is live (CampaignRunner joins its threads before returning, so tool
+// code is naturally safe); a zone left open across them is not recorded.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,16 +45,14 @@ extern std::atomic<bool> g_capturing;
   return internal::g_capturing.load(std::memory_order_relaxed);
 }
 
-struct CaptureOptions {
-  // Ring capacity of each thread's trace-event buffer; the ring keeps the
-  // most recent events and counts the overwritten ones as dropped.
-  std::size_t events_per_thread = std::size_t{1} << 16;
-};
+// The ring keeps the most recent spans of a capture and counts the
+// overwritten ones as dropped.
+inline constexpr std::size_t kSpanCapacity = std::size_t{1} << 16;
 
-// Starts a capture: resets all buffers, stamps the epoch, and sets the
-// flag that makes zones record. Restarting an active capture is allowed
-// and simply begins a fresh one.
-void begin_capture(const CaptureOptions& options = {});
+// Starts a capture: resets the tree and the ring, stamps the epoch, and
+// sets the flag that makes zones record. Restarting an active capture is
+// allowed and simply begins a fresh one.
+void begin_capture();
 
 // One aggregated zone (a unique path through the zone nesting).
 struct ZoneNode {
@@ -64,6 +62,20 @@ struct ZoneNode {
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;  // inclusive wall time
   std::uint64_t self_ns = 0;   // total minus instrumented children
+};
+
+// Zone aggregation tree, children keyed (and so ordered) by name. The
+// recorder builds one per capture; parse_chrome_trace folds the tables of
+// several captures into one.
+struct ZoneTree {
+  std::uint64_t count = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t child_ns = 0;  // inclusive time of instrumented children
+  std::map<std::string, ZoneTree> children;
+
+  // Depth-first, children by name: a parent always precedes its children.
+  // self_ns = total_ns minus instrumented children.
+  [[nodiscard]] std::vector<ZoneNode> flatten() const;
 };
 
 // One retained trace event.
@@ -76,12 +88,11 @@ struct SpanEvent {
   std::uint16_t depth = 0;
 };
 
-// Merged snapshot of one finished capture.
+// Snapshot of one finished capture.
 struct Profile {
-  // Depth-first over the merged tree, children in name order: a parent
-  // always precedes its children, and the order is schedule-independent.
+  // ZoneTree::flatten() order, which is schedule-independent.
   std::vector<ZoneNode> zones;
-  std::vector<SpanEvent> events;  // grouped by tid, chronological within
+  std::vector<SpanEvent> events;  // grouped by tid, oldest first within
   std::uint64_t wall_ns = 0;      // begin_capture .. end_capture
   std::uint64_t dropped_events = 0;
   std::uint32_t threads = 0;
@@ -94,15 +105,12 @@ struct Profile {
   [[nodiscard]] const ZoneNode* find(const std::string& path) const noexcept;
 };
 
-// Stops the capture (zones go inert again) and merges all thread buffers.
+// Stops the capture (zones go inert again) and returns its zone table and
+// retained spans.
 [[nodiscard]] Profile end_capture();
 
-// Non-destructive merged zone table of the capture in progress — the same
-// deterministic name-sorted merge end_capture() performs, without stopping
-// the capture or touching the event rings. Empty when no capture is active.
-// Same threading contract as end_capture(): call while no zone is live on
-// the calling thread and no other thread is recording (the farm worker
-// heartbeat calls it between cells on its single worker thread).
+// The zone table of the capture in progress, without stopping it. Safe to
+// call from any thread at any time; empty when no capture is active.
 [[nodiscard]] std::vector<ZoneNode> snapshot_zones();
 
 // RAII zone. Construct via the ICR_PROF_ZONE* macros; the object is inert
@@ -112,8 +120,8 @@ class ScopedZone {
   explicit ScopedZone(const char* name) noexcept {
     if (capturing()) begin(name, nullptr);
   }
-  // Zone with a dynamic label (campaign cells). The label is only
-  // evaluated into the per-thread pool while recording.
+  // Zone with a dynamic label (campaign cells), copied only while
+  // recording.
   ScopedZone(const char* name, const std::string& label) noexcept {
     if (capturing()) begin(name, &label);
   }
@@ -128,9 +136,6 @@ class ScopedZone {
   void end() noexcept;
 
   bool armed_ = false;
-  int node_ = 0;
-  std::uint32_t label_idx_ = 0;  // 0 = none, else pool index + 1
-  std::uint64_t start_ns_ = 0;
 };
 
 #define ICR_PROF_CAT2(a, b) a##b

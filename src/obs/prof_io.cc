@@ -104,33 +104,39 @@ ParsedTrace parse_chrome_trace(const std::string& text) {
   if (!doc.is_array()) {
     throw std::runtime_error("profile trace: top-level JSON array expected");
   }
+  // A fleet trace holds one capture per worker: fold their zone tables by
+  // path through the recorder's own tree. Storing total - self as child
+  // time makes flatten() give back the summed self time.
   ParsedTrace parsed;
+  ZoneTree root;
   for (const util::JsonValue& event : doc.items()) {
     const std::string& ph = event.get("ph").as_string();
     const std::string& name = event.get("name").as_string();
-    if (ph == "X") {
+    const util::JsonValue& args = event.get("args");
+    if (ph == "X" && event.get("cat").as_string() == "zone") {
       ++parsed.span_events;
-      continue;
-    }
-    if (ph != "M") continue;
-    if (name == "icr_capture") {
-      const util::JsonValue& args = event.get("args");
-      parsed.profile.wall_ns = args.get("wall_ns").as_int<std::uint64_t>();
-      parsed.profile.threads = args.get("threads").as_int<std::uint32_t>();
-      parsed.profile.dropped_events =
+    } else if (ph == "M" && name == "icr_capture") {
+      parsed.profile.wall_ns = std::max(
+          parsed.profile.wall_ns, args.get("wall_ns").as_int<std::uint64_t>());
+      parsed.profile.threads += args.get("threads").as_int<std::uint32_t>();
+      parsed.profile.dropped_events +=
           args.get("dropped_events").as_int<std::uint64_t>();
-    } else if (name == "icr_zone_stats") {
-      const util::JsonValue& args = event.get("args");
-      ZoneNode zone;
-      zone.path = args.get("path").as_string();
-      zone.name = args.get("zone").as_string();
-      zone.depth = args.get("depth").as_int<int>();
-      zone.count = args.get("count").as_int<std::uint64_t>();
-      zone.total_ns = args.get("total_ns").as_int<std::uint64_t>();
-      zone.self_ns = args.get("self_ns").as_int<std::uint64_t>();
-      parsed.profile.zones.push_back(std::move(zone));
+    } else if (ph == "M" && name == "icr_zone_stats") {
+      ZoneTree* node = &root;
+      const std::string& path = args.get("path").as_string();
+      for (std::size_t begin = 0; begin <= path.size();) {
+        const std::size_t slash = std::min(path.find('/', begin), path.size());
+        node = &node->children[path.substr(begin, slash - begin)];
+        begin = slash + 1;
+      }
+      const std::uint64_t total = args.get("total_ns").as_int<std::uint64_t>();
+      node->count += args.get("count").as_int<std::uint64_t>();
+      node->total_ns += total;
+      node->child_ns +=
+          total - std::min(total, args.get("self_ns").as_int<std::uint64_t>());
     }
   }
+  parsed.profile.zones = root.flatten();
   return parsed;
 }
 

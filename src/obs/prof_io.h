@@ -52,7 +52,11 @@ void begin_metadata_event(util::JsonWriter& json, std::string_view name,
     const std::vector<std::string>& traces);
 
 // Rebuilds the zone table (and capture metadata) from a Chrome trace
-// written by to_chrome_trace. Span events are counted but not retained.
+// written by to_chrome_trace, or from a merge of several such traces (a
+// fleet trace): zones are folded by path (counts, total and self time
+// summed), threads and dropped events are summed, and wall_ns is the
+// longest capture's. Zone spans ("cat":"zone") are counted but not
+// retained; other spans, such as the fleet's unit spans, are ignored.
 // Throws std::runtime_error on malformed JSON or a non-array document.
 struct ParsedTrace {
   Profile profile;       // zones + wall_ns/threads/dropped; events empty

@@ -79,12 +79,6 @@ void append_summary_csv_row(std::string& out, const RelReport& report,
   out += '\n';
 }
 
-std::string summary_to_csv(const RelReport& report, const obs::CellTag& tag) {
-  std::string out = summary_csv_header();
-  append_summary_csv_row(out, report, tag);
-  return out;
-}
-
 std::string intervals_csv_header() {
   return "variant,app,trial,start,end,state,count,cycles,exposure\n";
 }

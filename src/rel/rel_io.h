@@ -34,8 +34,6 @@ namespace icr::rel {
 [[nodiscard]] std::string summary_csv_header();
 void append_summary_csv_row(std::string& out, const RelReport& report,
                             const obs::CellTag& tag);
-[[nodiscard]] std::string summary_to_csv(const RelReport& report,
-                                         const obs::CellTag& tag);
 
 // ---- interval-class CSV ----
 [[nodiscard]] std::string intervals_csv_header();

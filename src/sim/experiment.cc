@@ -11,14 +11,6 @@ RunResult run_one(trace::App app, const core::Scheme& scheme,
   return simulator.run(instructions);
 }
 
-std::vector<RunResult> run_all_apps(const core::Scheme& scheme,
-                                    const SimConfig& config,
-                                    std::uint64_t instructions) {
-  auto matrix = run_matrix({{scheme.name, scheme, {}}}, trace::all_apps(),
-                           config, instructions);
-  return std::move(matrix.front());
-}
-
 std::vector<std::vector<RunResult>> run_matrix(
     const std::vector<SchemeVariant>& variants,
     const std::vector<trace::App>& apps, const SimConfig& config,
@@ -43,13 +35,6 @@ std::vector<std::vector<RunResult>> run_matrix(
     }
   }
   return matrix;
-}
-
-std::vector<std::string> app_names(const std::vector<trace::App>& apps) {
-  std::vector<std::string> names;
-  names.reserve(apps.size());
-  for (trace::App app : apps) names.emplace_back(trace::to_string(app));
-  return names;
 }
 
 }  // namespace icr::sim

@@ -22,11 +22,6 @@ namespace icr::sim {
                                 const SimConfig& config = SimConfig::table1(),
                                 std::uint64_t instructions = 0);
 
-// Runs `scheme` on every paper application.
-[[nodiscard]] std::vector<RunResult> run_all_apps(
-    const core::Scheme& scheme, const SimConfig& config = SimConfig::table1(),
-    std::uint64_t instructions = 0);
-
 // One column of a figure: a labelled scheme (+config) variant.
 // `config`, when set, overrides the campaign/matrix-wide SimConfig for this
 // variant only — how fault-model and error-rate sweeps become ordinary
@@ -50,9 +45,5 @@ struct SchemeVariant {
     const std::vector<trace::App>& apps,
     const SimConfig& config = SimConfig::table1(),
     std::uint64_t instructions = 0);
-
-// Application display names in paper order.
-[[nodiscard]] std::vector<std::string> app_names(
-    const std::vector<trace::App>& apps);
 
 }  // namespace icr::sim

@@ -39,8 +39,7 @@ void Simulator::enable_observability(const obs::ObsOptions& options) {
   if (!options.any() || obs_ != nullptr) return;
   obs_ = std::make_unique<obs::Observability>();
   if (options.trace_categories != 0) {
-    obs_->trace = std::make_unique<obs::EventTrace>(options.trace_categories,
-                                                    options.trace_capacity);
+    obs_->trace = std::make_unique<obs::EventTrace>(options.trace_categories);
   }
   dl1_->attach_observability(&obs_->registry, obs_->trace.get());
   if (injector_ != nullptr) {

@@ -1,8 +1,11 @@
 #include "src/util/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace icr::util {
 
@@ -11,107 +14,38 @@ unsigned ThreadPool::hardware_threads() noexcept {
   return n == 0 ? 1u : n;
 }
 
-ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) threads = hardware_threads();
-  workers_.reserve(threads);
-  for (unsigned i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::enqueue(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      // Drain remaining tasks even when stopping: a queued packaged_task
-      // that is destroyed unrun would leave its future with a
-      // broken_promise instead of a result.
-      if (queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void parallel_for(ThreadPool& pool, std::size_t n,
+void parallel_for(const ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
 
-  auto next = std::make_shared<std::atomic<std::size_t>>(0);
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  auto first_error = std::make_shared<std::exception_ptr>();
-  auto error_mutex = std::make_shared<std::mutex>();
-
-  auto drain = [n, next, failed, first_error, error_mutex, &fn]() {
+  const auto drain = [&] {
     for (;;) {
-      const std::size_t i = next->fetch_add(1, std::memory_order_relaxed);
-      if (i >= n || failed->load(std::memory_order_relaxed)) return;
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n || failed.load(std::memory_order_relaxed)) return;
       try {
         fn(i);
       } catch (...) {
-        std::lock_guard<std::mutex> lock(*error_mutex);
-        if (!*first_error) *first_error = std::current_exception();
-        failed->store(true, std::memory_order_relaxed);
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
         return;
       }
     }
   };
 
-  // One drainer per worker; the calling thread drains too, so a pool that
-  // is busy with unrelated work (or nested parallel_for from inside a
-  // task) still makes progress and cannot deadlock.
-  const std::size_t helpers =
-      n > 1 ? std::min<std::size_t>(pool.size(), n - 1) : 0;
-  std::vector<std::future<void>> futures;
-  futures.reserve(helpers);
-  for (std::size_t i = 0; i < helpers; ++i) futures.push_back(pool.submit(drain));
-  drain();
-  for (auto& future : futures) {
-    // Help run queued work while waiting: if every worker is itself blocked
-    // in a nested parallel_for, the queued drainers still get executed here
-    // instead of deadlocking the pool.
-    while (future.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!pool.try_run_one()) {
-        future.wait_for(std::chrono::milliseconds(1));
-      }
-    }
-    future.get();
-  }
+  {
+    const std::size_t helpers =
+        n > 1 ? std::min<std::size_t>(pool.size(), n - 1) : 0;
+    std::vector<std::jthread> threads;
+    threads.reserve(helpers);
+    for (std::size_t t = 0; t < helpers; ++t) threads.emplace_back(drain);
+    drain();
+  }  // joins the helpers
 
-  if (*first_error) std::rethrow_exception(*first_error);
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace icr::util

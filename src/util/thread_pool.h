@@ -1,78 +1,44 @@
-// Fixed-size worker pool used by the campaign engine (src/sim/campaign.h).
+// Parallelism for the campaign engine (src/sim/campaign.h): a worker count
+// and parallel_for, which starts that many threads for one call and joins
+// them before returning. Its callers run one parallel_for per campaign
+// grid, so a thread start per call costs nothing they could measure.
 //
 // Design constraints, in order:
-//   1. Determinism of *results* must not depend on the pool: tasks write to
-//      pre-assigned slots, so scheduling order never changes output.
-//   2. Exceptions thrown inside a task must reach the caller (via the
-//      returned future, or rethrown by parallel_for).
-//   3. Submitting from inside a task (nested submission) must not deadlock:
-//      workers never block on other tasks, they only pull from the queue.
+//   1. Determinism of *results* must not depend on scheduling: callers
+//      write to pre-assigned slots, so execution order never changes output.
+//   2. An exception thrown by fn reaches the caller of parallel_for.
+//   3. A parallel_for inside fn cannot deadlock: it starts threads of its
+//      own and never waits on another call's work.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <type_traits>
-#include <utility>
-#include <vector>
 
 namespace icr::util {
 
 class ThreadPool {
  public:
-  // `threads` == 0 picks hardware_threads(). The pool always has at least
-  // one worker so submitted work makes progress even on odd platforms.
-  explicit ThreadPool(unsigned threads = 0);
-  ~ThreadPool();
+  // `threads` == 0 picks hardware_threads().
+  explicit ThreadPool(unsigned threads = 0)
+      : size_(threads == 0 ? hardware_threads() : threads) {}
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Schedules `fn` and returns a future for its result; exceptions thrown
-  // by `fn` are captured and rethrown from future::get().
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    enqueue([task]() { (*task)(); });
-    return future;
-  }
-
-  [[nodiscard]] unsigned size() const noexcept {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  // Runs one queued task on the calling thread if any is pending; returns
-  // whether a task was run. Lets a thread that is waiting on pool work help
-  // instead of blocking — the key to nested parallel_for not deadlocking.
-  bool try_run_one();
+  [[nodiscard]] unsigned size() const noexcept { return size_; }
 
   // std::thread::hardware_concurrency(), clamped to at least 1.
   [[nodiscard]] static unsigned hardware_threads() noexcept;
 
  private:
-  void enqueue(std::function<void()> task);
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stop_ = false;
+  unsigned size_;
 };
 
-// Runs fn(0) .. fn(n-1) across the pool's workers (plus the calling thread)
-// and returns when all calls finished. Indices are claimed from a shared
-// counter, so callers must not assume any execution order. If one or more
-// calls throw, the first exception (by completion order) is rethrown after
-// every in-flight call has finished; remaining unclaimed indices are
-// abandoned. n == 0 returns immediately.
-void parallel_for(ThreadPool& pool, std::size_t n,
+// Runs fn(0) .. fn(n-1) on the calling thread plus min(pool.size(), n - 1)
+// helper threads, at most pool.size() + 1 threads in all, and returns when
+// all calls finished. Indices are claimed from a shared counter, so callers
+// must not assume any execution order. If one or more calls throw, the
+// first exception (by completion order) is rethrown after every in-flight
+// call has finished; remaining unclaimed indices are abandoned. n == 0
+// returns immediately.
+void parallel_for(const ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 
 }  // namespace icr::util

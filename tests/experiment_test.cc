@@ -30,13 +30,6 @@ TEST(Experiment, RunMatrixShape) {
   EXPECT_EQ(m[1][2].app, "mcf");
 }
 
-TEST(Experiment, AppNames) {
-  const auto names = app_names({trace::App::kGzip, trace::App::kBzip2});
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "gzip");
-  EXPECT_EQ(names[1], "bzip2");
-}
-
 TEST(Experiment, NormalizedMetrics) {
   RunResult a, b;
   a.cycles = 150;

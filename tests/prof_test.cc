@@ -1,14 +1,20 @@
 // Host profiler (src/obs/prof.h): zone nesting, cross-thread merge
-// determinism, event-ring wrap accounting, Chrome trace round-trip, and
-// the tier-1 guard that profiling never perturbs simulation results.
+// determinism, snapshots during recording, span-ring wrap accounting,
+// Chrome trace round-trip and fleet fold, and the tier-1 guard that
+// profiling never perturbs simulation results.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/prof.h"
 #include "src/obs/prof_io.h"
 #include "src/sim/experiment.h"
+#include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
 #include "src/util/thread_pool.h"
 
@@ -17,8 +23,9 @@ namespace prof = icr::obs::prof;
 namespace {
 
 // Each iteration stores to a volatile sink, so the loop cannot be optimised
-// away.
-volatile int burn_sink = 0;
+// away. The sink is per thread: threads writing one shared volatile would
+// race.
+thread_local volatile int burn_sink = 0;
 
 void burn(int iterations) {
   for (int i = 0; i < iterations; ++i) burn_sink = i;
@@ -120,20 +127,93 @@ TEST(ProfTest, ThreadMergeIsDeterministic) {
   EXPECT_EQ(serial.find("task/odd")->count, 8u);
 }
 
+// Four threads record labelled zones while this thread reads the table:
+// every snapshot is consistent, the final counts are exact, and each span
+// keeps its own thread and label.
+TEST(ProfTest, SnapshotWhileThreadsRecord) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::uint64_t kZonesPerThread = 500;
+  prof::begin_capture();
+  std::atomic<bool> done{false};
+  std::thread recorder([&done] {
+    icr::util::parallel_for(
+        icr::util::ThreadPool(kThreads - 1), kThreads, [](std::size_t t) {
+          for (std::uint64_t i = 0; i < kZonesPerThread; ++i) {
+            ICR_PROF_ZONE_LABELED(
+                "work", std::to_string(t) + "/" + std::to_string(i));
+            ICR_PROF_ZONE("inner");
+          }
+        });
+    done.store(true);
+  });
+  std::uint64_t last_work = 0;
+  while (!done.load()) {
+    std::uint64_t work = 0;
+    std::uint64_t inner = 0;
+    for (const prof::ZoneNode& zone : prof::snapshot_zones()) {
+      if (zone.path == "work") work = zone.count;
+      if (zone.path == "work/inner") inner = zone.count;
+    }
+    // "inner" closes before its "work": at most one open "work" per thread
+    // has a closed "inner".
+    EXPECT_GE(work, last_work);
+    EXPECT_GE(inner, work);
+    EXPECT_LE(inner, work + kThreads);
+    last_work = work;
+  }
+  recorder.join();
+  const prof::Profile profile = prof::end_capture();
+
+  ASSERT_NE(profile.find("work"), nullptr);
+  ASSERT_NE(profile.find("work/inner"), nullptr);
+  EXPECT_EQ(profile.find("work")->count, kThreads * kZonesPerThread);
+  EXPECT_EQ(profile.find("work/inner")->count, kThreads * kZonesPerThread);
+  EXPECT_GE(profile.threads, 1u);
+  EXPECT_LE(profile.threads, kThreads);
+  ASSERT_EQ(profile.events.size(), 2 * kThreads * kZonesPerThread);
+
+  std::set<std::string> labels;
+  std::map<std::string, std::uint32_t> tid_of_index;
+  for (const prof::SpanEvent& event : profile.events) {
+    EXPECT_LT(event.tid, profile.threads);
+    if (event.name == "inner") {
+      EXPECT_EQ(event.label, "");
+      EXPECT_EQ(event.depth, 1u);
+      continue;
+    }
+    ASSERT_EQ(event.name, "work");
+    EXPECT_EQ(event.depth, 0u);
+    labels.insert(event.label);
+    // One index runs entirely on one thread, so its spans share a tid.
+    const std::string index = event.label.substr(0, event.label.find('/'));
+    EXPECT_EQ(tid_of_index.emplace(index, event.tid).first->second,
+              event.tid)
+        << event.label;
+  }
+  EXPECT_EQ(labels.size(), kThreads * kZonesPerThread);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::uint64_t i = 0; i < kZonesPerThread; ++i) {
+      EXPECT_EQ(labels.count(std::to_string(t) + "/" + std::to_string(i)),
+                1u);
+    }
+  }
+}
+
 TEST(ProfTest, EventRingKeepsMostRecentAndCountsDrops) {
-  prof::CaptureOptions options;
-  options.events_per_thread = 8;
-  prof::begin_capture(options);
-  for (int i = 0; i < 20; ++i) {
-    ICR_PROF_ZONE("span");
+  constexpr std::size_t kZones = prof::kSpanCapacity + 12;
+  prof::begin_capture();
+  for (std::size_t i = 0; i < kZones; ++i) {
+    ICR_PROF_ZONE_LABELED("span", std::to_string(i));
   }
   const prof::Profile profile = prof::end_capture();
-  EXPECT_EQ(profile.events.size(), 8u);
+  ASSERT_EQ(profile.events.size(), prof::kSpanCapacity);
   EXPECT_EQ(profile.dropped_events, 12u);
   // Aggregation is unaffected by the ring: every call still counted.
   ASSERT_NE(profile.find("span"), nullptr);
-  EXPECT_EQ(profile.find("span")->count, 20u);
-  // Retained events are in chronological order (oldest first).
+  EXPECT_EQ(profile.find("span")->count, kZones);
+  // The ring keeps the most recent spans, oldest first.
+  EXPECT_EQ(profile.events.front().label, "12");
+  EXPECT_EQ(profile.events.back().label, std::to_string(kZones - 1));
   for (std::size_t i = 1; i < profile.events.size(); ++i) {
     EXPECT_GE(profile.events[i].start_ns, profile.events[i - 1].start_ns);
   }
@@ -179,6 +259,78 @@ TEST(ProfIoTest, ChromeTraceRoundTrip) {
   EXPECT_NE(table.find("outer"), std::string::npos);
   EXPECT_NE(table.find("leaf"), std::string::npos);
   EXPECT_NE(table.find("instrumented total"), std::string::npos);
+}
+
+// A fleet trace splices the farm's unit spans and one capture per worker;
+// it reads back as one table, as if one process had recorded every zone.
+TEST(ProfIoTest, FleetTraceReadsBackAsOneTable) {
+  prof::Profile first;
+  first.threads = 2;
+  first.wall_ns = 5000000;
+  first.dropped_events = 1;
+  first.zones = {
+      {"Campaign::cell", "Campaign::cell", 0, 2, 4000000, 100000},
+      {"Campaign::cell/Pipeline::run", "Pipeline::run", 1, 2, 3900000,
+       3900000},
+  };
+  first.events = {
+      {"Campaign::cell", "BaseP/mcf/0", 1000, 2000500, 0, 0},
+      {"Campaign::cell", "BaseP/mcf/1", 2500, 1999999, 1, 0},
+  };
+  prof::Profile second;
+  second.threads = 1;
+  second.wall_ns = 7000000;
+  second.dropped_events = 2;
+  second.zones = {
+      {"Campaign::cell", "Campaign::cell", 0, 3, 6000000, 200000},
+      {"Campaign::cell/Pipeline::run", "Pipeline::run", 1, 3, 5800000,
+       5800000},
+      {"ResultsIO::to_csv", "ResultsIO::to_csv", 0, 1, 500, 500},
+  };
+  second.events = {
+      {"Campaign::cell", "BaseP/gcc/0", 100, 2000000, 0, 0},
+      {"Campaign::cell", "BaseP/gcc/1", 2000200, 2000000, 0, 0},
+      {"ResultsIO::to_csv", "", 6000000, 500, 0, 0},
+  };
+  std::vector<icr::sim::farm::FarmEvent> units(2);
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    units[u].worker_id = "w";
+    units[u].worker_id += std::to_string(u);
+    units[u].type = icr::sim::farm::FarmEventType::kPublish;
+    units[u].unit = static_cast<std::int64_t>(u);
+    units[u].cells = 2;
+    units[u].time_unix_seconds = 1700000001.0;
+    units[u].duration_seconds = 1.0;
+  }
+  const std::string fleet = prof::merge_chrome_traces(
+      {icr::sim::farm::fleet_unit_spans_trace(units),
+       prof::to_chrome_trace(first, "worker", 11, 1700000000000000.0),
+       prof::to_chrome_trace(second, "worker", 12, 1700000000000000.0)});
+
+  const prof::ParsedTrace parsed = prof::parse_chrome_trace(fleet);
+  EXPECT_EQ(parsed.span_events, 5u) << "the farm's unit spans are not zones";
+  EXPECT_EQ(parsed.profile.threads, 3u);
+  EXPECT_EQ(parsed.profile.wall_ns, 7000000u);
+  EXPECT_EQ(parsed.profile.dropped_events, 3u);
+  ASSERT_EQ(parsed.profile.zones.size(), 3u);
+  const auto expect_zone = [&](std::size_t i, const char* path, int depth,
+                               std::uint64_t count, std::uint64_t total_ns,
+                               std::uint64_t self_ns) {
+    const prof::ZoneNode& zone = parsed.profile.zones[i];
+    EXPECT_EQ(zone.path, path);
+    EXPECT_EQ(zone.depth, depth) << path;
+    EXPECT_EQ(zone.count, count) << path;
+    EXPECT_EQ(zone.total_ns, total_ns) << path;
+    EXPECT_EQ(zone.self_ns, self_ns) << path;
+  };
+  expect_zone(0, "Campaign::cell", 0, 5, 10000000, 300000);
+  expect_zone(1, "Campaign::cell/Pipeline::run", 1, 5, 9700000, 9700000);
+  expect_zone(2, "ResultsIO::to_csv", 0, 1, 500, 500);
+
+  const std::string table = prof::format_self_time_table(parsed.profile);
+  EXPECT_EQ(table.find("Campaign::cell"), table.rfind("Campaign::cell"))
+      << table;
+  EXPECT_NE(table.find("3 thread(s)"), std::string::npos) << table;
 }
 
 // Tier-1 guard: profiling observes the simulation, never perturbs it. A

@@ -7,7 +7,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <iterator>
 #include <latch>
 #include <random>
@@ -425,7 +424,7 @@ TEST(TraceV2Registry, ReloadReverifiesTheChunkChecksum) {
 }
 
 TEST(TraceV2Registry, ConcurrentOpensReplayOneStream) {
-  // Eight pool threads open one file at once and race to decode and
+  // Eight threads open one file at once and race to decode and
   // publish the same chunks; every one must replay the recorded stream,
   // holding no more than one decoded chunk.
   const std::string path = temp_path("v2_concurrent.icrt");
@@ -440,33 +439,32 @@ TEST(TraceV2Registry, ConcurrentOpensReplayOneStream) {
   }
   const std::size_t bound = 1024 * sizeof(Instruction) + 4096;
   constexpr int kThreads = 8;
-  util::ThreadPool pool(kThreads);
   std::latch start(kThreads);
-  std::vector<std::future<std::string>> replays;
-  for (int t = 0; t < kThreads; ++t) {
-    replays.push_back(pool.submit([&]() -> std::string {
-      start.arrive_and_wait();
-      StreamingTraceSource reader(path);
-      for (std::size_t n = 0; n < records.size(); ++n) {
-        const Instruction got = reader.next();
-        const Instruction& want = records[n];
-        if (got.pc != want.pc || got.mem_addr != want.mem_addr ||
-            got.store_value != want.store_value || got.op != want.op ||
-            got.dest != want.dest || got.src1 != want.src1 ||
-            got.src2 != want.src2) {
-          return "record " + std::to_string(n) + " differs";
-        }
-        if (reader.resident_bytes() > bound) {
-          return "resident " + std::to_string(reader.resident_bytes()) +
-                 " bytes at record " + std::to_string(n);
-        }
+  std::vector<std::string> replays(kThreads);
+  // The caller plus seven helpers: every index runs on its own thread,
+  // and the latch holds all eight until each has started.
+  util::parallel_for(util::ThreadPool(kThreads - 1), kThreads,
+                     [&](std::size_t t) {
+    start.arrive_and_wait();
+    StreamingTraceSource reader(path);
+    for (std::size_t n = 0; n < records.size(); ++n) {
+      const Instruction got = reader.next();
+      const Instruction& want = records[n];
+      if (got.pc != want.pc || got.mem_addr != want.mem_addr ||
+          got.store_value != want.store_value || got.op != want.op ||
+          got.dest != want.dest || got.src1 != want.src1 ||
+          got.src2 != want.src2) {
+        replays[t] = "record " + std::to_string(n) + " differs";
+        return;
       }
-      return "";
-    }));
-  }
-  for (std::future<std::string>& replay : replays) {
-    EXPECT_EQ(replay.get(), "");
-  }
+      if (reader.resident_bytes() > bound) {
+        replays[t] = "resident " + std::to_string(reader.resident_bytes()) +
+                     " bytes at record " + std::to_string(n);
+        return;
+      }
+    }
+  });
+  for (const std::string& replay : replays) EXPECT_EQ(replay, "");
   std::remove(path.c_str());
 }
 
