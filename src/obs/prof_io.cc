@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "src/util/json.h"
 #include "src/util/table.h"
@@ -16,13 +17,16 @@ std::string format_ms(std::uint64_t ns) {
   return format_double(static_cast<double>(ns) / 1e6, 3);
 }
 
-}  // namespace
-
+// Opens one compact "ph":"M" metadata event as the next element of a
+// Chrome trace array and leaves its "args" object open: write the args
+// members, then end() both objects.
 void begin_metadata_event(util::JsonWriter& json, std::string_view name,
                           std::int64_t pid, std::uint64_t tid) {
   json.begin_object().field("name", name).field("ph", "M");
   json.field("pid", pid).field("tid", tid).key("args").begin_object();
 }
+
+}  // namespace
 
 std::string to_chrome_trace(const Profile& profile,
                             const std::string& process_name,
@@ -39,7 +43,7 @@ std::string to_chrome_trace(const Profile& profile,
 
   // Capture-level metadata: wall time, thread count, ring drops, and the
   // timestamp offset (absolute unix microseconds of the capture epoch when
-  // the caller provided one — the fleet merge relies on it).
+  // the caller provided one).
   begin_metadata_event(json, "icr_capture", pid, 0);
   json.field("wall_ns", profile.wall_ns).field("threads", profile.threads);
   json.field("dropped_events", profile.dropped_events);
@@ -69,44 +73,14 @@ std::string to_chrome_trace(const Profile& profile,
   return out;
 }
 
-std::string merge_chrome_traces(const std::vector<std::string>& traces) {
-  std::string out;
-  util::JsonWriter json(out, /*indent=*/0);
-  json.begin_array(Layout::kBlock);
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const std::string& text = traces[i];
-    // Validate before splicing: a malformed fragment would corrupt the
-    // whole merged document, so fail loudly naming the culprit.
-    try {
-      const util::JsonValue doc = util::JsonValue::parse(text);
-      if (!doc.is_array()) {
-        throw std::runtime_error("top-level JSON array expected");
-      }
-      if (doc.items().empty()) continue;
-    } catch (const std::exception& error) {
-      throw std::runtime_error("merge_chrome_traces: input " +
-                               std::to_string(i) + ": " + error.what());
-    }
-    // Textual splice of the validated array body keeps every event's bytes
-    // exactly as its writer produced them.
-    // The array is non-empty, so its body holds a non-blank character.
-    const std::string_view body(text.data() + text.find('[') + 1,
-                                text.rfind(']') - text.find('[') - 1);
-    const std::size_t first = body.find_first_not_of(" \t\r\n");
-    json.raw(body.substr(first, body.find_last_not_of(" \t\r\n") + 1 - first));
-  }
-  json.end();
-  return out;
-}
-
 ParsedTrace parse_chrome_trace(const std::string& text) {
   const util::JsonValue doc = util::JsonValue::parse(text);
   if (!doc.is_array()) {
     throw std::runtime_error("profile trace: top-level JSON array expected");
   }
-  // A fleet trace holds one capture per worker: fold their zone tables by
-  // path through the recorder's own tree. Storing total - self as child
-  // time makes flatten() give back the summed self time.
+  // Rebuild the zone table by path through the recorder's own tree.
+  // Storing total - self as child time makes flatten() give back the self
+  // time.
   ParsedTrace parsed;
   ZoneTree root;
   for (const util::JsonValue& event : doc.items()) {
@@ -116,10 +90,9 @@ ParsedTrace parse_chrome_trace(const std::string& text) {
     if (ph == "X" && event.get("cat").as_string() == "zone") {
       ++parsed.span_events;
     } else if (ph == "M" && name == "icr_capture") {
-      parsed.profile.wall_ns = std::max(
-          parsed.profile.wall_ns, args.get("wall_ns").as_int<std::uint64_t>());
-      parsed.profile.threads += args.get("threads").as_int<std::uint32_t>();
-      parsed.profile.dropped_events +=
+      parsed.profile.wall_ns = args.get("wall_ns").as_int<std::uint64_t>();
+      parsed.profile.threads = args.get("threads").as_int<std::uint32_t>();
+      parsed.profile.dropped_events =
           args.get("dropped_events").as_int<std::uint64_t>();
     } else if (ph == "M" && name == "icr_zone_stats") {
       ZoneTree* node = &root;

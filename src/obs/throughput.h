@@ -1,11 +1,9 @@
-// Shared throughput/ETA arithmetic for every progress surface.
+// Throughput/ETA arithmetic for the campaign progress line.
 //
-// The per-campaign ProgressReporter (src/sim/campaign.cc), the farm-level
-// FarmProgressReporter (src/obs/farm_progress.h) and the spool-native
-// farm_status reader (src/sim/farm_telemetry.h) all answer the same three
-// questions — how fast, how far, how much longer — from the same three
-// inputs: items done, items total, seconds elapsed. This header is the one
-// copy of that zero-guarded arithmetic; reporters own only pacing and
+// The per-campaign ProgressReporter (src/sim/campaign.cc, --progress)
+// answers three questions — how fast, how far, how much longer — from
+// three inputs: items done, items total, seconds elapsed. This header is
+// that zero-guarded arithmetic; the reporter owns only pacing and
 // formatting.
 #pragma once
 

@@ -41,18 +41,19 @@ namespace icr::sim {
 // app axis. The trace's instruction budget splits into
 // `shard_instructions`-wide intervals; each interval becomes one cell on
 // the app axis (cold-start simulator, seek_to the interval's begin, run
-// its width), so one large trace spreads across farm work units exactly
+// its width), so one large trace spreads across the thread pool exactly
 // like synthetic apps do. The interval decomposition lives in the spec —
-// not in the executor — which is what keeps farm runs at any shard/worker
-// count byte-identical to a single-process run.
+// not in the executor — which is what keeps runs at any thread count
+// byte-identical to a single-threaded run.
 struct TraceCampaignOptions {
   std::string path;
   // Instructions per interval cell; 0 = one cell covering the whole budget.
   std::uint64_t shard_instructions = 0;
   // Content provenance, filled from the file by resolve_trace_campaign().
   // The fingerprint folds into campaign_config_hash and is re-verified
-  // when each cell opens the trace, so a farm worker replaying a modified
-  // file fails loudly instead of producing silently different numbers.
+  // when each cell opens the trace, so a cell replaying a file modified
+  // mid-campaign fails loudly instead of producing silently different
+  // numbers.
   std::uint64_t fingerprint = 0;
   std::uint64_t records = 0;
 
@@ -64,9 +65,8 @@ struct TraceCampaignOptions {
 // every base scheme variant with (size × associativity × disabled-way
 // count), producing one labelled variant per geometry cell whose per-variant
 // SimConfig override carries the dL1 geometry and way-disable draw. The
-// expansion is deterministic, so a farm worker reconstructing the spec from
-// a manifest (base schemes + these axes) re-derives the identical grid and
-// config hash.
+// expansion is deterministic: the same base schemes and axes always give
+// the identical grid and config hash.
 struct GeometrySweep {
   std::vector<std::uint32_t> sizes;   // dL1 sizes in bytes; empty = spec dL1
   std::vector<std::uint32_t> assocs;  // associativities; empty = spec dL1
@@ -74,8 +74,8 @@ struct GeometrySweep {
   mem::WayDisableConfig::Pattern pattern =
       mem::WayDisableConfig::Pattern::kFixed;
   std::uint64_t way_seed = 0x0DDB17;  // per-set draw seed (kRandom)
-  // Base scheme labels recorded by expand_geometry_sweep(); what the farm
-  // manifest serializes so spec_from_manifest() can re-expand.
+  // Base scheme labels recorded by expand_geometry_sweep(); a non-empty
+  // list marks the spec as already expanded.
   std::vector<std::string> base_schemes;
 
   [[nodiscard]] bool enabled() const noexcept {
@@ -216,10 +216,9 @@ struct CellResult {
 // Runs one cell of the expanded grid, exactly as CampaignRunner would:
 // same seed derivation, same sampling placement, same obs/rel wiring.
 // `instructions` must be the resolved budget (spec.instructions, or
-// default_instruction_count() when that is 0). Public so out-of-process
-// executors — the campaign farm's workers (src/sim/farm.h) — produce
-// bit-identical cells to an in-process run; which process runs a cell can
-// never change its numbers.
+// default_instruction_count() when that is 0). Public so callers that time
+// or trace single cells (perfbench) run bit-identical cells to a campaign;
+// which thread runs a cell can never change its numbers.
 [[nodiscard]] CellResult run_campaign_cell(const CampaignSpec& spec,
                                            std::size_t variant_idx,
                                            std::size_t app_idx,

@@ -85,7 +85,32 @@ std::vector<double> metric_values(const RunResult& r) {
   };
 }
 
-std::string results_csv_header(bool sampled, bool geometry) {
+namespace {
+
+// The campaign-level "sampling" options object.
+void append_json(util::JsonWriter& json, const SamplingOptions& s) {
+  json.begin_object(Layout::kInline).field("warmup", s.warmup_instructions);
+  json.field("windows", s.windows).field("window_width", s.window_width);
+  json.field("mode", to_string(s.mode)).field("seed", util::Hex{s.seed});
+  json.end();
+}
+
+// The per-cell "geometry" object of a geometry-swept campaign.
+void append_json(util::JsonWriter& json, const GeometryProvenance& g) {
+  json.begin_object(Layout::kInline).field("dl1_size", g.dl1_size_bytes);
+  json.field("dl1_assoc", g.dl1_assoc);
+  json.field("ways_disabled", g.ways_disabled).end();
+}
+
+}  // namespace
+
+std::string to_csv(const CampaignResult& campaign) {
+  ICR_PROF_ZONE("ResultsIO::to_csv");
+  // Sampled campaigns report estimates, not full measurements; mark every
+  // row with its provenance so downstream analysis can never confuse the
+  // two. Unsampled campaigns keep the historical schema byte for byte.
+  const bool sampled = campaign.meta.sampling.enabled();
+  const bool geometry = campaign.meta.geometry;
   std::string out = "variant,app,trial,seed";
   if (geometry) out += ",dl1_size,dl1_assoc,ways_disabled";
   for (const std::string& column : metric_columns()) {
@@ -97,68 +122,53 @@ std::string results_csv_header(bool sampled, bool geometry) {
            "sample_coverage";
   }
   out += '\n';
+  for (const CellResult& cell : campaign.cells) {
+    out += cell.result.scheme;
+    out += ',';
+    out += cell.result.app;
+    out += ',';
+    out += std::to_string(cell.cell.trial_idx);
+    out += ',';
+    out += util::hex64(cell.cell.seed);
+    if (geometry) {
+      out += ',';
+      out += std::to_string(cell.geometry.dl1_size_bytes);
+      out += ',';
+      out += std::to_string(cell.geometry.dl1_assoc);
+      out += ',';
+      out += std::to_string(cell.geometry.ways_disabled);
+    }
+    for (const double value : metric_values(cell.result)) {
+      out += ',';
+      out += util::exact_double(value);
+    }
+    if (sampled) {
+      const SampleProvenance& s = cell.sampling;
+      out += s.sampled ? ",1," : ",0,";
+      out += std::to_string(s.warmup_instructions);
+      out += ',';
+      out += std::to_string(s.windows);
+      out += ',';
+      out += std::to_string(s.measured_instructions);
+      out += ',';
+      out += util::exact_double(s.coverage());
+    }
+    out += '\n';
+  }
   return out;
 }
 
-void append_results_csv_row(std::string& out, const std::string& variant,
-                            const std::string& app, std::uint32_t trial,
-                            std::uint64_t seed,
-                            const std::vector<double>& metrics,
-                            const SampleProvenance* sampling,
-                            const GeometryProvenance* geometry) {
-  out += variant;
-  out += ',';
-  out += app;
-  out += ',';
-  out += std::to_string(trial);
-  out += ',';
-  out += util::hex64(seed);
-  if (geometry != nullptr) {
-    out += ',';
-    out += std::to_string(geometry->dl1_size_bytes);
-    out += ',';
-    out += std::to_string(geometry->dl1_assoc);
-    out += ',';
-    out += std::to_string(geometry->ways_disabled);
-  }
-  for (const double value : metrics) {
-    out += ',';
-    out += util::exact_double(value);
-  }
-  if (sampling != nullptr) {
-    out += sampling->sampled ? ",1," : ",0,";
-    out += std::to_string(sampling->warmup_instructions);
-    out += ',';
-    out += std::to_string(sampling->windows);
-    out += ',';
-    out += std::to_string(sampling->measured_instructions);
-    out += ',';
-    out += util::exact_double(sampling->coverage());
-  }
-  out += '\n';
-}
-
-void append_json(util::JsonWriter& json, const SamplingOptions& s) {
-  json.begin_object(Layout::kInline).field("warmup", s.warmup_instructions);
-  json.field("windows", s.windows).field("window_width", s.window_width);
-  json.field("mode", to_string(s.mode)).field("seed", util::Hex{s.seed});
-  json.end();
-}
-
-void append_json(util::JsonWriter& json, const GeometryProvenance& g) {
-  json.begin_object(Layout::kInline).field("dl1_size", g.dl1_size_bytes);
-  json.field("dl1_assoc", g.dl1_assoc);
-  json.field("ways_disabled", g.ways_disabled).end();
-}
-
-void results_json_prologue(util::JsonWriter& json, const CampaignMeta& meta,
-                           std::size_t cells, bool include_timing) {
+std::string to_json(const CampaignResult& campaign, bool include_timing) {
+  ICR_PROF_ZONE("ResultsIO::to_json");
+  const CampaignMeta& meta = campaign.meta;
+  std::string out;
+  util::JsonWriter json(out);
   json.begin_object(Layout::kBlock).key("campaign");
   json.begin_object(Layout::kBlock);
   json.field("base_seed", util::Hex{meta.base_seed});
   json.field("config_hash", util::Hex{meta.config_hash});
   json.field("instructions", meta.instructions).field("trials", meta.trials);
-  json.field("cells", cells);
+  json.field("cells", campaign.cells.size());
   if (meta.sampling.enabled()) append_json(json.key("sampling"), meta.sampling);
   if (meta.geometry) json.field("geometry", true);
   if (include_timing) {
@@ -169,70 +179,30 @@ void results_json_prologue(util::JsonWriter& json, const CampaignMeta& meta,
     json.field("mips", meta.mips);
   }
   json.end().key("cells").begin_array(Layout::kBlock);
-}
-
-void append_results_json_cell(util::JsonWriter& json,
-                              const std::string& variant,
-                              const std::string& app, std::uint32_t trial,
-                              std::uint64_t seed,
-                              const std::vector<double>& metrics,
-                              const SampleProvenance* sampling,
-                              const GeometryProvenance* geometry) {
-  json.begin_object(Layout::kInline).field("variant", variant);
-  json.field("app", app).field("trial", trial).field("seed", util::Hex{seed});
-  if (geometry != nullptr) append_json(json.key("geometry"), *geometry);
-  json.key("metrics").begin_object(Layout::kInline);
   const std::vector<std::string>& columns = metric_columns();
-  for (std::size_t m = 0; m < columns.size(); ++m) {
-    json.field(columns[m], metrics[m]);
-  }
-  json.end();
-  if (sampling != nullptr) {
-    json.key("sampling").begin_object(Layout::kInline);
-    json.field("sampled", sampling->sampled);
-    json.field("warmup", sampling->warmup_instructions);
-    json.field("windows", sampling->windows);
-    json.field("measured_instructions", sampling->measured_instructions);
-    json.field("coverage", sampling->coverage()).end();
-  }
-  json.end();
-}
-
-void results_json_epilogue(util::JsonWriter& json) { json.end().end(); }
-
-std::string to_csv(const CampaignResult& campaign) {
-  ICR_PROF_ZONE("ResultsIO::to_csv");
-  // Sampled campaigns report estimates, not full measurements; mark every
-  // row with its provenance so downstream analysis can never confuse the
-  // two. Unsampled campaigns keep the historical schema byte for byte.
-  const bool sampled = campaign.meta.sampling.enabled();
-  std::string out = results_csv_header(sampled, campaign.meta.geometry);
   for (const CellResult& cell : campaign.cells) {
-    append_results_csv_row(out, cell.result.scheme, cell.result.app,
-                           cell.cell.trial_idx, cell.cell.seed,
-                           metric_values(cell.result),
-                           sampled ? &cell.sampling : nullptr,
-                           campaign.meta.geometry ? &cell.geometry : nullptr);
+    json.begin_object(Layout::kInline).field("variant", cell.result.scheme);
+    json.field("app", cell.result.app).field("trial", cell.cell.trial_idx);
+    json.field("seed", util::Hex{cell.cell.seed});
+    if (meta.geometry) append_json(json.key("geometry"), cell.geometry);
+    json.key("metrics").begin_object(Layout::kInline);
+    const std::vector<double> metrics = metric_values(cell.result);
+    for (std::size_t m = 0; m < columns.size(); ++m) {
+      json.field(columns[m], metrics[m]);
+    }
+    json.end();
+    if (meta.sampling.enabled()) {
+      const SampleProvenance& s = cell.sampling;
+      json.key("sampling").begin_object(Layout::kInline);
+      json.field("sampled", s.sampled);
+      json.field("warmup", s.warmup_instructions);
+      json.field("windows", s.windows);
+      json.field("measured_instructions", s.measured_instructions);
+      json.field("coverage", s.coverage()).end();
+    }
+    json.end();
   }
-  return out;
-}
-
-std::string to_json(const CampaignResult& campaign, bool include_timing) {
-  ICR_PROF_ZONE("ResultsIO::to_json");
-  const bool sampled = campaign.meta.sampling.enabled();
-  std::string out;
-  util::JsonWriter json(out);
-  results_json_prologue(json, campaign.meta, campaign.cells.size(),
-                        include_timing);
-  for (const CellResult& cell : campaign.cells) {
-    append_results_json_cell(json, cell.result.scheme, cell.result.app,
-                             cell.cell.trial_idx, cell.cell.seed,
-                             metric_values(cell.result),
-                             sampled ? &cell.sampling : nullptr,
-                             campaign.meta.geometry ? &cell.geometry
-                                                    : nullptr);
-  }
-  results_json_epilogue(json);
+  json.end().end();
   return out;
 }
 

@@ -1,6 +1,7 @@
 // Tier-1 contract of the shared command-line layer (src/sim/cli.h): the
 // checked number parser every numeric flag goes through, the size and
-// way-pattern helpers, and the RunFlags both front-ends share.
+// way-pattern helpers, the RunFlags both front-ends share, and the
+// unknown-flag exit.
 #include "src/sim/cli.h"
 
 #include <gtest/gtest.h>
@@ -151,6 +152,13 @@ TEST(CliRunFlags, BadTraceFilterAndSampleModeExitTwo) {
   EXPECT_EXIT((void)number.parse("--sample-windows=-3"),
               testing::ExitedWithCode(2),
               "run_campaign: bad value '-3' for --sample-windows");
+}
+
+TEST(Cli, UnknownFlagHelperExitsWithUsageHint) {
+  // The shared rejection path every CLI binary (tools + benches) routes
+  // unknown "--" flags through: non-zero exit plus a --help pointer.
+  EXPECT_EXIT(unknown_flag("cli_test", "--bogus-flag"),
+              testing::ExitedWithCode(2), "unknown flag '--bogus-flag'");
 }
 
 }  // namespace

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,10 +24,7 @@
 #include "src/obs/obs_io.h"
 #include "src/obs/prof_io.h"
 #include "src/rel/rel_io.h"
-#include "src/sim/farm.h"
-#include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
-#include "src/util/fs.h"
 #include "src/util/json.h"
 
 namespace icr {
@@ -62,11 +61,13 @@ void expect_golden(const std::string& name, const std::string& got,
                    bool ndjson = false) {
   expect_parses(name, got, ndjson);
   const std::string path = golden_path(name);
-  if (!util::fs::exists(path)) {
-    util::fs::atomic_write_text_file(path, got);
+  std::ifstream file(path, std::ios::binary);
+  if (!file) {
+    sim::write_text_file(path, got);
     FAIL() << "golden " << path << " was missing; wrote the current output";
   }
-  const std::string want = util::fs::read_text_file(path);
+  const std::string want{std::istreambuf_iterator<char>(file),
+                         std::istreambuf_iterator<char>()};
   if (got == want) return;
   std::size_t at = 0;
   while (at < got.size() && at < want.size() && got[at] == want[at]) ++at;
@@ -232,165 +233,6 @@ TEST(JsonGolden, EventTraceNdjson) {
   expect_golden("event_trace.ndjson", out, /*ndjson=*/true);
 }
 
-// ---- campaign farm ----
-
-TEST(JsonGolden, FarmUnitRecord) {
-  std::vector<sim::farm::CellRecord> records;
-  for (std::uint32_t i = 0; i < 2; ++i) {
-    sim::farm::CellRecord record = sim::farm::CellRecord::from_cell(
-        campaign_cell(i == 0 ? "BaseP" : "a\"b", "mcf", i, i + 1));
-    record.variant_idx = i;
-    record.app_idx = 1;
-    records.push_back(std::move(record));
-  }
-  records[1].geometry.present = false;
-  records[1].sampling.sampled = false;
-  expect_golden("farm_unit.json", sim::farm::unit_to_json(4, records));
-}
-
-sim::farm::Manifest fixed_manifest() {
-  sim::farm::Manifest m;
-  m.config_hash = 0x0123456789ABCDEFULL;
-  m.base_seed = 42;
-  m.instructions = 40000;
-  m.trials = 2;
-  m.derive_seeds = true;
-  m.variant_count = 6;
-  m.app_count = 3;
-  m.total_cells = 36;
-  m.unit_cells = 5;
-  m.unit_count = 8;
-  m.schemes = {"BaseP", "ICR-P-PS(S)"};
-  m.apps = {"shard0", "shard1", "shard2"};
-  m.decay_window = 1000;
-  m.fault_model = "random";
-  m.fault_probability = 1e-4;
-  m.sampling.warmup_instructions = 1000;
-  m.sampling.windows = 2;
-  m.trace.path = "traces/g\"zip.icrt";
-  m.trace.shard_instructions = 10000;
-  m.trace.fingerprint = 0xFEEDFACECAFEBEEFULL;
-  m.trace.records = 52000;
-  m.geometry.sizes = {8192, 16384};
-  m.geometry.assocs = {4};
-  m.geometry.ways_disabled = {0, 1, 2};
-  m.geometry.pattern = mem::WayDisableConfig::Pattern::kRandom;
-  return m;
-}
-
-TEST(JsonGolden, FarmManifest) {
-  expect_golden("farm_manifest.json", fixed_manifest().to_json());
-}
-
-sim::farm::WorkerHeartbeat fixed_heartbeat() {
-  sim::farm::WorkerHeartbeat hb;
-  hb.worker_id = "host-1";
-  hb.pid = 4242;
-  hb.seq = 17;
-  hb.time_unix_seconds = 1700000000.25;
-  hb.uptime_seconds = 12.5;
-  hb.units_done = 3;
-  hb.cells_done = 15;
-  hb.current_unit = 4;
-  hb.current_cell = -1;
-  hb.instructions_done = 600000;
-  hb.mips = 0.1;
-  hb.exited = false;
-  hb.rusage.maxrss_kb = 20480;
-  hb.rusage.utime_seconds = 11.75;
-  hb.rusage.stime_seconds = 0.25;
-  return hb;
-}
-
-TEST(JsonGolden, FarmHeartbeat) {
-  sim::farm::WorkerHeartbeat hb = fixed_heartbeat();
-  expect_golden("farm_heartbeat.json", hb.to_json());
-  hb.exited = true;
-  hb.prof_zones = {
-      {"Campaign::cell", "Campaign::cell", 0, 3, 9000000, 1000},
-      {"Campaign::cell/Pipeline::run", "Pipeline::run", 1, 3, 8999000,
-       8999000},
-  };
-  expect_golden("farm_heartbeat_prof.json", hb.to_json());
-}
-
-TEST(JsonGolden, FarmEventLine) {
-  sim::farm::FarmEvent event;
-  event.worker_id = "w\"1";
-  event.seq = 5;
-  event.time_unix_seconds = 1700000001.5;
-  event.type = sim::farm::FarmEventType::kPublish;
-  event.unit = 3;
-  event.cells = 5;
-  event.duration_seconds = 0.75;
-  std::string out = event.to_ndjson_line();
-  event.type = sim::farm::FarmEventType::kStaleClear;
-  event.unit = -1;
-  event.detail = "claim of unit 7\nage 99s";
-  out += event.to_ndjson_line();
-  expect_golden("farm_events.ndjson", out, /*ndjson=*/true);
-}
-
-TEST(JsonGolden, FarmStatusNdjson) {
-  sim::farm::FarmStatus status;
-  status.census.unit_count = 8;
-  status.census.units_done = 3;
-  status.census.cells_done = 15;
-  status.census.claims_outstanding = 2;
-  status.total_cells = 36;
-  status.claims_live = 1;
-  status.claims_stale = 1;
-  status.event_count = 40;
-  status.dropped_event_lines = 1;
-  status.unreadable_heartbeats = 0;
-  status.elapsed_seconds = 30.5;
-  status.throughput.rate = 0.5;
-  status.throughput.percent = 41.6666667;
-  status.throughput.eta_seconds = 42.0;
-  sim::farm::WorkerStatus running;
-  running.heartbeat = fixed_heartbeat();
-  running.state = sim::farm::WorkerState::kRunning;
-  running.age_seconds = 1.25;
-  running.cells_per_second = 0.4;
-  sim::farm::WorkerStatus dead = running;
-  dead.heartbeat.worker_id = "host-2";
-  dead.heartbeat.current_unit = -1;
-  dead.state = sim::farm::WorkerState::kDead;
-  dead.age_seconds = 600.0;
-  status.workers = {running, dead};
-  expect_golden("farm_status.ndjson", sim::farm::farm_status_to_ndjson(status),
-                /*ndjson=*/true);
-}
-
-std::vector<sim::farm::FarmEvent> fleet_events() {
-  using sim::farm::FarmEventType;
-  const auto event = [](const char* worker, FarmEventType type,
-                        std::int64_t unit, double t, double dur) {
-    sim::farm::FarmEvent e;
-    e.worker_id = worker;
-    e.type = type;
-    e.unit = unit;
-    e.cells = 5;
-    e.time_unix_seconds = t;
-    e.duration_seconds = dur;
-    return e;
-  };
-  return {
-      event("w2", FarmEventType::kWorkerStart, -1, 1700000000.0, 0.0),
-      event("w2", FarmEventType::kClaim, 0, 1700000000.5, 0.0),
-      event("w2", FarmEventType::kPublish, 0, 1700000002.125, 1.625),
-      event("w1", FarmEventType::kClaimConflict, 0, 1700000000.75, 0.0),
-      event("w1", FarmEventType::kPublish, 1, 1700000003.0, 2.0000005),
-      event("coordinator", FarmEventType::kStaleClear, 2, 1700000004.0, 0.0),
-      event("w1", FarmEventType::kExit, -1, 1700000005.0, 0.0),
-  };
-}
-
-TEST(JsonGolden, FleetUnitSpansTrace) {
-  expect_golden("fleet_spans.json",
-                sim::farm::fleet_unit_spans_trace(fleet_events()));
-}
-
 // ---- host profiler ----
 
 obs::prof::Profile fixed_profile() {
@@ -414,14 +256,6 @@ TEST(JsonGolden, ChromeTrace) {
   expect_golden("chrome_trace.json",
                 obs::prof::to_chrome_trace(fixed_profile(), "run\"campaign",
                                            7, 1700000000000000.0));
-}
-
-TEST(JsonGolden, MergedChromeTraces) {
-  expect_golden(
-      "chrome_merged.json",
-      obs::prof::merge_chrome_traces(
-          {sim::farm::fleet_unit_spans_trace(fleet_events()), "[\n]\n",
-           obs::prof::to_chrome_trace(fixed_profile(), "worker", 3, 0.0)}));
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 // Absolute golden outputs of the out-of-order pipeline.
 //
-// Every other pipeline guard is relative (obs on/off, 1 vs N threads, farm
-// vs in-process), so a scheduler change that shifts a single cycle would
-// pass them all. This test pins what the simulator actually computes for a
+// Every other pipeline guard is relative (obs on/off, 1 vs N threads), so
+// a scheduler change that shifts a single cycle would pass them all. This test pins what the simulator actually computes for a
 // small grid: the full PipelineStats and the FNV-1a digest of the whole
 // sim::counter_vector (every cache, predictor, fault and energy counter).
 //

@@ -1,6 +1,6 @@
 // Host profiler (src/obs/prof.h): zone nesting, cross-thread merge
 // determinism, snapshots during recording, span-ring wrap accounting,
-// Chrome trace round-trip and fleet fold, and the tier-1 guard that
+// Chrome trace round-trip, and the tier-1 guard that
 // profiling never perturbs simulation results.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "src/obs/prof.h"
 #include "src/obs/prof_io.h"
 #include "src/sim/experiment.h"
-#include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
 #include "src/util/thread_pool.h"
 
@@ -259,78 +258,6 @@ TEST(ProfIoTest, ChromeTraceRoundTrip) {
   EXPECT_NE(table.find("outer"), std::string::npos);
   EXPECT_NE(table.find("leaf"), std::string::npos);
   EXPECT_NE(table.find("instrumented total"), std::string::npos);
-}
-
-// A fleet trace splices the farm's unit spans and one capture per worker;
-// it reads back as one table, as if one process had recorded every zone.
-TEST(ProfIoTest, FleetTraceReadsBackAsOneTable) {
-  prof::Profile first;
-  first.threads = 2;
-  first.wall_ns = 5000000;
-  first.dropped_events = 1;
-  first.zones = {
-      {"Campaign::cell", "Campaign::cell", 0, 2, 4000000, 100000},
-      {"Campaign::cell/Pipeline::run", "Pipeline::run", 1, 2, 3900000,
-       3900000},
-  };
-  first.events = {
-      {"Campaign::cell", "BaseP/mcf/0", 1000, 2000500, 0, 0},
-      {"Campaign::cell", "BaseP/mcf/1", 2500, 1999999, 1, 0},
-  };
-  prof::Profile second;
-  second.threads = 1;
-  second.wall_ns = 7000000;
-  second.dropped_events = 2;
-  second.zones = {
-      {"Campaign::cell", "Campaign::cell", 0, 3, 6000000, 200000},
-      {"Campaign::cell/Pipeline::run", "Pipeline::run", 1, 3, 5800000,
-       5800000},
-      {"ResultsIO::to_csv", "ResultsIO::to_csv", 0, 1, 500, 500},
-  };
-  second.events = {
-      {"Campaign::cell", "BaseP/gcc/0", 100, 2000000, 0, 0},
-      {"Campaign::cell", "BaseP/gcc/1", 2000200, 2000000, 0, 0},
-      {"ResultsIO::to_csv", "", 6000000, 500, 0, 0},
-  };
-  std::vector<icr::sim::farm::FarmEvent> units(2);
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    units[u].worker_id = "w";
-    units[u].worker_id += std::to_string(u);
-    units[u].type = icr::sim::farm::FarmEventType::kPublish;
-    units[u].unit = static_cast<std::int64_t>(u);
-    units[u].cells = 2;
-    units[u].time_unix_seconds = 1700000001.0;
-    units[u].duration_seconds = 1.0;
-  }
-  const std::string fleet = prof::merge_chrome_traces(
-      {icr::sim::farm::fleet_unit_spans_trace(units),
-       prof::to_chrome_trace(first, "worker", 11, 1700000000000000.0),
-       prof::to_chrome_trace(second, "worker", 12, 1700000000000000.0)});
-
-  const prof::ParsedTrace parsed = prof::parse_chrome_trace(fleet);
-  EXPECT_EQ(parsed.span_events, 5u) << "the farm's unit spans are not zones";
-  EXPECT_EQ(parsed.profile.threads, 3u);
-  EXPECT_EQ(parsed.profile.wall_ns, 7000000u);
-  EXPECT_EQ(parsed.profile.dropped_events, 3u);
-  ASSERT_EQ(parsed.profile.zones.size(), 3u);
-  const auto expect_zone = [&](std::size_t i, const char* path, int depth,
-                               std::uint64_t count, std::uint64_t total_ns,
-                               std::uint64_t self_ns) {
-    const prof::ZoneNode& zone = parsed.profile.zones[i];
-    EXPECT_EQ(zone.path, path);
-    EXPECT_EQ(zone.depth, depth) << path;
-    EXPECT_EQ(zone.count, count) << path;
-    EXPECT_EQ(zone.total_ns, total_ns) << path;
-    EXPECT_EQ(zone.self_ns, self_ns) << path;
-  };
-  expect_zone(0, "Campaign::cell", 0, 5, 10000000, 300000);
-  expect_zone(1, "Campaign::cell/Pipeline::run", 1, 5, 9700000, 9700000);
-  expect_zone(2, "ResultsIO::to_csv", 0, 1, 500, 500);
-
-  const std::string table = prof::format_self_time_table(parsed.profile);
-  EXPECT_EQ(table.find("Campaign::cell"), table.rfind("Campaign::cell"))
-      << table;
-  EXPECT_NE(table.find("3 thread(s)"), std::string::npos) << table;
 }
 
 // Tier-1 guard: profiling observes the simulation, never perturbs it. A

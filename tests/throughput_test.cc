@@ -1,16 +1,12 @@
-// The shared throughput/ETA arithmetic (src/obs/throughput.h) now backs
-// three surfaces — the campaign ProgressReporter, the farm coordinator's
-// FarmProgressReporter, and farm_status — so its zero-guards and formatting
-// get pinned down once, here, plus the reporter's pacing contract.
-#include "src/obs/farm_progress.h"
+// The throughput/ETA arithmetic (src/obs/throughput.h) behind the
+// campaign's --progress line: its zero-guards and formatting.
+#include "src/obs/throughput.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <string>
-
-#include "src/obs/throughput.h"
 
 namespace icr::obs {
 namespace {
@@ -43,19 +39,18 @@ TEST(Throughput, GuardsDegenerateInputs) {
   EXPECT_DOUBLE_EQ(idle.percent, 0.0);
   EXPECT_FALSE(idle.eta_known());
 
-  // Overshoot (done > total, e.g. a recount mid-resume): ETA is unknown
-  // rather than negative.
+  // Overshoot (done > total): ETA is unknown rather than negative.
   const Throughput over = estimate_throughput(150, 100, 10.0);
   EXPECT_DOUBLE_EQ(over.rate, 15.0);
   EXPECT_FALSE(over.eta_known());
 }
 
 TEST(Throughput, SurvivesExtremeCounts) {
-  // The fleet table and the --status-json NDJSON print this arithmetic
-  // as is, so the extremes must stay finite.
+  // The progress line prints this arithmetic as is, so the extremes must
+  // stay finite.
 
-  // Empty grid with work somehow done (a resume sweep recount): still
-  // "complete", never a negative remaining count.
+  // Empty grid with work somehow done: still "complete", never a negative
+  // remaining count.
   const Throughput empty_done = estimate_throughput(3, 0, 2.0);
   EXPECT_DOUBLE_EQ(empty_done.percent, 100.0);
   EXPECT_FALSE(empty_done.eta_known());
@@ -100,59 +95,6 @@ TEST(Throughput, SimulatedMipsIsZeroGuarded) {
   EXPECT_DOUBLE_EQ(simulated_mips(4, 20000, 2.0), 0.04);  // 80k insn / 2s
   EXPECT_DOUBLE_EQ(simulated_mips(4, 20000, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(simulated_mips(0, 20000, 2.0), 0.0);
-}
-
-TEST(FarmProgressReporter, PrintsRateLimitedLinesToStderr) {
-  FarmProgressOptions options;
-  options.min_interval_seconds = 0.0;  // every poll may print
-  FarmProgressReporter reporter(options, /*total_units=*/4,
-                                /*total_cells=*/16);
-
-  testing::internal::CaptureStderr();
-  reporter.poll(1, 4, 2);
-  const std::string line = testing::internal::GetCapturedStderr();
-  EXPECT_NE(line.find("farm:"), std::string::npos);
-  EXPECT_NE(line.find("1/4 units"), std::string::npos);
-  EXPECT_NE(line.find("2 worker(s)"), std::string::npos);
-
-  testing::internal::CaptureStderr();
-  reporter.finish(4, 16);
-  const std::string final_line = testing::internal::GetCapturedStderr();
-  EXPECT_NE(final_line.find("4/4 units"), std::string::npos);
-  EXPECT_NE(final_line.find("done"), std::string::npos);
-
-  EXPECT_GE(reporter.elapsed_seconds(), 0.0);
-}
-
-TEST(FarmProgressReporter, PacingSuppressesBackToBackPolls) {
-  FarmProgressOptions options;
-  options.min_interval_seconds = 3600.0;  // nothing inside one test run
-  FarmProgressReporter reporter(options, 4, 16);
-
-  testing::internal::CaptureStderr();
-  reporter.poll(1, 4, 2);
-  reporter.poll(2, 8, 2);
-  reporter.poll(3, 12, 2);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-
-  // finish() is unconditional even under pacing.
-  testing::internal::CaptureStderr();
-  reporter.finish(4, 16);
-  EXPECT_NE(testing::internal::GetCapturedStderr().find("done"),
-            std::string::npos);
-}
-
-TEST(FarmProgressReporter, DisabledReporterIsSilent) {
-  FarmProgressOptions options;
-  options.enabled = false;
-  options.min_interval_seconds = 0.0;
-  FarmProgressReporter reporter(options, 4, 16);
-
-  testing::internal::CaptureStderr();
-  reporter.poll(1, 4, 2);
-  reporter.finish(4, 16);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-  EXPECT_GE(reporter.elapsed_seconds(), 0.0);
 }
 
 }  // namespace

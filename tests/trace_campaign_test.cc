@@ -1,38 +1,24 @@
 // Trace-driven campaigns: replay bit-identity against the generator, the
-// interval-shard decomposition, config-hash provenance, the manifest trace
-// block, and farm exports byte-identical to an in-process run.
+// interval-shard decomposition, config-hash provenance, and exports
+// byte-identical across thread counts.
 #include "src/sim/campaign.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "src/sim/farm.h"
 #include "src/sim/results_io.h"
 #include "src/sim/simulator.h"
 #include "src/trace/trace_v2.h"
 #include "src/trace/workloads.h"
-#include "src/util/fs.h"
 
 namespace icr::sim {
 namespace {
 
 std::string temp_path(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
-}
-
-std::string make_temp_spool() {
-  char tmpl[] = "/tmp/icr_trace_campaign_XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  EXPECT_NE(dir, nullptr);
-  return std::string(dir) + "/spool";
 }
 
 // Records `records` instructions of a synthetic app into a v2 container.
@@ -167,47 +153,9 @@ TEST(TraceCampaign, ModifiedTraceFileFailsTheFingerprintCheck) {
   std::remove(path.c_str());
 }
 
-TEST(TraceCampaign, ManifestCarriesTheTraceBlock) {
+TEST(TraceCampaign, ExportsByteIdenticalAcrossThreadCounts) {
   const std::string path =
-      record_fixture("manifest.icrt", trace::App::kVortex, 6000);
-  CampaignSpec spec;
-  spec.variants = {{"BaseP", core::Scheme::BaseP()},
-                   {"ICR-P-PS(S)", core::Scheme::IcrPPS_S()}};
-  spec.trace.path = path;
-  spec.trace.shard_instructions = 1500;
-  spec.instructions = 6000;
-  spec.derive_seeds = true;
-  spec.base_seed = 0xABCD1234ULL;
-  resolve_trace_campaign(spec);
-
-  const farm::Manifest manifest = farm::manifest_for(spec, 3);
-  EXPECT_EQ(manifest.app_count, 4u);  // 4 interval shards
-  EXPECT_EQ(manifest.total_cells, 8u);
-
-  const farm::Manifest parsed = farm::Manifest::parse(manifest.to_json());
-  EXPECT_EQ(parsed.trace.path, spec.trace.path);
-  EXPECT_EQ(parsed.trace.shard_instructions, spec.trace.shard_instructions);
-  EXPECT_EQ(parsed.trace.fingerprint, spec.trace.fingerprint);
-  EXPECT_EQ(parsed.trace.records, spec.trace.records);
-  EXPECT_EQ(parsed.config_hash, manifest.config_hash);
-
-  // The reconstructed spec reproduces the experiment fingerprint without
-  // re-probing the file.
-  const CampaignSpec rebuilt = farm::spec_from_manifest(parsed);
-  EXPECT_EQ(campaign_config_hash(rebuilt), manifest.config_hash);
-
-  // A synthetic manifest does not grow a trace block.
-  CampaignSpec synthetic;
-  synthetic.variants = spec.variants;
-  synthetic.apps = {trace::App::kGzip};
-  const farm::Manifest plain = farm::manifest_for(synthetic, 3);
-  EXPECT_EQ(plain.to_json().find("\"trace\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(TraceCampaign, FarmExportsByteIdenticalToInProcessRun) {
-  const std::string path =
-      record_fixture("farm.icrt", trace::App::kGcc, 8000);
+      record_fixture("threads.icrt", trace::App::kGcc, 8000);
   CampaignSpec spec;
   spec.variants = {{"BaseP", core::Scheme::BaseP()},
                    {"ICR-P-PS(S)", core::Scheme::IcrPPS_S()}};
@@ -218,38 +166,16 @@ TEST(TraceCampaign, FarmExportsByteIdenticalToInProcessRun) {
   spec.base_seed = 0x7C4CE5ULL;
   resolve_trace_campaign(spec);
 
-  // Golden shape: the in-memory exporters over an in-process campaign.
-  const CampaignResult campaign = CampaignRunner(1).run(spec);
-  ASSERT_EQ(campaign.cells.size(), 8u);  // 2 schemes x 4 shards
-  const std::string want_csv = to_csv(campaign);
-  const std::string want_json = to_json(campaign, /*include_timing=*/false);
-  EXPECT_NE(want_csv.find("farm.icrt@2000+2000"), std::string::npos);
+  const CampaignResult one = CampaignRunner(1).run(spec);
+  ASSERT_EQ(one.cells.size(), 8u);  // 2 schemes x 4 shards
+  const std::string want_csv = to_csv(one);
+  const std::string want_json = to_json(one, /*include_timing=*/false);
+  EXPECT_NE(want_csv.find("threads.icrt@2000+2000"), std::string::npos);
 
-  // Farm runs at two different (unit, worker) decompositions.
-  for (const auto& shape : {std::pair<std::uint64_t, unsigned>{3, 1},
-                            std::pair<std::uint64_t, unsigned>{2, 4}}) {
-    const std::string spool = make_temp_spool();
-    const farm::Manifest manifest = farm::manifest_for(spec, shape.first);
-    farm::init_spool(spool, manifest);
-    std::vector<std::thread> workers;
-    for (unsigned w = 0; w < shape.second; ++w) {
-      workers.emplace_back(
-          [&] { (void)farm::run_worker_loop(spool, spec); });
-    }
-    for (std::thread& t : workers) t.join();
-
-    std::ostringstream csv_out, json_out;
-    farm::FarmAggregator aggregator(manifest, &csv_out, &json_out);
-    for (std::uint32_t u = 0; u < manifest.unit_count; ++u) {
-      aggregator.add_unit(
-          u, farm::parse_unit_json(
-                 util::fs::read_text_file(farm::unit_path(spool, u)), u));
-    }
-    aggregator.finish();
-    EXPECT_EQ(csv_out.str(), want_csv)
-        << "unit_cells=" << shape.first << " workers=" << shape.second;
-    EXPECT_EQ(json_out.str(), want_json);
-  }
+  const CampaignResult three = CampaignRunner(3).run(spec);
+  EXPECT_EQ(three.meta.threads, 3u);
+  EXPECT_EQ(to_csv(three), want_csv);
+  EXPECT_EQ(to_json(three, /*include_timing=*/false), want_json);
   std::remove(path.c_str());
 }
 

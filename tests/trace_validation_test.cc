@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,10 +19,16 @@
 #include "src/trace/qemu_import.h"
 #include "src/trace/trace_v2.h"
 #include "src/trace/workloads.h"
-#include "src/util/fs.h"
 
 namespace icr {
 namespace {
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  EXPECT_TRUE(file) << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(file),
+          std::istreambuf_iterator<char>()};
+}
 
 std::string fixture_log() {
   return std::string(ICR_TEST_DATA_DIR) + "/qemu_mm_log.txt";
@@ -51,7 +59,7 @@ TEST(TraceValidation, ImportIsBitDeterministic) {
   const trace::ImportStats stats_b =
       trace::import_qemu_log(fixture_log(), out_b);
   EXPECT_EQ(stats_a.records, stats_b.records);
-  EXPECT_EQ(util::fs::read_text_file(out_a), util::fs::read_text_file(out_b));
+  EXPECT_EQ(read_file(out_a), read_file(out_b));
 
   // Pinned provenance of the checked-in fixture: any change to the import
   // pipeline (parsing, branch classification, register synthesis, delta

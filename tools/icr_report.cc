@@ -20,8 +20,6 @@
 
 #include "src/obs/obs_io.h"
 #include "src/obs/prof_io.h"
-#include "src/sim/farm.h"
-#include "src/sim/farm_telemetry.h"
 #include "src/util/table.h"
 
 using namespace icr;
@@ -412,18 +410,6 @@ int report_prof(const std::string& path) {
   }
 }
 
-int report_farm(const std::string& spool) {
-  try {
-    sim::farm::print_farm_status(
-        spool, sim::farm::collect_farm_status(
-                   spool, sim::farm::load_manifest(spool)));
-    return 0;
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "icr_report: %s: %s\n", spool.c_str(), error.what());
-    return 2;
-  }
-}
-
 void usage() {
   std::puts(
       "icr_report — render observability CSVs as text tables\n"
@@ -437,16 +423,13 @@ void usage() {
       "                                  columns (docs/GEOMETRY.md); narrow\n"
       "                                  with --metric=NAME\n"
       "  icr_report --prof FILE          host-profiler self-time table from\n"
-      "                                  a --prof-out Chrome trace JSON\n"
-      "  icr_report --farm SPOOL         fleet status from a campaign-farm\n"
-      "                                  spool: census, worker heartbeats,\n"
-      "                                  unit latency histogram, ETA\n");
+      "                                  a --prof-out Chrome trace JSON\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  enum class Mode { kIntervals, kHeatmap, kRel, kProf, kFarm, kSweep };
+  enum class Mode { kIntervals, kHeatmap, kRel, kProf, kSweep };
   Mode mode = Mode::kIntervals;
   std::string path;
   std::string metric;
@@ -459,8 +442,6 @@ int main(int argc, char** argv) {
       mode = Mode::kRel;
     } else if (std::strcmp(argv[i], "--prof") == 0) {
       mode = Mode::kProf;
-    } else if (std::strcmp(argv[i], "--farm") == 0) {
-      mode = Mode::kFarm;
     } else if (std::strcmp(argv[i], "--sweep") == 0) {
       mode = Mode::kSweep;
     } else if (std::strncmp(argv[i], "--metric=", 9) == 0) {
@@ -485,7 +466,6 @@ int main(int argc, char** argv) {
     case Mode::kHeatmap: return report_heatmap(path);
     case Mode::kRel: return report_rel(path);
     case Mode::kProf: return report_prof(path);
-    case Mode::kFarm: return report_farm(path);
     case Mode::kSweep: return report_sweep(path, metric);
     case Mode::kIntervals: break;
   }

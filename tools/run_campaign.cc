@@ -1,29 +1,14 @@
 // run_campaign — campaign-scale driver for the ICR simulator.
 //
 // Expands a (schemes x apps x trials) grid into independent cells and runs
-// them with deterministic per-cell seeding, in one of three modes:
-//
-//   * In-process (default): a thread-pool campaign, summary table, and
-//     optional CSV/JSON export. Per-cell metrics are bit-identical for any
-//     --threads value.
-//   * Farm coordinator (--farm=DIR): shards the grid into work units,
-//     writes a spool manifest, forks --workers=N worker processes, and
-//     streams the completed units into the same CSV/JSON exporters. The
-//     export is bit-identical to an in-process run with --no-timing, at
-//     any worker count, including after kills and --resume (src/sim/farm.h
-//     and docs/CAMPAIGN.md).
-//   * Farm worker (--worker --spool=DIR): claims and runs work units from
-//     an existing spool. Start any number, on any hosts sharing the spool.
-//
-// The farm modes and --farm-status live in src/sim/farm*; this file is
-// flag parsing, spec building, and the in-process run.
+// them on a thread pool with deterministic per-cell seeding, then prints a
+// summary table and writes the optional CSV/JSON exports. Per-cell metrics
+// are bit-identical for any --threads value (docs/CAMPAIGN.md).
 //
 //   run_campaign                                  # all 10 schemes x 8 apps
 //   run_campaign --schemes=BaseP,BaseECC --apps=vortex,mcf --trials=5
 //   run_campaign --threads=1 --json=a.json       # a.json and b.json agree
 //   run_campaign --threads=8 --json=b.json       # on every per-cell metric
-//   run_campaign --farm=spool --workers=8 --trials=16 --json=farm.json
-//   run_campaign --farm=spool --resume --workers=8 --json=farm.json
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -34,8 +19,6 @@
 #include "src/obs/prof_io.h"
 #include "src/sim/campaign.h"
 #include "src/sim/cli.h"
-#include "src/sim/farm.h"
-#include "src/sim/farm_telemetry.h"
 #include "src/sim/results_io.h"
 #include "src/util/table.h"
 
@@ -69,16 +52,7 @@ struct Options {
   bool no_timing = false;
   bool quiet = false;
   bool progress = false;
-  // Farm modes (docs/CAMPAIGN.md); main copies the shared flags in.
-  std::string farm_dir;  // coordinator: spool directory
-  bool workers_given = false;
-  sim::farm::CoordinatorOptions farm;
-  bool worker = false;  // worker mode
-  std::string spool;    // worker: spool directory
-  sim::farm::WorkerOptions worker_options;
-  std::string farm_status_dir;  // status mode: spool to inspect
-  sim::farm::StatusWatchOptions status;
-  // Per-cell reliability exports (in-process mode only).
+  // Per-cell reliability exports.
   std::string rel_csv;
   std::string rel_json;
   std::string rel_intervals;
@@ -129,40 +103,7 @@ void usage() {
       "  --progress            live completed/total + cells/sec + ETA on "
       "stderr\n"
       "\n"
-      "Campaign farm (multi-process; see docs/CAMPAIGN.md):\n"
-      "  --farm=DIR            coordinate a farm over spool directory DIR:\n"
-      "                        shard the grid, fork workers, aggregate\n"
-      "  --workers=N           worker processes to fork, each running the\n"
-      "                        --worker loop (default: the --threads\n"
-      "                        resolution; capped at the unit count; 0 =\n"
-      "                        only init/aggregate)\n"
-      "  --unit-cells=N        cells per work unit (default 4)\n"
-      "  --resume              reuse an existing spool: clear stale claims,\n"
-      "                        run only what is missing (exports are byte-\n"
-      "                        identical to an uninterrupted run)\n"
-      "  --worker --spool=DIR  claim and run work units from DIR (start any\n"
-      "                        number, on any hosts sharing the spool)\n"
-      "  --max-units=N         worker: stop after N units (0 = run to dry)\n"
-      "\n"
-      "Fleet telemetry (docs/CAMPAIGN.md \"Fleet telemetry\"):\n"
-      "  --heartbeat=S         worker heartbeat cadence in seconds (default\n"
-      "                        5; 0 disables heartbeats and event logs)\n"
-      "  --worker-id=ID        worker identity in hb/ and events/ files\n"
-      "                        (default pid<pid>; coordinator assigns wN)\n"
-      "  --farm-trace-out=FILE coordinator: profile every worker (--prof)\n"
-      "                        and write one merged fleet Chrome trace\n"
-      "  --farm-status=DIR     render fleet state from spool files alone:\n"
-      "                        census, per-worker heartbeats, stragglers/\n"
-      "                        dead workers, unit latency histogram, ETA\n"
-      "  --watch[=S]           farm-status: refresh every S seconds\n"
-      "                        (default 2) until the fleet is drained\n"
-      "  --status-json=FILE    farm-status: write NDJSON ('-' = stdout)\n"
-      "  --stale-after=S       heartbeat age that flags a straggler "
-      "(default 15)\n"
-      "  --dead-after=S        heartbeat age that flags a dead worker\n"
-      "                        (default 60)\n"
-      "\n"
-      "Per-cell telemetry (in-process mode only):\n"
+      "Per-cell telemetry:\n"
       "  --stats-interval=N    per-cell telemetry every N instructions\n"
       "                        (implies --intervals-out=intervals.csv)\n"
       "  --intervals-out=FILE  write all cells' interval telemetry CSV\n"
@@ -182,8 +123,7 @@ void usage() {
       "\n"
       "Seeding: trials > 1 (or an explicit --seed) derives each cell's\n"
       "workload and injection seeds via SplitMix64 from (seed, scheme,\n"
-      "app, trial), so results never depend on thread count, schedule, or\n"
-      "which process ran the cell.");
+      "app, trial), so results never depend on thread count or schedule.");
 }
 
 // Comma list of unsigned values; K/M suffixes scale by 1024 (so
@@ -212,22 +152,11 @@ int main(int argc, char** argv) {
         number_flag(kProgram, arg, "--shard-instructions",
                     opt.shard_instructions) ||
         number_flag(kProgram, arg, "--trials", opt.trials) ||
-        number_flag(kProgram, arg, "--threads", opt.threads) ||
-        number_flag(kProgram, arg, "--unit-cells", opt.farm.unit_cells) ||
-        number_flag(kProgram, arg, "--max-units",
-                    opt.worker_options.max_units) ||
-        number_flag(kProgram, arg, "--heartbeat",
-                    opt.farm.heartbeat_seconds) ||
-        number_flag(kProgram, arg, "--stale-after",
-                    opt.farm.staleness.straggler_after_seconds) ||
-        number_flag(kProgram, arg, "--dead-after",
-                    opt.farm.staleness.dead_after_seconds)) {
+        number_flag(kProgram, arg, "--threads", opt.threads)) {
       continue;
     }
     if (number_flag(kProgram, arg, "--seed", opt.seed, 0)) {
       seed_given = true;
-    } else if (number_flag(kProgram, arg, "--workers", opt.farm.workers)) {
-      opt.workers_given = true;
     } else if (parse_flag(arg, "--schemes", value)) {
       opt.schemes = value;
     } else if (parse_flag(arg, "--apps", value)) {
@@ -250,30 +179,6 @@ int main(int argc, char** argv) {
       opt.quiet = true;
     } else if (std::strcmp(arg, "--progress") == 0) {
       opt.progress = true;
-    } else if (parse_flag(arg, "--farm", value)) {
-      opt.farm_dir = value;
-    } else if (std::strcmp(arg, "--resume") == 0) {
-      opt.farm.resume = true;
-    } else if (std::strcmp(arg, "--worker") == 0) {
-      opt.worker = true;
-    } else if (parse_flag(arg, "--spool", value)) {
-      opt.spool = value;
-    } else if (parse_flag(arg, "--worker-id", value)) {
-      opt.worker_options.worker_id = value;
-    } else if (parse_flag(arg, "--farm-trace-out", value)) {
-      opt.farm.farm_trace_out = value;
-    } else if (parse_flag(arg, "--farm-status", value)) {
-      opt.farm_status_dir = value;
-    } else if (std::strcmp(arg, "--watch") == 0) {
-      opt.status.watch_seconds = 2.0;
-    } else if (parse_flag(arg, "--watch", value)) {
-      const std::optional<double> seconds = sim::cli::parse_double(value);
-      if (!seconds || *seconds > sim::farm::kMaxWatchSeconds) {
-        sim::cli::bad_value(kProgram, "--watch", value);
-      }
-      opt.status.watch_seconds = *seconds;
-    } else if (parse_flag(arg, "--status-json", value)) {
-      opt.status.status_json = value;
     } else if (parse_flag(arg, "--rel-csv", value)) {
       opt.rel_csv = value;
     } else if (parse_flag(arg, "--rel-json", value)) {
@@ -288,35 +193,6 @@ int main(int argc, char** argv) {
     }
   }
   sim::cli::RunFlags& run = opt.run;
-
-  if (!opt.farm_status_dir.empty()) {
-    if (opt.worker || !opt.farm_dir.empty()) {
-      std::fprintf(stderr,
-                   "--farm-status is a standalone mode (no --farm/--worker)\n");
-      return 2;
-    }
-    opt.status.staleness = opt.farm.staleness;
-    opt.status.quiet = opt.quiet;
-    return sim::farm::watch_farm_status(opt.farm_status_dir, opt.status);
-  }
-  if (opt.worker) {
-    if (!opt.farm_dir.empty()) {
-      std::fprintf(stderr, "--worker and --farm are mutually exclusive\n");
-      return 2;
-    }
-    if (opt.spool.empty()) {
-      std::fprintf(stderr, "--worker requires --spool=DIR\n");
-      return 2;
-    }
-    opt.worker_options.heartbeat_seconds = opt.farm.heartbeat_seconds;
-    opt.worker_options.prof = run.prof;
-    opt.worker_options.quiet = opt.quiet;
-    return sim::farm::run_worker(opt.spool, opt.worker_options);
-  }
-  if (opt.farm.resume && opt.farm_dir.empty()) {
-    std::fprintf(stderr, "--resume only applies to --farm mode\n");
-    return 2;
-  }
 
   sim::CampaignSpec spec;
   spec.trials = opt.trials == 0 ? 1 : opt.trials;
@@ -386,27 +262,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "run_campaign: %s\n", error.what());
       return 2;
     }
-  }
-
-  if (!opt.farm_dir.empty()) {
-    // Telemetry/rel/prof extracts are per-cell in-memory objects; the farm
-    // checkpoints only the exported metric schema, so those flags have no
-    // farm equivalent yet. Reject loudly rather than silently dropping.
-    if (run.stats_interval != 0 || !run.intervals_out.empty() ||
-        !run.heatmap_out.empty() || !run.trace_out.empty() || run.rel ||
-        !opt.rel_csv.empty() || !opt.rel_json.empty() ||
-        !opt.rel_intervals.empty() || run.prof || !run.prof_out.empty()) {
-      std::fprintf(stderr,
-                   "--farm does not support the telemetry/rel/prof flags; "
-                   "run those in-process\n");
-      return 2;
-    }
-    if (!opt.workers_given) opt.farm.workers = sim::resolve_thread_count(0);
-    opt.farm.csv_path = opt.csv_path;
-    opt.farm.json_path = opt.json_path;
-    opt.farm.quiet = opt.quiet;
-    opt.farm.progress = opt.progress;
-    return sim::farm::run_coordinator(opt.farm_dir, spec, opt.farm);
   }
 
   // Observability: interval sampling and/or event tracing per cell. The
