@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
       core::Scheme::IcrPPS_S()
           .with_decay_window(1000)
           .with_victim_policy(core::ReplicaVictimPolicy::kDeadFirst);
-  const core::Scheme wt = core::Scheme::BaseP().with_write_through(8);
+  const core::Scheme wt = core::Scheme::BaseP().with_write_through();
 
   bench::print_header(
       "Fig. 16",

@@ -276,7 +276,7 @@ void BM_EndToEndSimulatedInstruction(benchmark::State& state) {
   core::IcrCache dl1(mem::l1d_geometry_default(), core::Scheme::IcrPPS_S(),
                      hierarchy);
   trace::SyntheticWorkload w(trace::profile_for(trace::App::kVpr));
-  cpu::Pipeline pipe(cpu::PipelineConfig{}, w, dl1, hierarchy);
+  cpu::Pipeline pipe(w, dl1, hierarchy);
   std::uint64_t done = 0;
   for (auto _ : state) {
     pipe.run(1000);

@@ -1,11 +1,15 @@
 // Table 1: configuration parameters of the simulated superscalar system.
-// Prints the configuration actually instantiated by SimConfig::table1() and
-// cross-checks the live objects, so this bench fails loudly if the code
-// ever drifts from the paper's parameters.
+// The core is fixed at Table 1: its values are the constants of
+// src/cpu/pipeline.h, functional_units.h and branch_predictor.h. The memory
+// side comes from SimConfig::table1(). This bench prints both and exits 1
+// if any of them drifts from the paper's parameters; ctest runs it as
+// table1_configuration_matches_paper.
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "bench/common/bench_common.h"
+#include "src/cpu/pipeline.h"
 #include "src/util/table.h"
 
 using namespace icr;
@@ -19,35 +23,50 @@ void check(bool ok, const char* what) {
   }
 }
 
+std::string n(std::uint32_t value) { return std::to_string(value); }
+
 }  // namespace
 
 int main(int argc, char** argv) {
   icr::bench::init(argc, argv);
+  using cpu::BranchPredictor;
+  using cpu::FunctionalUnits;
+  using cpu::Pipeline;
   const sim::SimConfig cfg = sim::SimConfig::table1();
 
   TextTable t("Table 1 — base configuration (paper values)",
               {"parameter", "value"});
-  t.add_row({"Functional units", "4 int ALU, 1 int mul/div, 4 FP ALU, 1 FP mul/div"});
-  t.add_row({"LSQ size", std::to_string(cfg.pipeline.lsq_size) + " instructions"});
-  t.add_row({"RUU size", std::to_string(cfg.pipeline.ruu_size) + " instructions"});
-  t.add_row({"Issue width", std::to_string(cfg.pipeline.issue_width) + " instructions/cycle"});
+  t.add_row({"Functional units",
+             n(FunctionalUnits::kIntAlus) + " int ALU, " +
+                 n(FunctionalUnits::kIntMulDivs) + " int mul/div, " +
+                 n(FunctionalUnits::kFpAlus) + " FP ALU, " +
+                 n(FunctionalUnits::kFpMulDivs) + " FP mul/div"});
+  t.add_row({"LSQ size", n(Pipeline::kLsqSize) + " instructions"});
+  t.add_row({"RUU size", n(Pipeline::kRuuSize) + " instructions"});
+  t.add_row({"Issue width", n(Pipeline::kIssueWidth) + " instructions/cycle"});
   t.add_row({"L1 instruction cache", "16KB, 1-way, 32B blocks, 1 cycle"});
   t.add_row({"L1 data cache", "16KB, 4-way, 64B blocks, 1 cycle"});
   t.add_row({"L2 (unified)", "256KB, 4-way, 64B blocks, 6 cycles"});
-  t.add_row({"Memory", std::to_string(cfg.hierarchy.memory_latency) + " cycle latency"});
-  t.add_row({"Branch predictor", "combined: 2K bimodal + 1K two-level (8-bit hist) + meta"});
-  t.add_row({"BTB", "512 entries, 4-way"});
-  t.add_row({"Misprediction penalty", std::to_string(cfg.pipeline.mispredict_penalty) + " cycles"});
+  t.add_row({"Memory", n(cfg.hierarchy.memory_latency) + " cycle latency"});
+  std::string predictor = "combined: ";
+  predictor += n(BranchPredictor::kBimodalEntries / 1024) + "K bimodal + " +
+               n(BranchPredictor::kTwoLevelEntries / 1024) + "K two-level (" +
+               n(BranchPredictor::kHistoryBits) + "-bit hist) + meta";
+  t.add_row({"Branch predictor", predictor});
+  t.add_row({"BTB", n(BranchPredictor::kBtbEntries) + " entries, " +
+                        n(BranchPredictor::kBtbWays) + "-way"});
+  t.add_row({"Misprediction penalty",
+             n(Pipeline::kMispredictPenalty) + " cycles"});
   t.add_row({"Write policy", "write-back (all caches)"});
   t.print();
 
-  // Cross-check the instantiated objects against the paper.
-  check(cfg.pipeline.issue_width == 4, "issue width");
-  check(cfg.pipeline.ruu_size == 16, "RUU size");
-  check(cfg.pipeline.lsq_size == 8, "LSQ size");
-  check(cfg.pipeline.mispredict_penalty == 3, "misprediction penalty");
-  check(cfg.pipeline.fus.int_alu == 4 && cfg.pipeline.fus.int_muldiv == 1 &&
-            cfg.pipeline.fus.fp_alu == 4 && cfg.pipeline.fus.fp_muldiv == 1,
+  // Cross-check the constants and the configuration against the paper.
+  check(Pipeline::kIssueWidth == 4, "issue width");
+  check(Pipeline::kRuuSize == 16, "RUU size");
+  check(Pipeline::kLsqSize == 8, "LSQ size");
+  check(Pipeline::kMispredictPenalty == 3, "misprediction penalty");
+  check(FunctionalUnits::kIntAlus == 4 && FunctionalUnits::kIntMulDivs == 1 &&
+            FunctionalUnits::kFpAlus == 4 && FunctionalUnits::kFpMulDivs == 1,
         "functional units");
   check(cfg.dl1.size_bytes == 16 * 1024 && cfg.dl1.associativity == 4 &&
             cfg.dl1.line_bytes == 64,
@@ -63,13 +82,13 @@ int main(int argc, char** argv) {
   check(cfg.hierarchy.l2_latency == 6 && cfg.hierarchy.memory_latency == 100 &&
             cfg.hierarchy.l1i_latency == 1,
         "latencies");
-  check(cfg.pipeline.branch.bimodal_entries == 2048 &&
-            cfg.pipeline.branch.two_level_entries == 1024 &&
-            cfg.pipeline.branch.history_bits == 8 &&
-            cfg.pipeline.branch.btb_entries == 512 &&
-            cfg.pipeline.branch.btb_ways == 4,
+  check(BranchPredictor::kBimodalEntries == 2048 &&
+            BranchPredictor::kTwoLevelEntries == 1024 &&
+            BranchPredictor::kHistoryBits == 8 &&
+            BranchPredictor::kBtbEntries == 512 &&
+            BranchPredictor::kBtbWays == 4,
         "branch predictor");
-  std::printf("\nAll Table-1 parameters verified against the instantiated "
-              "configuration.\n");
+  std::printf("\nAll Table-1 parameters verified against the simulator's "
+              "constants and configuration.\n");
   return 0;
 }

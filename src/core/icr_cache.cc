@@ -44,7 +44,7 @@ IcrCache::IcrCache(mem::CacheGeometry geometry, Scheme scheme,
   place(orphan_stage_, lines_.size());
   if (scheme_.write_policy == WritePolicy::kWriteThrough) {
     write_buffer_ = std::make_unique<mem::WriteBuffer>(
-        scheme_.write_buffer_entries, next_.config().l2_latency);
+        kWriteBufferEntries, next_.config().l2_latency);
   }
 }
 

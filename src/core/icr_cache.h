@@ -178,6 +178,9 @@ struct IcrStats {
 
 class IcrCache {
  public:
+  // Entries of the write-through schemes' coalescing write buffer (§5.8).
+  static constexpr std::uint32_t kWriteBufferEntries = 8;
+
   // `way_disable` masks faulty ways out of the array (degraded-geometry
   // mode): a disabled way is never allocated, never searched as a
   // replication site, and never holds a valid line. Default: none disabled.

@@ -99,10 +99,9 @@ Scheme Scheme::with_leave_replicas(bool leave) const {
   return s;
 }
 
-Scheme Scheme::with_write_through(std::uint32_t buffer_entries) const {
+Scheme Scheme::with_write_through() const {
   Scheme s = *this;
   s.write_policy = WritePolicy::kWriteThrough;
-  s.write_buffer_entries = buffer_entries;
   return s;
 }
 

@@ -42,7 +42,6 @@ struct Scheme {
 
   // §5.8 comparison: write-through dL1 with a coalescing write buffer.
   WritePolicy write_policy = WritePolicy::kWriteBack;
-  std::uint32_t write_buffer_entries = 8;
 
   ReplicaVictimPolicy victim_policy = ReplicaVictimPolicy::kDeadOnly;
   ReplicationConfig replication;
@@ -77,7 +76,7 @@ struct Scheme {
   [[nodiscard]] Scheme with_victim_policy(ReplicaVictimPolicy policy) const;
   [[nodiscard]] Scheme with_replication(ReplicationConfig config) const;
   [[nodiscard]] Scheme with_leave_replicas(bool leave) const;
-  [[nodiscard]] Scheme with_write_through(std::uint32_t buffer_entries) const;
+  [[nodiscard]] Scheme with_write_through() const;
   [[nodiscard]] Scheme with_scrubbing(std::uint64_t interval) const;
 };
 

@@ -1,32 +1,34 @@
 #include "src/cpu/branch_predictor.h"
 
-#include "src/util/bitops.h"
-#include "src/util/check.h"
-
 namespace icr::cpu {
+namespace {
 
-BranchPredictor::BranchPredictor(BranchPredictorConfig config)
-    : config_(config) {
-  bimodal_.assign(config_.bimodal_entries, 1);   // weakly not-taken
-  two_level_.assign(config_.two_level_entries, 1);
-  meta_.assign(config_.meta_entries, 1);
-  btb_.resize(config_.btb_entries);
-  ICR_CHECK(config_.btb_entries % config_.btb_ways == 0);
+constexpr std::uint32_t kHistoryMask =
+    (1U << BranchPredictor::kHistoryBits) - 1;
+
+}  // namespace
+
+BranchPredictor::BranchPredictor() {
+  bimodal_.fill(1);  // weakly not-taken
+  two_level_.fill(1);
+  meta_.fill(1);
 }
 
 std::uint32_t BranchPredictor::bimodal_index(std::uint64_t pc) const noexcept {
-  return static_cast<std::uint32_t>(
-      mod_fast(pc >> 2, config_.bimodal_entries));
+  return static_cast<std::uint32_t>((pc >> 2) & (kBimodalEntries - 1));
 }
 
 std::uint32_t BranchPredictor::two_level_index(std::uint64_t pc) const noexcept {
-  const std::uint32_t hist_mask = (1U << config_.history_bits) - 1;
-  return static_cast<std::uint32_t>(mod_fast(
-      (pc >> 2) ^ (history_ & hist_mask), config_.two_level_entries));
+  return static_cast<std::uint32_t>(((pc >> 2) ^ (history_ & kHistoryMask)) &
+                                    (kTwoLevelEntries - 1));
 }
 
 std::uint32_t BranchPredictor::meta_index(std::uint64_t pc) const noexcept {
-  return static_cast<std::uint32_t>(mod_fast(pc >> 2, config_.meta_entries));
+  return static_cast<std::uint32_t>((pc >> 2) & (kMetaEntries - 1));
+}
+
+std::uint32_t BranchPredictor::btb_set(std::uint64_t pc) noexcept {
+  return static_cast<std::uint32_t>((pc >> 2) & (kBtbSets - 1));
 }
 
 void BranchPredictor::train(std::uint8_t& counter, bool taken) noexcept {
@@ -46,11 +48,8 @@ BranchPredictor::Prediction BranchPredictor::predict(std::uint64_t pc) const {
   pred.taken = use_two_level ? two_level_taken : bimodal_taken;
 
   // BTB lookup.
-  const std::uint64_t sets =
-      div_fast(config_.btb_entries, config_.btb_ways);
-  const auto set = static_cast<std::uint32_t>(mod_fast(pc >> 2, sets));
-  const BtbEntry* base = &btb_[static_cast<std::size_t>(set) * config_.btb_ways];
-  for (std::uint32_t w = 0; w < config_.btb_ways; ++w) {
+  const BtbEntry* base = &btb_[std::size_t{btb_set(pc)} * kBtbWays];
+  for (std::uint32_t w = 0; w < kBtbWays; ++w) {
     if (base[w].valid && base[w].pc == pc) {
       pred.target_known = true;
       pred.target = base[w].target;
@@ -85,16 +84,12 @@ bool BranchPredictor::predict_and_update(std::uint64_t pc, bool taken,
   train(two_level_[two_level_index(pc)], taken);
 
   // Update global history and BTB.
-  history_ = ((history_ << 1) | (taken ? 1U : 0U)) &
-             ((1U << config_.history_bits) - 1);
+  history_ = ((history_ << 1) | (taken ? 1U : 0U)) & kHistoryMask;
   if (taken) {
-    const std::uint64_t sets =
-        div_fast(config_.btb_entries, config_.btb_ways);
-    const auto set = static_cast<std::uint32_t>(mod_fast(pc >> 2, sets));
-    BtbEntry* base = &btb_[static_cast<std::size_t>(set) * config_.btb_ways];
+    BtbEntry* base = &btb_[std::size_t{btb_set(pc)} * kBtbWays];
     BtbEntry* victim = &base[0];
     ++btb_clock_;
-    for (std::uint32_t w = 0; w < config_.btb_ways; ++w) {
+    for (std::uint32_t w = 0; w < kBtbWays; ++w) {
       if (base[w].valid && base[w].pc == pc) {
         victim = &base[w];
         break;

@@ -9,19 +9,12 @@
 // cannot redirect fetch and is charged as a misprediction.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
+
+#include "src/util/bitops.h"
 
 namespace icr::cpu {
-
-struct BranchPredictorConfig {
-  std::uint32_t bimodal_entries = 2048;
-  std::uint32_t two_level_entries = 1024;
-  std::uint32_t history_bits = 8;
-  std::uint32_t meta_entries = 2048;
-  std::uint32_t btb_entries = 512;
-  std::uint32_t btb_ways = 4;
-};
 
 struct BranchPredictorStats {
   std::uint64_t lookups = 0;
@@ -37,7 +30,19 @@ struct BranchPredictorStats {
 
 class BranchPredictor {
  public:
-  explicit BranchPredictor(BranchPredictorConfig config = {});
+  // Table sizes (Table 1). Every table is indexed by a mask.
+  static constexpr std::uint32_t kBimodalEntries = 2048;
+  static constexpr std::uint32_t kTwoLevelEntries = 1024;
+  static constexpr std::uint32_t kHistoryBits = 8;
+  static constexpr std::uint32_t kMetaEntries = 2048;
+  static constexpr std::uint32_t kBtbEntries = 512;
+  static constexpr std::uint32_t kBtbWays = 4;
+  static constexpr std::uint32_t kBtbSets = kBtbEntries / kBtbWays;
+  static_assert(is_pow2(kBimodalEntries) && is_pow2(kTwoLevelEntries) &&
+                is_pow2(kMetaEntries) && is_pow2(kBtbSets));
+  static_assert(kBtbEntries % kBtbWays == 0);
+
+  BranchPredictor();
 
   struct Prediction {
     bool taken = false;
@@ -67,15 +72,15 @@ class BranchPredictor {
   [[nodiscard]] std::uint32_t bimodal_index(std::uint64_t pc) const noexcept;
   [[nodiscard]] std::uint32_t two_level_index(std::uint64_t pc) const noexcept;
   [[nodiscard]] std::uint32_t meta_index(std::uint64_t pc) const noexcept;
+  [[nodiscard]] static std::uint32_t btb_set(std::uint64_t pc) noexcept;
 
   static void train(std::uint8_t& counter, bool taken) noexcept;
 
-  BranchPredictorConfig config_;
-  std::vector<std::uint8_t> bimodal_;    // 2-bit counters
-  std::vector<std::uint8_t> two_level_;  // 2-bit counters (PHT)
-  std::vector<std::uint8_t> meta_;       // 2-bit: >=2 -> use two-level
+  std::array<std::uint8_t, kBimodalEntries> bimodal_;    // 2-bit counters
+  std::array<std::uint8_t, kTwoLevelEntries> two_level_;  // 2-bit (PHT)
+  std::array<std::uint8_t, kMetaEntries> meta_;  // 2-bit: >=2 -> two-level
   std::uint32_t history_ = 0;
-  std::vector<BtbEntry> btb_;
+  std::array<BtbEntry, kBtbEntries> btb_;
   std::uint64_t btb_clock_ = 0;
   BranchPredictorStats stats_;
 };

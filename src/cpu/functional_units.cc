@@ -2,25 +2,6 @@
 
 namespace icr::cpu {
 
-FunctionalUnits::FunctionalUnits(FuConfig config) : config_(config) {
-  int_alu_.busy_until.assign(config_.int_alu, 0);
-  int_muldiv_.busy_until.assign(config_.int_muldiv, 0);
-  fp_alu_.busy_until.assign(config_.fp_alu, 0);
-  fp_muldiv_.busy_until.assign(config_.fp_muldiv, 0);
-  mem_ports_.busy_until.assign(config_.mem_ports, 0);
-}
-
-bool FunctionalUnits::Pool::claim(std::uint64_t cycle,
-                                  std::uint32_t busy_for) {
-  for (auto& free_at : busy_until) {
-    if (free_at <= cycle) {
-      free_at = cycle + busy_for;
-      return true;
-    }
-  }
-  return false;
-}
-
 void FunctionalUnits::extend_mem_port(std::uint64_t cycle,
                                       std::uint32_t total_busy) {
   for (auto& free_at : mem_ports_.busy_until) {
@@ -37,22 +18,22 @@ bool FunctionalUnits::try_issue(trace::OpClass op, std::uint64_t cycle,
   switch (op) {
     case OpClass::kIntAlu:
     case OpClass::kBranch:  // branches resolve on an integer ALU
-      latency = config_.int_alu_latency;
+      latency = kIntAluLatency;
       return int_alu_.claim(cycle, 1);  // pipelined
     case OpClass::kIntMul:
-      latency = config_.int_mul_latency;
+      latency = kIntMulLatency;
       return int_muldiv_.claim(cycle, 1);  // pipelined multiplier
     case OpClass::kIntDiv:
-      latency = config_.int_div_latency;
+      latency = kIntDivLatency;
       return int_muldiv_.claim(cycle, latency);  // unpipelined divider
     case OpClass::kFpAlu:
-      latency = config_.fp_alu_latency;
+      latency = kFpAluLatency;
       return fp_alu_.claim(cycle, 1);
     case OpClass::kFpMul:
-      latency = config_.fp_mul_latency;
+      latency = kFpMulLatency;
       return fp_muldiv_.claim(cycle, 1);
     case OpClass::kFpDiv:
-      latency = config_.fp_div_latency;
+      latency = kFpDivLatency;
       return fp_muldiv_.claim(cycle, latency);
     case OpClass::kLoad:
     case OpClass::kStore:

@@ -5,31 +5,29 @@
 // operation, like SimpleScalar's resource model.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "src/trace/instruction.h"
 
 namespace icr::cpu {
 
-struct FuConfig {
-  std::uint32_t int_alu = 4;
-  std::uint32_t int_muldiv = 1;
-  std::uint32_t fp_alu = 4;
-  std::uint32_t fp_muldiv = 1;
-  std::uint32_t mem_ports = 2;
-
-  std::uint32_t int_alu_latency = 1;
-  std::uint32_t int_mul_latency = 3;
-  std::uint32_t int_div_latency = 20;
-  std::uint32_t fp_alu_latency = 2;
-  std::uint32_t fp_mul_latency = 4;
-  std::uint32_t fp_div_latency = 12;
-};
-
 class FunctionalUnits {
  public:
-  explicit FunctionalUnits(FuConfig config = {});
+  // Unit counts (Table 1).
+  static constexpr std::uint32_t kIntAlus = 4;
+  static constexpr std::uint32_t kIntMulDivs = 1;
+  static constexpr std::uint32_t kFpAlus = 4;
+  static constexpr std::uint32_t kFpMulDivs = 1;
+  static constexpr std::uint32_t kMemPorts = 2;
+
+  // Execution latencies in cycles (SimpleScalar's defaults).
+  static constexpr std::uint32_t kIntAluLatency = 1;
+  static constexpr std::uint32_t kIntMulLatency = 3;
+  static constexpr std::uint32_t kIntDivLatency = 20;
+  static constexpr std::uint32_t kFpAluLatency = 2;
+  static constexpr std::uint32_t kFpMulLatency = 4;
+  static constexpr std::uint32_t kFpDivLatency = 12;
 
   // Attempts to claim a unit for `op` at `cycle`. On success returns true
   // and sets `latency` to the execution latency. Memory ops claim a port;
@@ -43,21 +41,27 @@ class FunctionalUnits {
   // verification occupies the port, not just the result latency).
   void extend_mem_port(std::uint64_t cycle, std::uint32_t total_busy);
 
-  [[nodiscard]] const FuConfig& config() const noexcept { return config_; }
-
  private:
-  // A unit class: `count` units, each free again at busy_until[i].
+  // A unit class: N units, unit i free again at busy_until[i].
+  template <std::size_t N>
   struct Pool {
-    std::vector<std::uint64_t> busy_until;
-    bool claim(std::uint64_t cycle, std::uint32_t busy_for);
+    std::array<std::uint64_t, N> busy_until{};
+    bool claim(std::uint64_t cycle, std::uint32_t busy_for) {
+      for (auto& free_at : busy_until) {
+        if (free_at <= cycle) {
+          free_at = cycle + busy_for;
+          return true;
+        }
+      }
+      return false;
+    }
   };
 
-  FuConfig config_;
-  Pool int_alu_;
-  Pool int_muldiv_;
-  Pool fp_alu_;
-  Pool fp_muldiv_;
-  Pool mem_ports_;
+  Pool<kIntAlus> int_alu_;
+  Pool<kIntMulDivs> int_muldiv_;
+  Pool<kFpAlus> fp_alu_;
+  Pool<kFpMulDivs> fp_muldiv_;
+  Pool<kMemPorts> mem_ports_;
 };
 
 }  // namespace icr::cpu

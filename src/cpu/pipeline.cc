@@ -8,17 +8,14 @@
 
 namespace icr::cpu {
 
-Pipeline::Pipeline(PipelineConfig config, trace::TraceSource& source,
-                   core::IcrCache& dl1, mem::MemoryHierarchy& hierarchy,
+Pipeline::Pipeline(trace::TraceSource& source, core::IcrCache& dl1,
+                   mem::MemoryHierarchy& hierarchy,
                    fault::FaultInjector* injector)
-    : config_(config),
-      source_(source),
+    : source_(source),
       dl1_(dl1),
       hierarchy_(hierarchy),
       injector_(injector),
-      predictor_(config.branch),
-      fus_(config.fus),
-      window_(config.ruu_size, config.lsq_size, config.fetch_queue_size) {}
+      window_(kRuuSize, kLsqSize, kFetchQueueSize) {}
 
 void Pipeline::verify_load(std::uint64_t addr,
                            const core::IcrCache::AccessOutcome& outcome) {
@@ -124,8 +121,7 @@ void Pipeline::tick(std::uint64_t guard) {
 
 void Pipeline::do_commit() {
   if (cycle_ < commit_blocked_until_) return;
-  for (std::uint32_t n = 0;
-       n < config_.commit_width && !window_.ruu_empty(); ++n) {
+  for (std::uint32_t n = 0; n < kCommitWidth && !window_.ruu_empty(); ++n) {
     const RuuEntry& head = window_.slot(window_.head());
     if (!head.completed) break;
     if (head.instr.is_store()) {
@@ -152,10 +148,9 @@ void Pipeline::do_commit() {
 void Pipeline::complete(RuuEntry& entry) {
   entry.completed = true;
   if (entry.mispredicted && mispredict_wait_seq_ == entry.seq) {
-    // The branch resolved; fetch restarts after the fixed redirect penalty
-    // (paper Table 1: 3 cycles).
+    // The branch resolved; fetch restarts after the fixed redirect penalty.
     fetch_blocked_until_ =
-        std::max(fetch_blocked_until_, cycle_ + config_.mispredict_penalty);
+        std::max(fetch_blocked_until_, cycle_ + kMispredictPenalty);
     mispredict_wait_seq_ = 0;
   }
   // Consumers are younger and cannot commit before this entry, so every
@@ -217,7 +212,7 @@ void Pipeline::do_issue() {
   // still get their chance.
   std::uint32_t issued = 0;
   for (std::uint64_t age = window_.by_age(ready_);
-       age != 0 && issued < config_.issue_width; age &= age - 1) {
+       age != 0 && issued < kIssueWidth; age &= age - 1) {
     const std::uint64_t seq = window_.head() + std::countr_zero(age);
     if (try_issue(window_.slot(seq))) {
       ready_ ^= window_.bit(seq);
@@ -227,8 +222,7 @@ void Pipeline::do_issue() {
 }
 
 void Pipeline::do_dispatch() {
-  for (std::uint32_t n = 0;
-       n < config_.decode_width && !window_.fq_empty(); ++n) {
+  for (std::uint32_t n = 0; n < kDecodeWidth && !window_.fq_empty(); ++n) {
     if (window_.ruu_full()) break;
     if (window_.slot(window_.dispatched()).instr.is_mem() &&
         window_.lsq_full()) {
@@ -257,7 +251,7 @@ void Pipeline::do_fetch() {
     ++stats_.fetch_stall_cycles;
     return;
   }
-  for (std::uint32_t n = 0; n < config_.fetch_width; ++n) {
+  for (std::uint32_t n = 0; n < kFetchWidth; ++n) {
     if (window_.fq_full()) break;
     // Draining for fast_forward(): flush the held instruction, if any, but
     // never pull a new one off the source.
@@ -297,11 +291,9 @@ void Pipeline::do_fetch() {
   }
 }
 
-const PipelineStats& Pipeline::run(std::uint64_t instruction_count,
-                                   std::uint64_t max_cycles) {
-  if (max_cycles == 0) {
-    max_cycles = cycle_ + 10000 * std::max<std::uint64_t>(1, instruction_count);
-  }
+const PipelineStats& Pipeline::run(std::uint64_t instruction_count) {
+  const std::uint64_t max_cycles =
+      cycle_ + 10000 * std::max<std::uint64_t>(1, instruction_count);
   ICR_PROF_ZONE("Pipeline::run");
   const std::uint64_t target = stats_.committed + instruction_count;
   while (stats_.committed < target) {

@@ -67,19 +67,6 @@
 
 namespace icr::cpu {
 
-struct PipelineConfig {
-  std::uint32_t fetch_width = 4;
-  std::uint32_t decode_width = 4;
-  std::uint32_t issue_width = 4;
-  std::uint32_t commit_width = 4;
-  std::uint32_t ruu_size = 16;
-  std::uint32_t lsq_size = 8;
-  std::uint32_t fetch_queue_size = 16;
-  std::uint32_t mispredict_penalty = 3;
-  FuConfig fus;
-  BranchPredictorConfig branch;
-};
-
 struct PipelineStats {
   std::uint64_t cycles = 0;
   std::uint64_t committed = 0;
@@ -103,14 +90,24 @@ struct PipelineStats {
 
 class Pipeline {
  public:
-  Pipeline(PipelineConfig config, trace::TraceSource& source,
-           core::IcrCache& dl1, mem::MemoryHierarchy& hierarchy,
+  // The core of Table 1 (the paper varies only the dL1, never the core).
+  static constexpr std::uint32_t kFetchWidth = 4;   // instructions/cycle
+  static constexpr std::uint32_t kDecodeWidth = 4;  // instructions/cycle
+  static constexpr std::uint32_t kIssueWidth = 4;   // instructions/cycle
+  static constexpr std::uint32_t kCommitWidth = 4;  // instructions/cycle
+  static constexpr std::uint32_t kRuuSize = 16;     // instructions
+  static constexpr std::uint32_t kLsqSize = 8;      // instructions
+  static constexpr std::uint32_t kFetchQueueSize = 16;    // instructions
+  static constexpr std::uint32_t kMispredictPenalty = 3;  // cycles
+
+  Pipeline(trace::TraceSource& source, core::IcrCache& dl1,
+           mem::MemoryHierarchy& hierarchy,
            fault::FaultInjector* injector = nullptr);
 
-  // Runs until `instruction_count` instructions commit; returns the stats.
-  // `max_cycles` guards against model deadlock (0 = 10000 * instructions).
-  const PipelineStats& run(std::uint64_t instruction_count,
-                           std::uint64_t max_cycles = 0);
+  // Runs until `instruction_count` more instructions commit; returns the
+  // stats. A run that takes over 10,000 cycles per instruction is a model
+  // deadlock and fails an ICR_CHECK.
+  const PipelineStats& run(std::uint64_t instruction_count);
 
   // Functional fast-forward: advances architectural state — dL1/L2/L1I
   // contents, branch predictor, decay and scrub clocks, fault injection,
@@ -176,7 +173,6 @@ class Pipeline {
   void verify_load(std::uint64_t addr,
                    const core::IcrCache::AccessOutcome& outcome);
 
-  PipelineConfig config_;
   trace::TraceSource& source_;
   core::IcrCache& dl1_;
   mem::MemoryHierarchy& hierarchy_;

@@ -1,9 +1,13 @@
-// The paper's Table 1 configuration, expressed over all subsystems.
+// The configurable part of a simulated system. The core (widths, RUU, LSQ,
+// functional units, branch predictor) is fixed at the paper's Table 1 and
+// has no settings: its values are constants in src/cpu. What varies is what
+// the paper and its extensions sweep: the dL1 geometry and disabled ways
+// (§5.7, degraded geometry), the L1I/L2/memory hierarchy, the energy
+// parameters (Fig. 17), fault injection and the R-Cache baseline.
 #pragma once
 
 #include <cstdint>
 
-#include "src/cpu/pipeline.h"
 #include "src/energy/energy_model.h"
 #include "src/fault/fault_injector.h"
 #include "src/mem/cache_geometry.h"
@@ -12,7 +16,6 @@
 namespace icr::sim {
 
 struct SimConfig {
-  cpu::PipelineConfig pipeline;                       // 4-wide, RUU 16, LSQ 8
   mem::HierarchyConfig hierarchy;                     // L1I/L2/memory
   mem::CacheGeometry dl1 = mem::l1d_geometry_default();  // 16KB 4-way 64B
   // Degraded-geometry mode: faulty dL1 ways masked out of allocation and

@@ -31,8 +31,8 @@ Simulator::Simulator(SimConfig config, core::Scheme scheme,
         config_.fault_model, config_.fault_probability,
         Rng(config_.fault_seed));
   }
-  pipeline_ = std::make_unique<cpu::Pipeline>(
-      config_.pipeline, *source_, *dl1_, *hierarchy_, injector_.get());
+  pipeline_ = std::make_unique<cpu::Pipeline>(*source_, *dl1_, *hierarchy_,
+                                              injector_.get());
 }
 
 void Simulator::enable_observability(const obs::ObsOptions& options) {

@@ -22,16 +22,4 @@ namespace icr {
   return static_cast<unsigned>(__builtin_parityll(x));
 }
 
-// x / n and x % n for n > 0, as a shift and a mask when n is a power of two:
-// the index math of caches and predictors, whose sizes normally are, runs
-// on every simulated access and a 64-bit divide costs tens of cycles.
-[[nodiscard]] constexpr std::uint64_t div_fast(std::uint64_t x,
-                                               std::uint64_t n) noexcept {
-  return is_pow2(n) ? x >> log2_pow2(n) : x / n;
-}
-[[nodiscard]] constexpr std::uint64_t mod_fast(std::uint64_t x,
-                                               std::uint64_t n) noexcept {
-  return is_pow2(n) ? x & (n - 1) : x % n;
-}
-
 }  // namespace icr

@@ -81,16 +81,5 @@ TEST(FunctionalUnits, ExtendMemPortBlocksNextCycle) {
   EXPECT_TRUE(fu.try_issue(OpClass::kLoad, 2, lat));
 }
 
-TEST(FunctionalUnits, CustomConfig) {
-  FuConfig cfg;
-  cfg.int_alu = 1;
-  cfg.int_alu_latency = 5;
-  FunctionalUnits fu(cfg);
-  std::uint32_t lat = 0;
-  EXPECT_TRUE(fu.try_issue(OpClass::kIntAlu, 0, lat));
-  EXPECT_EQ(lat, 5u);
-  EXPECT_FALSE(fu.try_issue(OpClass::kIntAlu, 0, lat));
-}
-
 }  // namespace
 }  // namespace icr::cpu

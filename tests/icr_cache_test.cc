@@ -242,7 +242,7 @@ TEST(IcrCache, MultiReplicaPlacesTwoCopies) {
 }
 
 TEST(IcrCache, WriteThroughStoresReachBacking) {
-  CacheFixture f(Scheme::BaseP().with_write_through(8));
+  CacheFixture f(Scheme::BaseP().with_write_through());
   f.dl1->store(0x100, 123, 0);
   EXPECT_EQ(f.hierarchy->backing().read_word(0x100), 123u);
   ASSERT_NE(f.dl1->write_buffer(), nullptr);

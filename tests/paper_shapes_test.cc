@@ -89,7 +89,7 @@ TEST(Shape, WriteThroughSlowerAndHungrierThanIcr) {
       run_one(trace::App::kVortex, relaxed(core::Scheme::IcrPPS_S()),
               SimConfig::table1(), kN);
   const auto wt = run_one(trace::App::kVortex,
-                          core::Scheme::BaseP().with_write_through(8),
+                          core::Scheme::BaseP().with_write_through(),
                           SimConfig::table1(), kN);
   EXPECT_GT(wt.cycles, icr.cycles);
   EXPECT_GT(wt.energy.total_nj(), icr.energy.total_nj());

@@ -113,7 +113,7 @@ core::Scheme scheme_named(const std::string& name) {
   if (name == "ICR-ECC-PP(LS)") return core::Scheme::IcrEccPP_LS();
   if (name == "ICR-P-PS(LS)") return core::Scheme::IcrPPS_LS();
   // Fig. 16: write-through dL1 with an 8-entry write buffer.
-  if (name == "BaseP+WT8") return core::Scheme::BaseP().with_write_through(8);
+  if (name == "BaseP+WT8") return core::Scheme::BaseP().with_write_through();
   // Background scrubbing: one set every 40 cycles.
   if (name == "ICR-P-PS(LS)+scrub") {
     return core::Scheme::IcrPPS_LS().with_scrubbing(40);

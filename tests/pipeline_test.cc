@@ -45,7 +45,7 @@ struct Bundle {
   Bundle(std::vector<Instruction> instrs, core::Scheme scheme)
       : trace(std::move(instrs)),
         dl1(mem::l1d_geometry_default(), std::move(scheme), hierarchy),
-        pipe(PipelineConfig{}, trace, dl1, hierarchy) {}
+        pipe(trace, dl1, hierarchy) {}
   mem::MemoryHierarchy hierarchy;
   VectorTrace trace;
   core::IcrCache dl1;
@@ -191,8 +191,8 @@ TEST(Pipeline, MispredictedBranchesCostCycles) {
   BranchyTrace good_trace(false), bad_trace(true);
   core::IcrCache d1(mem::l1d_geometry_default(), core::Scheme::BaseP(), h1);
   core::IcrCache d2(mem::l1d_geometry_default(), core::Scheme::BaseP(), h2);
-  Pipeline good(PipelineConfig{}, good_trace, d1, h1);
-  Pipeline bad(PipelineConfig{}, bad_trace, d2, h2);
+  Pipeline good(good_trace, d1, h1);
+  Pipeline bad(bad_trace, d2, h2);
   const std::uint64_t cg = good.run(30000).cycles;
   const std::uint64_t cb = bad.run(30000).cycles;
   EXPECT_GT(bad.stats().mispredicted_branches,

@@ -54,9 +54,8 @@ TEST(Scheme, FluentBuildersDoNotMutateOriginal) {
 }
 
 TEST(Scheme, WriteThroughBuilder) {
-  const Scheme wt = Scheme::BaseP().with_write_through(8);
+  const Scheme wt = Scheme::BaseP().with_write_through();
   EXPECT_EQ(wt.write_policy, WritePolicy::kWriteThrough);
-  EXPECT_EQ(wt.write_buffer_entries, 8u);
   EXPECT_EQ(Scheme::BaseP().write_policy, WritePolicy::kWriteBack);
 }
 

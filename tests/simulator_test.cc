@@ -112,7 +112,7 @@ TEST(Simulator, WriteThroughCostsMoreEnergyAndTime) {
   const RunResult wb = run_one(trace::App::kGzip, core::Scheme::IcrPPS_S(),
                                SimConfig::table1(), kSmallRun);
   const RunResult wt =
-      run_one(trace::App::kGzip, core::Scheme::BaseP().with_write_through(8),
+      run_one(trace::App::kGzip, core::Scheme::BaseP().with_write_through(),
               SimConfig::table1(), kSmallRun);
   EXPECT_GT(wt.energy_events.l2_writes, wb.energy_events.l2_writes * 2);
   EXPECT_GT(wt.energy.l2_nj, wb.energy.l2_nj);
