@@ -124,13 +124,6 @@ Profile end_capture() {
   return profile;
 }
 
-std::vector<ZoneNode> snapshot_zones() {
-  Recorder& r = recorder();
-  std::lock_guard<std::mutex> lock(r.mutex);
-  if (!capturing()) return {};
-  return r.root.flatten();
-}
-
 std::uint64_t Profile::total_self_ns() const noexcept {
   std::uint64_t sum = 0;
   for (const ZoneNode& zone : zones) sum += zone.self_ns;

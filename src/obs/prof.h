@@ -109,10 +109,6 @@ struct Profile {
 // retained spans.
 [[nodiscard]] Profile end_capture();
 
-// The zone table of the capture in progress, without stopping it. Safe to
-// call from any thread at any time; empty when no capture is active.
-[[nodiscard]] std::vector<ZoneNode> snapshot_zones();
-
 // RAII zone. Construct via the ICR_PROF_ZONE* macros; the object is inert
 // (one load + branch) unless a capture is active.
 class ScopedZone {

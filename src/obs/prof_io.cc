@@ -17,41 +17,40 @@ std::string format_ms(std::uint64_t ns) {
   return format_double(static_cast<double>(ns) / 1e6, 3);
 }
 
+// Every event of a capture carries this process id.
+constexpr std::int64_t kPid = 1;
+
 // Opens one compact "ph":"M" metadata event as the next element of a
 // Chrome trace array and leaves its "args" object open: write the args
 // members, then end() both objects.
 void begin_metadata_event(util::JsonWriter& json, std::string_view name,
-                          std::int64_t pid, std::uint64_t tid) {
+                          std::uint64_t tid) {
   json.begin_object().field("name", name).field("ph", "M");
-  json.field("pid", pid).field("tid", tid).key("args").begin_object();
+  json.field("pid", kPid).field("tid", tid).key("args").begin_object();
 }
 
 }  // namespace
 
 std::string to_chrome_trace(const Profile& profile,
-                            const std::string& process_name,
-                            std::int64_t pid, double ts_offset_us) {
+                            const std::string& process_name) {
   std::string out;
   util::JsonWriter json(out, /*indent=*/0);
   json.begin_array(Layout::kBlock);
-  begin_metadata_event(json, "process_name", pid, 0);
+  begin_metadata_event(json, "process_name", 0);
   json.field("name", process_name).end().end();
   for (std::uint32_t t = 0; t < profile.threads; ++t) {
-    begin_metadata_event(json, "thread_name", pid, t);
+    begin_metadata_event(json, "thread_name", t);
     json.field("name", "worker " + std::to_string(t)).end().end();
   }
 
-  // Capture-level metadata: wall time, thread count, ring drops, and the
-  // timestamp offset (absolute unix microseconds of the capture epoch when
-  // the caller provided one).
-  begin_metadata_event(json, "icr_capture", pid, 0);
+  // Capture-level metadata: wall time, thread count and ring drops.
+  begin_metadata_event(json, "icr_capture", 0);
   json.field("wall_ns", profile.wall_ns).field("threads", profile.threads);
-  json.field("dropped_events", profile.dropped_events);
-  json.field("epoch_unix_us", util::Micros{ts_offset_us}).end().end();
+  json.field("dropped_events", profile.dropped_events).end().end();
 
   // The aggregated zone table (covers spans the ring dropped).
   for (const ZoneNode& zone : profile.zones) {
-    begin_metadata_event(json, "icr_zone_stats", pid, 0);
+    begin_metadata_event(json, "icr_zone_stats", 0);
     json.field("path", zone.path).field("zone", zone.name);
     json.field("depth", zone.depth).field("count", zone.count);
     json.field("total_ns", zone.total_ns).field("self_ns", zone.self_ns);
@@ -61,8 +60,8 @@ std::string to_chrome_trace(const Profile& profile,
   for (const SpanEvent& event : profile.events) {
     const double start_us = static_cast<double>(event.start_ns) / 1000.0;
     json.begin_object().field("name", event.name).field("cat", "zone");
-    json.field("ph", "X").field("pid", pid).field("tid", event.tid);
-    json.field("ts", util::Micros{ts_offset_us + start_us});
+    json.field("ph", "X").field("pid", kPid).field("tid", event.tid);
+    json.field("ts", util::Micros{start_us});
     json.field("dur", util::Micros{static_cast<double>(event.dur_ns) / 1000.0});
     if (!event.label.empty()) {
       json.key("args").begin_object().field("label", event.label).end();

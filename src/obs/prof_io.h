@@ -19,17 +19,10 @@
 
 namespace icr::obs::prof {
 
-// Serializes `profile` as a Chrome trace-event JSON array.
-//
-// `pid` is the process id stamped on every event (defaults to 1).
-// `ts_offset_us` shifts every span timestamp: profile timestamps are
-// nanoseconds since the capture epoch, so passing the epoch as absolute
-// unix microseconds puts the spans on the wall clock. The offset is also
-// recorded in the icr_capture metadata as "epoch_unix_us".
+// Serializes `profile` as a Chrome trace-event JSON array. Every event
+// carries pid 1; span timestamps are microseconds since the capture epoch.
 [[nodiscard]] std::string to_chrome_trace(const Profile& profile,
-                                          const std::string& process_name,
-                                          std::int64_t pid = 1,
-                                          double ts_offset_us = 0.0);
+                                          const std::string& process_name);
 
 // Rebuilds the zone table (and capture metadata) from a Chrome trace
 // written by to_chrome_trace: zones are rebuilt by path (counts, total and

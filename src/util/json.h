@@ -157,11 +157,6 @@ class JsonWriter {
     requires(!std::same_as<T, bool>)
   JsonWriter& value(T v) { return scalar(std::to_string(v)); }
 
-  // Splices already-serialized JSON verbatim where the next value goes.
-  // Inside an array it may hold several comma-separated items (merging the
-  // bodies of Chrome trace arrays keeps every event's bytes).
-  JsonWriter& raw(std::string_view json) { return scalar(json); }
-
  private:
   struct Frame {
     Layout layout;

@@ -254,8 +254,7 @@ obs::prof::Profile fixed_profile() {
 
 TEST(JsonGolden, ChromeTrace) {
   expect_golden("chrome_trace.json",
-                obs::prof::to_chrome_trace(fixed_profile(), "run\"campaign",
-                                           7, 1700000000000000.0));
+                obs::prof::to_chrome_trace(fixed_profile(), "run\"campaign"));
 }
 
 }  // namespace
