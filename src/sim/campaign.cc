@@ -63,10 +63,13 @@ void hash_fold_config(std::uint64_t& state, const SimConfig& config) noexcept {
 // limited) printing takes a mutex.
 class ProgressReporter {
  public:
+  // At most one progress line per this many seconds, besides the last.
+  static constexpr double kIntervalSeconds = 1.0;
+
   // `instructions_per_cell` feeds the simulated-MIPS readout; 0 hides it.
-  ProgressReporter(const ProgressOptions& options, std::size_t total,
+  ProgressReporter(bool enabled, std::size_t total,
                    std::uint64_t instructions_per_cell)
-      : options_(options),
+      : enabled_(enabled),
         total_(total),
         instructions_per_cell_(instructions_per_cell),
         start_(std::chrono::steady_clock::now()),
@@ -74,12 +77,12 @@ class ProgressReporter {
 
   std::size_t note() {
     const std::size_t done = completed_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (!options_.enabled) return done;
+    if (!enabled_) return done;
     const auto now = std::chrono::steady_clock::now();
     std::lock_guard<std::mutex> lock(mutex_);
     const std::chrono::duration<double> since_print = now - last_print_;
     const bool final_cell = done == total_;
-    if (since_print.count() < options_.min_interval_seconds &&
+    if (since_print.count() < kIntervalSeconds &&
         !(final_cell && printed_)) {
       return done;
     }
@@ -107,7 +110,7 @@ class ProgressReporter {
   }
 
  private:
-  ProgressOptions options_;
+  bool enabled_;
   std::size_t total_;
   std::uint64_t instructions_per_cell_;
   std::chrono::steady_clock::time_point start_;

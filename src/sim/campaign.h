@@ -267,30 +267,21 @@ struct CampaignResult {
 // campaigns with equal hashes ran the same experiment.
 [[nodiscard]] std::uint64_t campaign_config_hash(const CampaignSpec& spec);
 
-// Live progress reporting for long campaigns. Printing happens on the
-// worker that finished a cell, under a mutex, at most once per
-// `min_interval_seconds` — short campaigns therefore stay silent.
-struct ProgressOptions {
-  bool enabled = false;
-  double min_interval_seconds = 1.0;
-};
-
 class CampaignRunner {
  public:
   // threads == 0 defers to resolve_thread_count().
   explicit CampaignRunner(unsigned threads = 0)
-      : threads_(resolve_thread_count(threads)) {
-    progress_.enabled = default_progress_enabled();
-  }
+      : threads_(resolve_thread_count(threads)),
+        progress_(default_progress_enabled()) {}
 
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
-  CampaignRunner& with_progress(const ProgressOptions& options) {
-    progress_ = options;
+  // Live progress on stderr for long campaigns. Printing happens on the
+  // worker that finished a cell, under a mutex, at most once a second, so
+  // short campaigns stay silent.
+  CampaignRunner& with_progress(bool enabled) {
+    progress_ = enabled;
     return *this;
-  }
-  [[nodiscard]] const ProgressOptions& progress() const noexcept {
-    return progress_;
   }
 
   // Process-wide default for newly constructed runners. The bench binaries
@@ -306,7 +297,7 @@ class CampaignRunner {
 
  private:
   unsigned threads_;
-  ProgressOptions progress_;
+  bool progress_;
 };
 
 }  // namespace icr::sim

@@ -281,11 +281,7 @@ int main(int argc, char** argv) {
   spec.obs = run.obs();
 
   sim::CampaignRunner runner(opt.threads);
-  if (opt.progress) {
-    sim::ProgressOptions progress = runner.progress();
-    progress.enabled = true;
-    runner.with_progress(progress);
-  }
+  if (opt.progress) runner.with_progress(true);
   const std::size_t app_axis = spec.app_axis();
   std::printf("campaign: %zu scheme(s) x %zu %s x %u trial(s) = %zu "
               "cells on %u thread(s)\n",
