@@ -20,6 +20,8 @@
 #include <optional>
 #include <vector>
 
+#include "src/util/counter_table.h"
+
 namespace icr::baselines {
 
 struct RCacheStats {
@@ -33,7 +35,15 @@ struct RCacheStats {
                ? 0.0
                : static_cast<double>(hits) / static_cast<double>(lookups);
   }
+
+  static constexpr util::CounterRow<RCacheStats> kCounters[] = {
+      {"writes", &RCacheStats::writes},
+      {"lookups", &RCacheStats::lookups},
+      {"hits", &RCacheStats::hits},
+      {"recoveries", &RCacheStats::recoveries},
+  };
 };
+static_assert(util::table_covers<RCacheStats>());
 
 class RCache {
  public:

@@ -17,12 +17,20 @@
 
 #include <cstdint>
 
+#include "src/util/counter_table.h"
+
 namespace icr::core {
 
 struct DbpStats {
   std::uint64_t queries = 0;           // is_dead evaluations
   std::uint64_t dead_predictions = 0;  // queries answering "dead"
+
+  static constexpr util::CounterRow<DbpStats> kCounters[] = {
+      {"queries", &DbpStats::queries},
+      {"dead_predictions", &DbpStats::dead_predictions},
+  };
 };
+static_assert(util::table_covers<DbpStats>());
 
 class DeadBlockPredictor {
  public:

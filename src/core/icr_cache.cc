@@ -670,55 +670,6 @@ std::vector<std::uint32_t> IcrCache::replica_occupancy() const {
   return occupancy;
 }
 
-void IcrCache::attach_observability(obs::StatRegistry* registry,
-                                    obs::EventTrace* trace) {
-  trace_ = trace;
-  if (registry == nullptr) return;
-  const struct {
-    const char* name;
-    const std::uint64_t* source;
-  } counters[] = {
-      {"dl1.loads", &stats_.loads},
-      {"dl1.load_hits", &stats_.load_hits},
-      {"dl1.load_misses", &stats_.load_misses},
-      {"dl1.stores", &stats_.stores},
-      {"dl1.store_hits", &stats_.store_hits},
-      {"dl1.store_misses", &stats_.store_misses},
-      {"dl1.loads_with_replica", &stats_.loads_with_replica},
-      {"dl1.replica_fills", &stats_.replica_fills},
-      {"dl1.replication.opportunities", &stats_.replication_opportunities},
-      {"dl1.replication.successes", &stats_.replication_successes},
-      {"dl1.replication.with_one", &stats_.opportunities_with_one},
-      {"dl1.replication.with_two", &stats_.opportunities_with_two},
-      {"dl1.replication.created", &stats_.replicas_created},
-      {"dl1.replication.site_searches", &stats_.site_searches},
-      {"dl1.replication.site_search_failures", &stats_.site_search_failures},
-      {"dl1.evictions", &stats_.evictions},
-      {"dl1.writebacks", &stats_.writebacks},
-      {"dl1.replica_evictions", &stats_.replica_evictions},
-      {"dl1.dead_victim_writebacks", &stats_.dead_victim_writebacks},
-      {"dl1.errors.detected", &stats_.errors_detected},
-      {"dl1.errors.corrected_by_replica", &stats_.errors_corrected_by_replica},
-      {"dl1.errors.corrected_by_ecc", &stats_.errors_corrected_by_ecc},
-      {"dl1.errors.corrected_by_rcache", &stats_.errors_corrected_by_rcache},
-      {"dl1.errors.refetched_from_l2", &stats_.errors_refetched_from_l2},
-      {"dl1.errors.unrecoverable_loads", &stats_.unrecoverable_loads},
-      {"dl1.scrub.lines_checked", &stats_.scrub_lines_checked},
-      {"dl1.scrub.corrections", &stats_.scrub_corrections},
-      {"dl1.scrub.uncorrectable", &stats_.scrub_uncorrectable},
-      {"dl1.parity_computations", &stats_.parity_computations},
-      {"dl1.ecc_computations", &stats_.ecc_computations},
-      {"dl1.replica_updates", &stats_.replica_updates},
-      {"dl1.l1_read_accesses", &stats_.l1_read_accesses},
-      {"dl1.l1_write_accesses", &stats_.l1_write_accesses},
-      {"dbp.queries", &dbp_.stats().queries},
-      {"dbp.dead_predictions", &dbp_.stats().dead_predictions},
-  };
-  for (const auto& c : counters) registry->register_counter(c.name, c.source);
-  registry->register_gauge("dl1.resident_replicas",
-                           [this] { return resident_replicas(); });
-}
-
 void IcrCache::flip_data_bit(std::uint32_t set, std::uint32_t way,
                              std::uint32_t byte_index, std::uint32_t bit) {
   IcrLine& l = set_base(set)[way];

@@ -37,8 +37,8 @@
 #include "src/mem/memory_hierarchy.h"
 #include "src/mem/write_buffer.h"
 #include "src/obs/event_trace.h"
-#include "src/obs/stat_registry.h"
 #include "src/util/check.h"
+#include "src/util/counter_table.h"
 
 namespace icr::rel {
 class RelTracker;
@@ -174,7 +174,44 @@ struct IcrStats {
                       : static_cast<double>(unrecoverable_loads) /
                             static_cast<double>(loads);
   }
+
+  static constexpr util::CounterRow<IcrStats> kCounters[] = {
+      {"loads", &IcrStats::loads},
+      {"load_hits", &IcrStats::load_hits},
+      {"load_misses", &IcrStats::load_misses},
+      {"stores", &IcrStats::stores},
+      {"store_hits", &IcrStats::store_hits},
+      {"store_misses", &IcrStats::store_misses},
+      {"loads_with_replica", &IcrStats::loads_with_replica},
+      {"replica_fills", &IcrStats::replica_fills},
+      {"replication.opportunities", &IcrStats::replication_opportunities},
+      {"replication.successes", &IcrStats::replication_successes},
+      {"replication.with_one", &IcrStats::opportunities_with_one},
+      {"replication.with_two", &IcrStats::opportunities_with_two},
+      {"replication.created", &IcrStats::replicas_created},
+      {"replication.site_searches", &IcrStats::site_searches},
+      {"replication.site_search_failures", &IcrStats::site_search_failures},
+      {"evictions", &IcrStats::evictions},
+      {"writebacks", &IcrStats::writebacks},
+      {"replica_evictions", &IcrStats::replica_evictions},
+      {"dead_victim_writebacks", &IcrStats::dead_victim_writebacks},
+      {"errors.detected", &IcrStats::errors_detected},
+      {"errors.corrected_by_replica", &IcrStats::errors_corrected_by_replica},
+      {"errors.corrected_by_ecc", &IcrStats::errors_corrected_by_ecc},
+      {"errors.corrected_by_rcache", &IcrStats::errors_corrected_by_rcache},
+      {"errors.refetched_from_l2", &IcrStats::errors_refetched_from_l2},
+      {"errors.unrecoverable_loads", &IcrStats::unrecoverable_loads},
+      {"scrub.lines_checked", &IcrStats::scrub_lines_checked},
+      {"scrub.corrections", &IcrStats::scrub_corrections},
+      {"scrub.uncorrectable", &IcrStats::scrub_uncorrectable},
+      {"parity_computations", &IcrStats::parity_computations},
+      {"ecc_computations", &IcrStats::ecc_computations},
+      {"replica_updates", &IcrStats::replica_updates},
+      {"l1_read_accesses", &IcrStats::l1_read_accesses},
+      {"l1_write_accesses", &IcrStats::l1_write_accesses},
+  };
 };
+static_assert(util::table_covers<IcrStats>());
 
 class IcrCache {
  public:
@@ -283,14 +320,10 @@ class IcrCache {
   // Per-set resident replica counts (heatmap row; O(cache) scan).
   [[nodiscard]] std::vector<std::uint32_t> replica_occupancy() const;
 
-  // Registers this cache's counters and gauges under "dl1." (and the
-  // dead-block predictor under "dbp.") and starts emitting replication /
-  // eviction / decay events into `trace`. Either pointer may be null; both
-  // must outlive the cache. The hot paths are untouched when detached —
-  // counters are registry *views* into stats_, and event emission is behind
-  // a null check.
-  void attach_observability(obs::StatRegistry* registry,
-                            obs::EventTrace* trace);
+  // Starts emitting replication / eviction / decay events into `trace`,
+  // which may be null and must outlive the cache. Emission is behind a null
+  // check, so the hot paths are untouched when detached.
+  void attach_observability(obs::EventTrace* trace) noexcept { trace_ = trace; }
 
   // Attaches the analytical reliability tracker (src/rel); pass nullptr to
   // detach. Like observability, the tracker observes without perturbing:

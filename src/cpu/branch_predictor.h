@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "src/util/bitops.h"
+#include "src/util/counter_table.h"
 
 namespace icr::cpu {
 
@@ -26,7 +27,14 @@ struct BranchPredictorStats {
                         : static_cast<double>(direction_mispredicts) /
                               static_cast<double>(lookups);
   }
+
+  static constexpr util::CounterRow<BranchPredictorStats> kCounters[] = {
+      {"lookups", &BranchPredictorStats::lookups},
+      {"direction_mispredicts", &BranchPredictorStats::direction_mispredicts},
+      {"btb_misses", &BranchPredictorStats::btb_misses},
+  };
 };
+static_assert(util::table_covers<BranchPredictorStats>());
 
 class BranchPredictor {
  public:

@@ -48,24 +48,6 @@ void Pipeline::verify_load(std::uint64_t addr,
   }
 }
 
-void Pipeline::attach_observability(obs::StatRegistry* registry) {
-  if (registry == nullptr) return;
-  registry->register_counter("pipeline.committed", &stats_.committed);
-  registry->register_counter("pipeline.loads", &stats_.loads);
-  registry->register_counter("pipeline.stores", &stats_.stores);
-  registry->register_counter("pipeline.branches", &stats_.branches);
-  registry->register_counter("pipeline.mispredicted_branches",
-                             &stats_.mispredicted_branches);
-  registry->register_counter("pipeline.forwarded_loads",
-                             &stats_.forwarded_loads);
-  registry->register_counter("pipeline.fetch_stall_cycles",
-                             &stats_.fetch_stall_cycles);
-  registry->register_counter("pipeline.silent_corrupt_loads",
-                             &stats_.silent_corrupt_loads);
-  registry->register_counter("pipeline.unrecoverable_loads",
-                             &stats_.unrecoverable_loads);
-}
-
 bool Pipeline::fetch_stalled() const noexcept {
   return mispredict_wait_seq_ != 0 || cycle_ < fetch_blocked_until_;
 }

@@ -63,6 +63,7 @@
 #include "src/fault/fault_injector.h"
 #include "src/mem/memory_hierarchy.h"
 #include "src/trace/instruction.h"
+#include "src/util/counter_table.h"
 #include "src/util/word_map.h"
 
 namespace icr::cpu {
@@ -86,7 +87,21 @@ struct PipelineStats {
                        : static_cast<double>(committed) /
                              static_cast<double>(cycles);
   }
+
+  static constexpr util::CounterRow<PipelineStats> kCounters[] = {
+      {"cycles", &PipelineStats::cycles},
+      {"committed", &PipelineStats::committed},
+      {"loads", &PipelineStats::loads},
+      {"stores", &PipelineStats::stores},
+      {"branches", &PipelineStats::branches},
+      {"mispredicted_branches", &PipelineStats::mispredicted_branches},
+      {"forwarded_loads", &PipelineStats::forwarded_loads},
+      {"fetch_stall_cycles", &PipelineStats::fetch_stall_cycles},
+      {"silent_corrupt_loads", &PipelineStats::silent_corrupt_loads},
+      {"unrecoverable_loads", &PipelineStats::unrecoverable_loads},
+  };
 };
+static_assert(util::table_covers<PipelineStats>());
 
 class Pipeline {
  public:
@@ -131,9 +146,6 @@ class Pipeline {
   [[nodiscard]] std::uint64_t detailed_cycles() const noexcept {
     return cycle_ - functional_cycles_;
   }
-
-  // Registers the pipeline counters under "pipeline.". May be null.
-  void attach_observability(obs::StatRegistry* registry);
 
  private:
   // One detailed cycle: every stage, then fault injection and scrubbing.

@@ -14,6 +14,8 @@
 
 #include <cstdint>
 
+#include "src/util/counter_table.h"
+
 namespace icr::energy {
 
 struct EnergyParams {
@@ -32,7 +34,17 @@ struct EnergyEvents {
   std::uint64_t l2_writes = 0;
   std::uint64_t parity_computations = 0;
   std::uint64_t ecc_computations = 0;
+
+  static constexpr util::CounterRow<EnergyEvents> kCounters[] = {
+      {"l1_reads", &EnergyEvents::l1_reads},
+      {"l1_writes", &EnergyEvents::l1_writes},
+      {"l2_reads", &EnergyEvents::l2_reads},
+      {"l2_writes", &EnergyEvents::l2_writes},
+      {"parity_computations", &EnergyEvents::parity_computations},
+      {"ecc_computations", &EnergyEvents::ecc_computations},
+  };
 };
+static_assert(util::table_covers<EnergyEvents>());
 
 struct EnergyBreakdown {
   double l1_nj = 0.0;

@@ -121,19 +121,4 @@ void FaultInjector::record_outcome(obs::FaultVerdict verdict,
   }
 }
 
-void FaultInjector::attach_observability(obs::StatRegistry* registry,
-                                         obs::EventTrace* trace) {
-  trace_ = trace;
-  if (registry == nullptr) return;
-  registry->register_counter("fault.injections", &stats_.injections);
-  registry->register_counter("fault.bits_flipped", &stats_.bits_flipped);
-  registry->register_counter("fault.skipped_empty", &stats_.skipped_empty);
-  registry->register_counter("fault.corrected", &stats_.corrected);
-  registry->register_counter("fault.replica_recovered",
-                             &stats_.replica_recovered);
-  registry->register_counter("fault.detected_uncorrectable",
-                             &stats_.detected_uncorrectable);
-  registry->register_counter("fault.silent", &stats_.silent);
-}
-
 }  // namespace icr::fault

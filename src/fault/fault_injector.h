@@ -21,7 +21,7 @@
 
 #include "src/core/icr_cache.h"
 #include "src/obs/event_trace.h"
-#include "src/obs/stat_registry.h"
+#include "src/util/counter_table.h"
 #include "src/util/rng.h"
 
 namespace icr::fault {
@@ -47,7 +47,18 @@ struct FaultStats {
   [[nodiscard]] std::uint64_t observed() const noexcept {
     return corrected + replica_recovered + detected_uncorrectable + silent;
   }
+
+  static constexpr util::CounterRow<FaultStats> kCounters[] = {
+      {"injections", &FaultStats::injections},
+      {"bits_flipped", &FaultStats::bits_flipped},
+      {"skipped_empty", &FaultStats::skipped_empty},
+      {"corrected", &FaultStats::corrected},
+      {"replica_recovered", &FaultStats::replica_recovered},
+      {"detected_uncorrectable", &FaultStats::detected_uncorrectable},
+      {"silent", &FaultStats::silent},
+  };
 };
+static_assert(util::table_covers<FaultStats>());
 
 class FaultInjector {
  public:
@@ -82,10 +93,8 @@ class FaultInjector {
   void record_outcome(obs::FaultVerdict verdict, std::uint64_t cycle,
                       std::uint64_t word_addr) noexcept;
 
-  // Registers the fault counters under "fault." and starts emitting
-  // kFaultInject events. Either pointer may be null.
-  void attach_observability(obs::StatRegistry* registry,
-                            obs::EventTrace* trace);
+  // Starts emitting kFaultInject events into `trace`; may be null.
+  void attach_observability(obs::EventTrace* trace) noexcept { trace_ = trace; }
 
   [[nodiscard]] const FaultStats& stats() const noexcept { return stats_; }
   [[nodiscard]] FaultModel model() const noexcept { return model_; }

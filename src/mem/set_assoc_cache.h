@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/mem/cache_geometry.h"
+#include "src/util/counter_table.h"
 
 namespace icr::mem {
 
@@ -25,7 +26,16 @@ struct CacheStats {
                          : static_cast<double>(misses) /
                                static_cast<double>(accesses);
   }
+
+  static constexpr util::CounterRow<CacheStats> kCounters[] = {
+      {"accesses", &CacheStats::accesses},
+      {"hits", &CacheStats::hits},
+      {"misses", &CacheStats::misses},
+      {"evictions", &CacheStats::evictions},
+      {"writebacks", &CacheStats::writebacks},
+  };
 };
+static_assert(util::table_covers<CacheStats>());
 
 class SetAssocCache {
  public:

@@ -6,7 +6,8 @@
 //   * Counters — named *views* over component-owned `std::uint64_t` fields.
 //     The hot path keeps its plain unguarded increments; the registry only
 //     reads through the pointer when a snapshot is taken, so attaching a
-//     registry adds zero work per simulated event.
+//     registry adds zero work per simulated event. The simulator registers
+//     each stats struct whole, from its kCounters table.
 //   * Gauges — point-in-time values evaluated lazily at snapshot time
 //     (e.g. resident replicas), allowed to be O(structure) scans.
 //
@@ -68,6 +69,17 @@ class StatRegistry {
   // by convention ("dl1.replication.successes"); registration order is the
   // export order.
   void register_counter(std::string name, const std::uint64_t* source);
+
+  // Registers every row of `stats`'s counter table (S::kCounters, see
+  // src/util/counter_table.h) as "<prefix>.<row name>", in table order.
+  // `stats` must stay valid for as long as snapshots are taken.
+  template <typename S>
+  void register_counters(std::string_view prefix, const S& stats) {
+    for (const auto& row : S::kCounters) {
+      register_counter(std::string(prefix) + '.' + row.name,
+                       &(stats.*row.member));
+    }
+  }
 
   // Registers a gauge evaluated at each snapshot.
   void register_gauge(std::string name, GaugeFn fn);

@@ -2,101 +2,34 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "src/util/check.h"
 
 namespace icr::sim {
 namespace {
 
-// Applies `f` to every cumulative uint64 counter of a RunResult, in one
-// canonical order. Template over R so const and mutable results share the
-// single field list — keep this in sync when RunResult grows counters.
+// Applies `f(prefix, name, counter)` to every cumulative uint64 counter of
+// a RunResult, in the canonical order: the two top-level counters (empty
+// prefix), then each stats struct's util::CounterRow table. Template over R
+// so const and mutable results share the one walk.
 template <typename R, typename F>
-void visit_counters(R& r, F&& f) {
-  f(r.instructions);
-  f(r.cycles);
-
-  auto& d = r.dl1;
-  f(d.loads);
-  f(d.load_hits);
-  f(d.load_misses);
-  f(d.stores);
-  f(d.store_hits);
-  f(d.store_misses);
-  f(d.loads_with_replica);
-  f(d.replica_fills);
-  f(d.replication_opportunities);
-  f(d.replication_successes);
-  f(d.opportunities_with_one);
-  f(d.opportunities_with_two);
-  f(d.replicas_created);
-  f(d.site_searches);
-  f(d.site_search_failures);
-  f(d.evictions);
-  f(d.writebacks);
-  f(d.replica_evictions);
-  f(d.dead_victim_writebacks);
-  f(d.errors_detected);
-  f(d.errors_corrected_by_replica);
-  f(d.errors_corrected_by_ecc);
-  f(d.errors_corrected_by_rcache);
-  f(d.errors_refetched_from_l2);
-  f(d.unrecoverable_loads);
-  f(d.scrub_lines_checked);
-  f(d.scrub_corrections);
-  f(d.scrub_uncorrectable);
-  f(d.parity_computations);
-  f(d.ecc_computations);
-  f(d.replica_updates);
-  f(d.l1_read_accesses);
-  f(d.l1_write_accesses);
-
-  for (auto* cache : {&r.l1i, &r.l2}) {
-    f(cache->accesses);
-    f(cache->hits);
-    f(cache->misses);
-    f(cache->evictions);
-    f(cache->writebacks);
-  }
-
-  auto& p = r.pipeline;
-  f(p.cycles);
-  f(p.committed);
-  f(p.loads);
-  f(p.stores);
-  f(p.branches);
-  f(p.mispredicted_branches);
-  f(p.forwarded_loads);
-  f(p.fetch_stall_cycles);
-  f(p.silent_corrupt_loads);
-  f(p.unrecoverable_loads);
-
-  f(r.branch.lookups);
-  f(r.branch.direction_mispredicts);
-  f(r.branch.btb_misses);
-
-  auto& ft = r.faults;
-  f(ft.injections);
-  f(ft.bits_flipped);
-  f(ft.skipped_empty);
-  f(ft.corrected);
-  f(ft.replica_recovered);
-  f(ft.detected_uncorrectable);
-  f(ft.silent);
-
-  auto& rc = r.rcache;
-  f(rc.writes);
-  f(rc.lookups);
-  f(rc.hits);
-  f(rc.recoveries);
-
-  auto& ev = r.energy_events;
-  f(ev.l1_reads);
-  f(ev.l1_writes);
-  f(ev.l2_reads);
-  f(ev.l2_writes);
-  f(ev.parity_computations);
-  f(ev.ecc_computations);
+void visit_counters(R&& r, F&& f) {
+  f("", "instructions", r.instructions);
+  f("", "cycles", r.cycles);
+  const auto table = [&f](const char* prefix, auto& stats) {
+    for (const auto& row : std::remove_cvref_t<decltype(stats)>::kCounters) {
+      f(prefix, row.name, stats.*row.member);
+    }
+  };
+  table("dl1", r.dl1);
+  table("l1i", r.l1i);
+  table("l2", r.l2);
+  table("pipeline", r.pipeline);
+  table("branch", r.branch);
+  table("fault", r.faults);
+  table("rcache", r.rcache);
+  table("energy", r.energy_events);
 }
 
 }  // namespace
@@ -123,8 +56,15 @@ double mean(const std::vector<double>& values) noexcept {
 
 std::vector<std::uint64_t> counter_vector(const RunResult& r) {
   std::vector<std::uint64_t> out;
-  out.reserve(80);
-  visit_counters(r, [&](const std::uint64_t& v) { out.push_back(v); });
+  visit_counters(r, [&](auto, auto, std::uint64_t v) { out.push_back(v); });
+  return out;
+}
+
+std::vector<std::string> counter_names() {
+  std::vector<std::string> out;
+  visit_counters(RunResult{}, [&](std::string prefix, const char* name, auto) {
+    out.push_back(prefix.empty() ? name : prefix + '.' + name);
+  });
   return out;
 }
 
@@ -132,9 +72,8 @@ RunResult subtract_counters(const RunResult& end, const RunResult& begin) {
   RunResult out = end;
   const std::vector<std::uint64_t> base = counter_vector(begin);
   std::size_t i = 0;
-  visit_counters(out, [&](std::uint64_t& v) {
-    v -= std::min(v, base[i]);
-    ++i;
+  visit_counters(out, [&](auto, auto, std::uint64_t& v) {
+    v -= std::min(v, base[i++]);
   });
   return out;
 }
@@ -146,17 +85,15 @@ RunResult reconstruct_weighted(const std::vector<RunResult>& deltas,
   std::vector<double> acc(counter_vector(deltas.front()).size(), 0.0);
   for (std::size_t j = 0; j < deltas.size(); ++j) {
     std::size_t i = 0;
-    visit_counters(deltas[j], [&](const std::uint64_t& v) {
-      acc[i] += weights[j] * static_cast<double>(v);
-      ++i;
+    visit_counters(deltas[j], [&](auto, auto, std::uint64_t v) {
+      acc[i++] += weights[j] * static_cast<double>(v);
     });
   }
   RunResult out = deltas.front();
   std::size_t i = 0;
-  visit_counters(out, [&](std::uint64_t& v) {
-    v = acc[i] <= 0.0 ? 0
-                      : static_cast<std::uint64_t>(std::llround(acc[i]));
-    ++i;
+  visit_counters(out, [&](auto, auto, std::uint64_t& v) {
+    const double x = acc[i++];
+    v = x <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(x));
   });
   return out;
 }

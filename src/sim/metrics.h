@@ -54,14 +54,20 @@ struct RunResult {
 
 // ---------------------------------------------------------------------------
 // Counter-level arithmetic for snapshot-and-subtract sampling
-// (src/sim/sampling.h). Every cumulative uint64 counter of a RunResult —
-// including the nested dl1/l1i/l2/pipeline/branch/fault/rcache/energy-event
-// stats — is visited in one fixed order, so window deltas and weighted
-// whole-run reconstructions stay exact field for field.
+// (src/sim/sampling.h). Every cumulative uint64 counter of a RunResult is
+// visited in one fixed order: instructions, cycles, then the kCounters rows
+// (src/util/counter_table.h) of dl1, l1i, l2, pipeline, branch, faults,
+// rcache and energy_events, so window deltas and weighted whole-run
+// reconstructions stay exact field for field.
 // ---------------------------------------------------------------------------
 
 // All counters of `r`, flattened in the canonical visit order.
 [[nodiscard]] std::vector<std::uint64_t> counter_vector(const RunResult& r);
+
+// The name of each counter_vector entry: "instructions", "cycles", then
+// "<prefix>.<row>", e.g. "dl1.errors.detected", "fault.silent",
+// "energy.l1_reads". All but energy.* are also registry counter names.
+[[nodiscard]] std::vector<std::string> counter_names();
 
 // `end - begin` over every counter (clamped at zero for safety; counters
 // are monotone over a run). Strings are copied from `end`; the energy

@@ -12,80 +12,61 @@ namespace icr::sim {
 
 using Layout = util::JsonWriter::Layout;
 
-const std::vector<std::string>& metric_columns() {
-  static const std::vector<std::string> columns = {
-      "instructions",
-      "cycles",
-      "ipc",
-      "dl1_loads",
-      "dl1_load_hits",
-      "dl1_stores",
-      "dl1_miss_rate",
-      "replication_ability",
-      "loads_with_replica_fraction",
-      "replicas_created",
-      "replica_evictions",
-      "evictions",
-      "writebacks",
-      "errors_detected",
-      "errors_corrected_by_replica",
-      "errors_corrected_by_ecc",
-      "errors_corrected_by_rcache",
-      "errors_refetched_from_l2",
-      "unrecoverable_loads",
-      "silent_corrupt_loads",
-      "scrub_corrections",
-      "fault_injections",
-      "fault_bits_flipped",
-      "fault_corrected",
-      "fault_replica_recovered",
-      "fault_detected_uncorrectable",
-      "fault_silent",
-      "l1i_miss_rate",
-      "l2_miss_rate",
-      "branch_mispredict_rate",
-      "energy_total_nj",
-  };
-  return columns;
-}
-
-std::vector<double> metric_values(const RunResult& r) {
-  return {
-      static_cast<double>(r.instructions),
-      static_cast<double>(r.cycles),
-      r.ipc(),
-      static_cast<double>(r.dl1.loads),
-      static_cast<double>(r.dl1.load_hits),
-      static_cast<double>(r.dl1.stores),
-      r.dl1.miss_rate(),
-      r.dl1.replication_ability(),
-      r.dl1.loads_with_replica_fraction(),
-      static_cast<double>(r.dl1.replicas_created),
-      static_cast<double>(r.dl1.replica_evictions),
-      static_cast<double>(r.dl1.evictions),
-      static_cast<double>(r.dl1.writebacks),
-      static_cast<double>(r.dl1.errors_detected),
-      static_cast<double>(r.dl1.errors_corrected_by_replica),
-      static_cast<double>(r.dl1.errors_corrected_by_ecc),
-      static_cast<double>(r.dl1.errors_corrected_by_rcache),
-      static_cast<double>(r.dl1.errors_refetched_from_l2),
-      static_cast<double>(r.dl1.unrecoverable_loads),
-      static_cast<double>(r.pipeline.silent_corrupt_loads),
-      static_cast<double>(r.dl1.scrub_corrections),
-      static_cast<double>(r.faults.injections),
-      static_cast<double>(r.faults.bits_flipped),
-      static_cast<double>(r.faults.corrected),
-      static_cast<double>(r.faults.replica_recovered),
-      static_cast<double>(r.faults.detected_uncorrectable),
-      static_cast<double>(r.faults.silent),
-      r.l1i.miss_rate(),
-      r.l2.miss_rate(),
-      r.branch.mispredict_rate(),
-      r.energy.total_nj(),
-  };
-}
-
 namespace {
+
+using Run = const RunResult&;
+
+double n(std::uint64_t count) { return static_cast<double>(count); }
+
+// The campaign export's metric columns, in export order: the column name
+// and how to read it from a RunResult.
+struct MetricColumn {
+  const char* name;
+  double (*value)(Run);
+};
+
+constexpr MetricColumn kMetricColumns[] = {
+    {"instructions", [](Run r) { return n(r.instructions); }},
+    {"cycles", [](Run r) { return n(r.cycles); }},
+    {"ipc", [](Run r) { return r.ipc(); }},
+    {"dl1_loads", [](Run r) { return n(r.dl1.loads); }},
+    {"dl1_load_hits", [](Run r) { return n(r.dl1.load_hits); }},
+    {"dl1_stores", [](Run r) { return n(r.dl1.stores); }},
+    {"dl1_miss_rate", [](Run r) { return r.dl1.miss_rate(); }},
+    {"replication_ability", [](Run r) { return r.dl1.replication_ability(); }},
+    {"loads_with_replica_fraction",
+     [](Run r) { return r.dl1.loads_with_replica_fraction(); }},
+    {"replicas_created", [](Run r) { return n(r.dl1.replicas_created); }},
+    {"replica_evictions", [](Run r) { return n(r.dl1.replica_evictions); }},
+    {"evictions", [](Run r) { return n(r.dl1.evictions); }},
+    {"writebacks", [](Run r) { return n(r.dl1.writebacks); }},
+    {"errors_detected", [](Run r) { return n(r.dl1.errors_detected); }},
+    {"errors_corrected_by_replica",
+     [](Run r) { return n(r.dl1.errors_corrected_by_replica); }},
+    {"errors_corrected_by_ecc",
+     [](Run r) { return n(r.dl1.errors_corrected_by_ecc); }},
+    {"errors_corrected_by_rcache",
+     [](Run r) { return n(r.dl1.errors_corrected_by_rcache); }},
+    {"errors_refetched_from_l2",
+     [](Run r) { return n(r.dl1.errors_refetched_from_l2); }},
+    {"unrecoverable_loads", [](Run r) { return n(r.dl1.unrecoverable_loads); }},
+    {"silent_corrupt_loads",
+     [](Run r) { return n(r.pipeline.silent_corrupt_loads); }},
+    {"scrub_corrections", [](Run r) { return n(r.dl1.scrub_corrections); }},
+    {"fault_injections", [](Run r) { return n(r.faults.injections); }},
+    {"fault_bits_flipped", [](Run r) { return n(r.faults.bits_flipped); }},
+    {"fault_corrected", [](Run r) { return n(r.faults.corrected); }},
+    {"fault_replica_recovered",
+     [](Run r) { return n(r.faults.replica_recovered); }},
+    {"fault_detected_uncorrectable",
+     [](Run r) { return n(r.faults.detected_uncorrectable); }},
+    {"fault_silent", [](Run r) { return n(r.faults.silent); }},
+    {"l1i_miss_rate", [](Run r) { return r.l1i.miss_rate(); }},
+    {"l2_miss_rate", [](Run r) { return r.l2.miss_rate(); }},
+    {"branch_mispredict_rate",
+     [](Run r) { return r.branch.mispredict_rate(); }},
+    {"energy_total_nj", [](Run r) { return r.energy.total_nj(); }},
+};
 
 // The campaign-level "sampling" options object.
 void append_json(util::JsonWriter& json, const SamplingOptions& s) {
@@ -103,6 +84,21 @@ void append_json(util::JsonWriter& json, const GeometryProvenance& g) {
 }
 
 }  // namespace
+
+const std::vector<std::string>& metric_columns() {
+  static const std::vector<std::string> columns = [] {
+    std::vector<std::string> out;
+    for (const MetricColumn& c : kMetricColumns) out.emplace_back(c.name);
+    return out;
+  }();
+  return columns;
+}
+
+std::vector<double> metric_values(const RunResult& r) {
+  std::vector<double> out;
+  for (const MetricColumn& c : kMetricColumns) out.push_back(c.value(r));
+  return out;
+}
 
 std::string to_csv(const CampaignResult& campaign) {
   ICR_PROF_ZONE("ResultsIO::to_csv");

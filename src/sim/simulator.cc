@@ -41,22 +41,25 @@ void Simulator::enable_observability(const obs::ObsOptions& options) {
   if (options.trace_categories != 0) {
     obs_->trace = std::make_unique<obs::EventTrace>(options.trace_categories);
   }
-  dl1_->attach_observability(&obs_->registry, obs_->trace.get());
+  // Registration order is the interval CSV's column order.
+  obs::StatRegistry& reg = obs_->registry;
+  dl1_->attach_observability(obs_->trace.get());
+  reg.register_counters("dl1", dl1_->stats());
+  reg.register_counters("dbp", dl1_->dead_block_predictor().stats());
   if (injector_ != nullptr) {
-    injector_->attach_observability(&obs_->registry, obs_->trace.get());
+    injector_->attach_observability(obs_->trace.get());
+    reg.register_counters("fault", injector_->stats());
   }
-  pipeline_->attach_observability(&obs_->registry);
-  obs_->registry.register_counter("l1i.accesses",
-                                  &hierarchy_->l1i().stats().accesses);
-  obs_->registry.register_counter("l1i.misses",
-                                  &hierarchy_->l1i().stats().misses);
-  obs_->registry.register_counter("l2.accesses",
-                                  &hierarchy_->l2().stats().accesses);
-  obs_->registry.register_counter("l2.misses",
-                                  &hierarchy_->l2().stats().misses);
+  reg.register_counters("pipeline", pipeline_->stats());
+  reg.register_counters("l1i", hierarchy_->l1i().stats());
+  reg.register_counters("l2", hierarchy_->l2().stats());
+  reg.register_counters("branch", pipeline_->branch_predictor().stats());
+  if (rcache_ != nullptr) reg.register_counters("rcache", rcache_->stats());
+  reg.register_gauge("dl1.resident_replicas",
+                     [this] { return dl1_->resident_replicas(); });
   if (options.stats_interval != 0) {
-    obs_->sampler = std::make_unique<obs::IntervalSampler>(
-        obs_->registry, options.stats_interval);
+    obs_->sampler =
+        std::make_unique<obs::IntervalSampler>(reg, options.stats_interval);
     obs_->sampler->set_occupancy_probe(
         [this] { return dl1_->replica_occupancy(); });
     obs_->sampler->record_baseline(pipeline_->stats().committed,

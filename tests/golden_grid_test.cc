@@ -9,8 +9,9 @@
 //     the seed of every variant, app and trial past the first is pinned.
 //     The derived seed is part of the row label.
 //
-// On a mismatch the test reports the first diverging (cell, counter index,
-// want, got). Every run writes the CSV it produced to grid.actual.csv in
+// The header names each counter (sim::counter_names). On a mismatch the
+// test reports the first diverging (cell, counter name and index, want,
+// got). Every run writes the CSV it produced to grid.actual.csv in
 // the build tree; copying that file over tests/golden/grid.csv is how the
 // golden is regenerated. Only do that when a change is meant to alter
 // simulated behaviour, and say so in the change description.
@@ -82,13 +83,12 @@ std::string produce_grid() {
   derived.trials = 2;
   derived.derive_seeds = true;
 
-  std::string header = "cell";
-  const std::size_t counters = counter_vector(RunResult{}).size();
-  for (std::size_t i = 0; i < counters; ++i) {
-    header += ',';
-    header += std::to_string(i);
+  std::string csv = "cell";
+  for (const std::string& name : counter_names()) {
+    csv += ',';
+    csv += name;
   }
-  std::string csv = header + "\n";
+  csv += '\n';
   append_rows(paper, false, csv);
   append_rows(derived, true, csv);
   return csv;
@@ -119,9 +119,11 @@ TEST(GoldenGrid, PaperGridAndDerivedSeedCampaignMatchTheGolden) {
       const std::string w = i < want.size() ? want[i] : "(none)";
       const std::string g = i < row.size() ? row[i] : "(none)";
       if (w != g) {
-        FAIL() << "first divergence: cell " << row.front()
-               << ", counter index " << i - 1 << ", want " << w << ", got "
-               << g << " (the current grid is " << ICR_GRID_ACTUAL << ")";
+        const std::vector<std::string> names = counter_names();
+        FAIL() << "first divergence: cell " << row.front() << ", counter "
+               << (i - 1 < names.size() ? names[i - 1] : "(none)")
+               << " (index " << i - 1 << "), want " << w << ", got " << g
+               << " (the current grid is " << ICR_GRID_ACTUAL << ")";
       }
     }
   }

@@ -166,10 +166,56 @@ TEST(Observability, IntervalCsvHeaderGolden) {
   for (const char* column :
        {",d_dl1.loads,", ",d_dl1.load_misses,", ",d_dl1.stores,",
         ",d_dl1.replication.opportunities,", ",d_dl1.replication.successes,",
-        ",d_fault.injections,", ",d_pipeline.committed,",
-        ",dl1.resident_replicas"}) {
+        ",d_fault.injections,", ",d_pipeline.cycles,",
+        ",d_pipeline.committed,", ",d_l1i.hits,", ",d_l2.writebacks,",
+        ",d_branch.btb_misses,", ",dl1.resident_replicas"}) {
     EXPECT_NE(header.find(column), std::string::npos) << column;
   }
+  EXPECT_EQ(header.find(",d_rcache."), std::string::npos)
+      << "no R-Cache is attached";
+}
+
+// Every counter has one name, and the registry and counter_vector derive
+// from the same tables: each registry counter that counter_names() lists
+// ends the run at the value counter_vector holds at that index.
+TEST(Observability, RegistryCountersMatchCounterVector) {
+  const std::vector<std::string> names = sim::counter_names();
+  EXPECT_EQ(names.size(), 75u);
+  EXPECT_EQ(names.size(), sim::counter_vector(sim::RunResult{}).size());
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_TRUE(index.emplace(names[i], i).second) << "duplicate " << names[i];
+  }
+
+  sim::SimConfig config = sim::SimConfig::table1();
+  config.fault_probability = 1e-4;
+  config.rcache_entries = 64;
+  sim::Simulator simulator(config, core::Scheme::IcrPPS_S(),
+                           trace::profile_for(trace::App::kGzip));
+  obs::ObsOptions options;
+  options.stats_interval = 10000;
+  simulator.enable_observability(options);
+  const std::vector<std::uint64_t> want =
+      sim::counter_vector(simulator.run(30000));
+
+  const obs::IntervalSeries& series =
+      simulator.collect_observability().intervals;
+  const std::vector<std::uint64_t>& got = series.samples.back().counters;
+  std::size_t matched = 0;
+  for (std::size_t c = 0; c < series.counter_names.size(); ++c) {
+    const std::string& name = series.counter_names[c];
+    const auto it = index.find(name);
+    if (it == index.end()) {
+      EXPECT_EQ(name.rfind("dbp.", 0), 0u) << name;  // not in a RunResult
+      continue;
+    }
+    ++matched;
+    EXPECT_EQ(got[c], want[it->second]) << name;
+  }
+  // dl1 33, fault 7, pipeline 10, l1i 5, l2 5, branch 3, rcache 4.
+  EXPECT_EQ(matched, 67u);
+  EXPECT_GT(want[index.at("fault.injections")], 0u);
+  EXPECT_GT(want[index.at("rcache.writes")], 0u);
 }
 
 }  // namespace
